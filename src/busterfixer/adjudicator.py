@@ -20,11 +20,11 @@ verifier evaluates that exists/forall chain by backward induction:
   (Buster steers, all alternative-Fixer responses are taken conjunctively)
   on remaining bust/spend budgets relative to the target outcome.
 
-``verify_optimal_naive`` evaluates the same definition with no game
-machinery at all, by materializing every strategy's outcome set
-explicitly; it exists to pin the definition's reading, and any
-disagreement between the two is surfaced as a test failure rather than
-resolved silently.
+``verify_optimal_naive`` is the one strategy-materializing oracle: it
+evaluates the same definition with no game machinery at all, by
+materializing every strategy's outcome set explicitly. It exists to pin
+the definition's reading, and any disagreement between the two is
+surfaced as a test failure rather than resolved silently.
 
 By default the alternatives compared against are restricted to responses
 whose every edge is a bridge after the fix (equivalently, spanning trees
@@ -32,6 +32,8 @@ of the contracted graph); this restriction provably preserves the verdict
 and ``bridge_only=False`` disables it so the equivalence can be checked
 empirically.
 
+Every size limit comes from one :class:`Caps` object (defined in
+``graph`` and re-exported here); exceeding it raises ``CapExceededError``.
 Searches are pure given their inputs. The optional ``cache`` argument is
 a plain dict keyed by id-free canonical position signatures; share one
 across calls to speed up sweeps (inserts are idempotent, so concurrent
@@ -48,50 +50,16 @@ from typing import Callable, Iterable, Iterator
 from .engine import (
     OutcomeTriple,
     Position,
-    RoundRecord,
     Series,
-    Winner,
-    apply_round,
     buster_wins,
     enumerate_buster_moves,
     series_totals,
 )
 from .errors import BusterWinsError, CapExceededError, IllegalMoveError
-from .graph import Edge, Multigraph, _UnionFind, contract, is_connected
+from .graph import DEFAULT_CAPS, Caps, Edge, Multigraph, _UnionFind, contract, is_connected
 from .reconnect import all_msts, all_spanning_trees
 
 ZERO = Fraction(0)
-
-
-@dataclass(frozen=True)
-class Caps:
-    """Size limits for the adjudication searches.
-
-    Exceeding a cap raises ``CapExceededError``; nothing is ever silently
-    truncated. ``max_total_edges`` bounds ``|G| + |R|`` for the game-tree
-    verifier, ``naive_max_total_edges`` bounds the strategy-materializing
-    oracle, and ``max_subsets`` bounds any single subset enumeration.
-    """
-
-    max_total_edges: int = 7
-    naive_max_total_edges: int = 5
-    max_subsets: int = 1 << 12
-
-
-DEFAULT_CAPS = Caps()
-
-
-@dataclass(frozen=True)
-class DominanceQuery:
-    """State of one alternative line mid-comparison against a target outcome.
-
-    ``accumulated`` carries the bust count and spend already incurred along
-    the alternative prefix (its ``fixer_win`` flag is ignored).
-    """
-
-    target: OutcomeTriple
-    position: Position
-    accumulated: OutcomeTriple
 
 
 def fixer_superior(a: OutcomeTriple, b: OutcomeTriple) -> bool:
@@ -121,7 +89,7 @@ def series_superior(s: Series, t: Series) -> bool:
 
 
 def enumerate_fixer_responses(
-    p: Position, busted: frozenset[str], bridge_only: bool = False, max_subsets: int = DEFAULT_CAPS.max_subsets
+    p: Position, busted: frozenset[str], bridge_only: bool = False, caps: Caps = DEFAULT_CAPS
 ) -> list[frozenset[str]]:
     """All legal Fixer responses to ``busted``, cheapest first.
 
@@ -134,7 +102,8 @@ def enumerate_fixer_responses(
 
     Order: by total weight, then lexicographically on the sorted id tuple.
 
-    Raises ``BusterWinsError`` when not even the full reserve reconnects.
+    Raises ``BusterWinsError`` when not even the full reserve reconnects,
+    and ``CapExceededError`` when the enumeration exceeds ``caps.max_subsets``.
     """
     busted = frozenset(busted)
     if buster_wins(p, busted):
@@ -144,13 +113,11 @@ def enumerate_fixer_responses(
     if bridge_only:
         if m.component_count == 1:
             return [frozenset()]
-        responses = [
-            frozenset(m.origin_of(i) for i in t.edge_ids) for t in all_spanning_trees(m)
-        ]
+        responses = [t.edge_ids for t in all_spanning_trees(m, caps)]
     else:
         ids = sorted(p.reserve.ids)
-        if 1 << len(ids) > max_subsets:
-            raise CapExceededError(f"2^{len(ids)} reserve subsets exceeds cap {max_subsets}")
+        if 1 << len(ids) > caps.max_subsets:
+            raise CapExceededError(f"2^{len(ids)} reserve subsets exceeds cap {caps.max_subsets}")
         labels = m.component_of
         responses = []
         for mask in range(1 << len(ids)):
@@ -381,27 +348,6 @@ def _survives(
     return result
 
 
-def dominates_all_strategies(
-    q: DominanceQuery, caps: Caps = DEFAULT_CAPS, cache: dict | None = None
-) -> bool:
-    """Decide the per-alternative-line reachability game for one query."""
-    if q.position.total_edges > caps.max_total_edges:
-        raise CapExceededError(
-            f"position has {q.position.total_edges} edges, cap is {caps.max_total_edges}"
-        )
-    arena = _Arena(q.position)
-    return _dominated(
-        arena,
-        arena.graph_mask,
-        arena.reserve_mask,
-        q.target.total_busted - q.accumulated.total_busted,
-        q.target.fix_cost - q.accumulated.fix_cost,
-        q.target.fixer_win,
-        {},
-        cache,
-    )
-
-
 @dataclass(frozen=True)
 class VerifyResult:
     """Outcome of one optimality check, with a witness for the verdict.
@@ -456,9 +402,7 @@ def verify_optimal_report(
     arena = _Arena(p)
     bust_mask = arena.mask_of(busted)
     left = arena.graph_mask ^ bust_mask
-    alternatives = enumerate_fixer_responses(
-        p, busted, bridge_only=bridge_only, max_subsets=caps.max_subsets
-    )
+    alternatives = enumerate_fixer_responses(p, busted, bridge_only=bridge_only, caps=caps)
     alt_lines = []
     for alt in alternatives:
         alt_mask = arena.mask_of(alt)
@@ -606,7 +550,7 @@ def verify_optimal_naive(
         strategies(left | cand_mask, arena.reserve_mask ^ cand_mask), arena.weight_of(cand_mask)
     )
     alternative_sets = []
-    for alt in enumerate_fixer_responses(p, busted, bridge_only=False, max_subsets=caps.max_subsets):
+    for alt in enumerate_fixer_responses(p, busted, bridge_only=False, caps=caps):
         alt_mask = arena.mask_of(alt)
         alternative_sets.append(
             shifted(
@@ -623,99 +567,6 @@ def verify_optimal_naive(
         )
         for target in target_sets
     )
-
-
-@dataclass(frozen=True)
-class StrategyTree:
-    """One explicit continuation strategy: a prefix plus a total response map.
-
-    ``prefix`` is the fixed opening (for adjudication, the single round of
-    the bust and the candidate response). ``responses`` assigns exactly one
-    Fixer response to every legal Buster-move sequence after the prefix —
-    including the forced empty response where a move wins for Buster — so
-    identical histories get identical responses by construction. The
-    series of the strategy are every quit-here prefix (Fixer wins) and
-    every Buster-win leaf.
-    """
-
-    initial: Position
-    prefix: tuple[RoundRecord, ...]
-    responses: tuple[tuple[tuple[frozenset, ...], frozenset], ...]
-
-    @property
-    def response_map(self) -> dict[tuple[frozenset, ...], frozenset]:
-        return dict(self.responses)
-
-
-def enumerate_strategy_trees(
-    p: Position, busted: frozenset[str], response: frozenset[str], caps: Caps = DEFAULT_CAPS
-) -> list[StrategyTree]:
-    """Materialize every strategy continuing after (busted, response).
-
-    Exponential by construction; raises ``CapExceededError`` once more than
-    ``caps.max_subsets`` trees would be produced. When the bust already won
-    for Buster the lone strategy is the completed series itself.
-    """
-    busted = frozenset(busted)
-    response = frozenset(response)
-    if _validated_candidate(p, busted, response):
-        return [StrategyTree(initial=p, prefix=(RoundRecord(busted, frozenset()),), responses=())]
-    prefix = (RoundRecord(busted=busted, fixed=response),)
-    root = apply_round(p, busted, response)
-
-    def expand(pos: Position, seq: tuple[frozenset, ...]) -> list[dict]:
-        per_move: list[list[dict]] = []
-        for move in enumerate_buster_moves(pos):
-            key = seq + (move,)
-            if buster_wins(pos, move):
-                per_move.append([{key: frozenset()}])
-                continue
-            options = []
-            for fix in enumerate_fixer_responses(pos, move, bridge_only=False, max_subsets=caps.max_subsets):
-                for submap in expand(apply_round(pos, move, fix), key):
-                    options.append({key: fix, **submap})
-            per_move.append(options)
-        maps: list[dict] = []
-        for combo in product(*per_move):
-            merged: dict = {}
-            for part in combo:
-                merged.update(part)
-            maps.append(merged)
-            if len(maps) > caps.max_subsets:
-                raise CapExceededError(
-                    f"more than {caps.max_subsets} strategy trees; raise caps.max_subsets"
-                )
-        return maps
-
-    return [
-        StrategyTree(initial=p, prefix=prefix, responses=tuple(sorted(m.items())))
-        for m in expand(root, ())
-    ]
-
-
-def strategy_series(tree: StrategyTree) -> list[Series]:
-    """Every series of one strategy: all quit prefixes and Buster-win leaves."""
-    assignments = tree.response_map
-    out: list[Series] = []
-    pos = tree.initial
-    for record in tree.prefix:
-        if buster_wins(pos, record.busted):
-            return [Series(initial=tree.initial, rounds=tree.prefix, outcome=Winner.BUSTER)]
-        pos = apply_round(pos, record.busted, record.fixed)
-
-    def walk(pos: Position, rounds: tuple[RoundRecord, ...], seq: tuple[frozenset, ...]) -> None:
-        out.append(Series(initial=tree.initial, rounds=rounds, outcome=Winner.FIXER))
-        for move in enumerate_buster_moves(pos):
-            if buster_wins(pos, move):
-                record = RoundRecord(busted=move, fixed=frozenset())
-                out.append(Series(initial=tree.initial, rounds=rounds + (record,), outcome=Winner.BUSTER))
-                continue
-            fix = assignments[seq + (move,)]
-            record = RoundRecord(busted=move, fixed=fix)
-            walk(apply_round(pos, move, fix), rounds + (record,), seq + (move,))
-
-    walk(pos, tree.prefix, ())
-    return out
 
 
 @dataclass(frozen=True)
@@ -766,18 +617,17 @@ def theorem_sweep(
     *,
     bridge_only: bool = True,
     compare_prune: bool = False,
-    check_converse: bool = True,
 ) -> SweepReport:
     """Check greedy-is-optimal, and its converse, across whole instances.
 
     For every instance, every legal Buster move, and every greedy response
     (every minimum spanning tree of the contracted graph, not just the
-    default tie-break), the verifier must say optimal. With
-    ``check_converse``, every other legal response is also adjudicated and
-    must be rejected unless it has minimum weight. With ``compare_prune``,
-    each verdict is recomputed without the bridge restriction and any
-    disagreement is recorded. A nonempty counterexample list is a
-    build-failing event for the corpus this library ships with.
+    default tie-break), the verifier must say optimal. Conversely, every
+    other legal response is also adjudicated and must be rejected unless it
+    has minimum weight. With ``compare_prune``, each verdict is recomputed
+    without the bridge restriction and any disagreement is recorded. A
+    nonempty counterexample list is a build-failing event for the corpus
+    this library ships with. ``caps`` bounds every enumeration and search.
     """
     report = SweepReport()
     cache: dict = {}
@@ -785,7 +635,7 @@ def theorem_sweep(
         report.instances += 1
         if len(p.graph) == 0:
             continue
-        for busted in enumerate_buster_moves(p):
+        for busted in enumerate_buster_moves(p, caps):
             report.moves += 1
             if buster_wins(p, busted):
                 report.greedy_checked += 1
@@ -795,12 +645,9 @@ def theorem_sweep(
                     )
                 continue
             m = contract(p.graph.without(busted), p.reserve.edges)
-            msts = all_msts(m)
+            msts = all_msts(m, caps)
             minimum = msts[0].total_weight
-            greedy_sets = sorted(
-                {frozenset(m.origin_of(i) for i in t.edge_ids) for t in msts},
-                key=lambda s: tuple(sorted(s)),
-            )
+            greedy_sets = sorted({t.edge_ids for t in msts}, key=lambda s: tuple(sorted(s)))
             for response in greedy_sets:
                 report.greedy_checked += 1
                 verdict = verify_optimal(p, busted, response, caps, bridge_only=bridge_only, cache=cache)
@@ -814,10 +661,8 @@ def theorem_sweep(
                     report.counterexamples.append(
                         Counterexample("greedy-not-optimal", p, busted, response, f"weight {minimum}")
                     )
-            if not check_converse:
-                continue
             greedy_lookup = set(greedy_sets)
-            for response in enumerate_fixer_responses(p, busted, bridge_only=False, max_subsets=caps.max_subsets):
+            for response in enumerate_fixer_responses(p, busted, bridge_only=False, caps=caps):
                 if response in greedy_lookup:
                     continue
                 report.responses_checked += 1

@@ -161,8 +161,7 @@ def _cmd_msts(args: argparse.Namespace) -> int:
         return 1
     lines = [f"{len(trees)} minimum spanning tree(s) over {m.component_count} component(s)"]
     for tree in trees:
-        origin_ids = sorted(m.origin_of(i) for i in tree.edge_ids)
-        lines.append("{" + ",".join(origin_ids) + "}" + f" weight {format_weight(tree.total_weight)}")
+        lines.append("{" + ",".join(sorted(tree.edge_ids)) + "}" + f" weight {format_weight(tree.total_weight)}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -241,7 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[caps_parent, out_parent], help="adjudicate one Fixer response")
     p.add_argument("scenario")
     p.add_argument("--busted", required=True, help="comma-separated ids Buster removes")
-    p.add_argument("--candidate", required=True, default="", help="comma-separated Fixer response ids")
+    p.add_argument("--candidate", required=True, help="comma-separated Fixer response ids")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("theorem-sweep", parents=[caps_parent, out_parent],

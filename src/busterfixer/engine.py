@@ -29,10 +29,12 @@ from .errors import (
     IllegalMoveError,
     PolicyError,
 )
-from .graph import Multigraph, is_connected
-from .reconnect import TieBreak, greedy_fixer_move
+from .graph import DEFAULT_CAPS, Caps, Multigraph, is_connected
+from .reconnect import greedy_fixer_move
 
-DEFAULT_MOVE_CAP = 12
+# Chance that random_buster quits after a survived round; seeded series
+# depend on it, so changing it changes every recorded random transcript.
+QUIT_PROBABILITY = 0.15
 
 
 class _QuitToken:
@@ -161,18 +163,19 @@ def buster_wins(p: Position, busted: frozenset[str]) -> bool:
     return not is_connected(everything)
 
 
-def enumerate_buster_moves(p: Position, cap: int = DEFAULT_MOVE_CAP) -> list[frozenset[str]]:
+def enumerate_buster_moves(p: Position, caps: Caps = DEFAULT_CAPS) -> list[frozenset[str]]:
     """All nonempty sub-multisets of the current graph, smallest first.
 
     Order is deterministic: by size, then lexicographically on the sorted
     id tuple. The quit action is not part of this enumeration; it is the
     separate :data:`QUIT` token.
 
-    Raises ``CapExceededError`` when the graph has more than ``cap`` edges.
+    Raises ``CapExceededError`` when the ``2**|G|`` subsets exceed
+    ``caps.max_subsets`` (the default admits graphs of up to 12 edges).
     """
     ids = sorted(p.graph.ids)
-    if len(ids) > cap:
-        raise CapExceededError(f"graph has {len(ids)} edges, enumeration cap is {cap}")
+    if 1 << len(ids) > caps.max_subsets:
+        raise CapExceededError(f"2^{len(ids)} graph-edge subsets exceeds cap {caps.max_subsets}")
     moves = []
     for mask in range(1, 1 << len(ids)):
         moves.append(frozenset(i for bit, i in enumerate(ids) if mask >> bit & 1))
@@ -299,8 +302,8 @@ def scripted_buster(actions: Sequence[Iterable[str] | _QuitToken]) -> BusterPoli
     return policy
 
 
-def random_buster(seed: int, quit_probability: float = 0.15) -> BusterPolicy:
-    """Seeded random Buster: uniform nonempty subset, occasional quit.
+def random_buster(seed: int) -> BusterPolicy:
+    """Seeded random Buster: uniform nonempty subset, quitting with :data:`QUIT_PROBABILITY`.
 
     Deterministic given (seed, round index, graph ids): the policy keeps no
     state between calls, so replays of the same series are identical.
@@ -309,7 +312,7 @@ def random_buster(seed: int, quit_probability: float = 0.15) -> BusterPolicy:
     def policy(position: Position, history: tuple[RoundRecord, ...]) -> BusterAction:
         ids = sorted(position.graph.ids)
         rng = random.Random(f"{seed}:{len(history)}:{','.join(ids)}")
-        if history and rng.random() < quit_probability:
+        if history and rng.random() < QUIT_PROBABILITY:
             return QUIT
         mask = rng.randrange(1, 1 << len(ids))
         return frozenset(i for bit, i in enumerate(ids) if mask >> bit & 1)
@@ -317,11 +320,11 @@ def random_buster(seed: int, quit_probability: float = 0.15) -> BusterPolicy:
     return policy
 
 
-def greedy_fixer(tie_break: TieBreak | None = None) -> FixerPolicy:
+def greedy_fixer() -> FixerPolicy:
     """The cheapest-reconnection policy backed by :func:`greedy_fixer_move`."""
 
     def policy(position: Position, busted: frozenset[str], history: tuple[RoundRecord, ...]) -> frozenset[str]:
-        return greedy_fixer_move(position, busted, tie_break)
+        return greedy_fixer_move(position, busted)
 
     return policy
 

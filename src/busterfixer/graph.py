@@ -1,4 +1,4 @@
-"""Exact-weight multigraphs with component, connectivity, and bridge queries.
+"""Exact-weight multigraphs with component and connectivity queries.
 
 Edges are identified by unique string ids, so removing a busted subset or
 spending reserve edges stays unambiguous even when parallel edges share
@@ -8,7 +8,8 @@ comparisons, so binary floats never appear. Instance sizes are tiny by
 design and every query recomputes from scratch.
 
 All values are immutable after construction and every operation is a pure
-function, so graphs can be shared freely between threads.
+function, so graphs can be shared freely between threads. The size limits
+of every exponential enumeration in the package live here, in :class:`Caps`.
 """
 
 from __future__ import annotations
@@ -73,6 +74,27 @@ def format_decimal_weight(value: Fraction) -> str:
         return str(scaled)
     text = str(scaled).rjust(places + 1, "0")
     return f"{text[:-places]}.{text[-places:]}"
+
+
+@dataclass(frozen=True)
+class Caps:
+    """The one set of size limits for every exponential search and enumeration.
+
+    Exceeding a cap raises ``CapExceededError``; nothing is ever silently
+    truncated. ``max_total_edges`` bounds ``|G| + |R|`` for the game-tree
+    verifier and ``naive_max_total_edges`` for the strategy-materializing
+    oracle. ``max_subsets`` bounds any single enumeration: Buster moves
+    (``2**|G|``), Fixer responses (``2**|R|``), spanning-tree candidates
+    (``comb(non-loop edges, c - 1)``), Prim orderings (``2**c`` memoized
+    component sets) and the oracle's materialized strategies.
+    """
+
+    max_total_edges: int = 7
+    naive_max_total_edges: int = 5
+    max_subsets: int = 1 << 12
+
+
+DEFAULT_CAPS = Caps()
 
 
 @dataclass(frozen=True)
@@ -178,20 +200,13 @@ class ContractedGraph:
 
     Built by :func:`contract`. Each edge keeps the id and weight of the
     reserve edge it came from, with endpoints re-expressed as component
-    indices; ``origin`` maps the contracted edge id back to that reserve id
-    (a bijection). Reserve edges internal to one component become loops.
+    indices, so a set of contracted edge ids is directly a set of reserve
+    ids. Reserve edges internal to one component become loops.
     """
 
     component_count: int
     component_of: tuple[int, ...]
     edges: tuple[Edge, ...]
-    origin: tuple[tuple[str, str], ...]
-
-    def origin_of(self, contracted_id: str) -> str:
-        for cid, rid in self.origin:
-            if cid == contracted_id:
-                return rid
-        raise KeyError(contracted_id)
 
 
 class _UnionFind:
@@ -247,55 +262,6 @@ def is_connected(g: Multigraph) -> bool:
     return component_count(g) == 1
 
 
-def bridges(g: Multigraph) -> frozenset[str]:
-    """Edge ids whose removal increases the component count.
-
-    Equivalently the edges lying on no cycle: loops and members of parallel
-    pairs are never bridges. Uses a DFS lowpoint computation that tracks the
-    incoming edge by id, so parallel edges are handled correctly.
-    """
-    adjacency: list[list[tuple[str, int]]] = [[] for _ in range(g.vertex_count)]
-    for e in g.edges:
-        if e.is_loop:
-            continue
-        adjacency[e.u].append((e.id, e.v))
-        adjacency[e.v].append((e.id, e.u))
-
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    result: list[str] = []
-    counter = 0
-
-    for start in range(g.vertex_count):
-        if start in disc:
-            continue
-        stack: list[tuple[int, str | None, Iterator[tuple[str, int]]]] = []
-        disc[start] = low[start] = counter
-        counter += 1
-        stack.append((start, None, iter(adjacency[start])))
-        while stack:
-            vertex, in_edge, neighbours = stack[-1]
-            advanced = False
-            for edge_id, other in neighbours:
-                if edge_id == in_edge:
-                    continue
-                if other not in disc:
-                    disc[other] = low[other] = counter
-                    counter += 1
-                    stack.append((other, edge_id, iter(adjacency[other])))
-                    advanced = True
-                    break
-                low[vertex] = min(low[vertex], disc[other])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    parent, parent_in, _ = stack[-1]
-                    low[parent] = min(low[parent], low[vertex])
-                    if low[vertex] > disc[parent]:
-                        result.append(in_edge)  # type: ignore[arg-type]
-    return frozenset(result)
-
-
 def contract(base: Multigraph, reserve: Iterable[Edge]) -> ContractedGraph:
     """Contract each component of ``base`` to a vertex and remap ``reserve``.
 
@@ -306,13 +272,10 @@ def contract(base: Multigraph, reserve: Iterable[Edge]) -> ContractedGraph:
     """
     labels = components(base)
     contracted = []
-    origin = []
     for e in sorted(reserve, key=lambda e: e.id):
         contracted.append(Edge(e.id, labels[e.u], labels[e.v], e.weight))
-        origin.append((e.id, e.id))
     return ContractedGraph(
         component_count=max(labels) + 1,
         component_of=labels,
         edges=tuple(contracted),
-        origin=tuple(origin),
     )

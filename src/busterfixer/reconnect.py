@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import TYPE_CHECKING, Callable
+from math import comb
+from typing import TYPE_CHECKING
 
 from .errors import (
     BusterWinsError,
@@ -26,16 +27,10 @@ from .errors import (
     IllegalMoveError,
     NotSpanningTreeError,
 )
-from .graph import ContractedGraph, Edge, _UnionFind, contract
+from .graph import DEFAULT_CAPS, Caps, ContractedGraph, Edge, _UnionFind, contract
 
 if TYPE_CHECKING:
     from .engine import Position
-
-TieBreak = Callable[[Edge], object]
-
-
-def _default_tie_break(edge: Edge) -> object:
-    return edge.id
 
 
 @dataclass(frozen=True)
@@ -58,12 +53,12 @@ class PrimTrace:
     addition_order: tuple[str, ...]
 
 
-def prim_mst(m: ContractedGraph, tie_break: TieBreak | None = None, start_vertex: int = 0) -> SpanningTree:
+def prim_mst(m: ContractedGraph) -> SpanningTree:
     """Grow a minimum spanning tree of ``m`` one cheapest crossing edge at a time.
 
-    Ties between equally cheap crossing edges are broken by ``tie_break``
-    (default: lexicographically smallest edge id), which makes the result a
-    deterministic function of ``m``. Loops are never candidates.
+    The tree starts at component 0, and ties between equally cheap crossing
+    edges go to the lexicographically smallest edge id, which makes the
+    result a deterministic function of ``m``. Loops are never candidates.
 
     Raises ``DisconnectedError`` when ``m`` has no spanning tree.
 
@@ -76,14 +71,13 @@ def prim_mst(m: ContractedGraph, tie_break: TieBreak | None = None, start_vertex
     >>> sorted(tree.edge_ids), tree.total_weight
     (['e4'], Fraction(1, 1))
     """
-    key = tie_break or _default_tie_break
-    in_tree = {start_vertex}
+    in_tree = {0}
     chosen: list[Edge] = []
     while len(in_tree) < m.component_count:
         crossing = [e for e in m.edges if (e.u in in_tree) != (e.v in in_tree)]
         if not crossing:
             raise DisconnectedError("contracted multigraph has no spanning tree")
-        best = min(crossing, key=lambda e: (e.weight, key(e)))
+        best = min(crossing, key=lambda e: (e.weight, e.id))
         chosen.append(best)
         in_tree.add(best.v if best.u in in_tree else best.u)
     return SpanningTree(
@@ -102,16 +96,23 @@ def _is_spanning_tree(m: ContractedGraph, edges: tuple[Edge, ...]) -> bool:
     return True
 
 
-def all_spanning_trees(m: ContractedGraph) -> tuple[SpanningTree, ...]:
+def all_spanning_trees(m: ContractedGraph, caps: Caps = DEFAULT_CAPS) -> tuple[SpanningTree, ...]:
     """Every spanning tree of ``m``, minimum or not, by exhaustive search.
 
-    Backtracks over all ``c - 1`` sized subsets of the non-loop edges;
-    feasible because instances are tiny. Output is sorted by (weight,
-    edge ids) so runs are reproducible.
+    Tries all ``c - 1`` sized subsets of the non-loop edges; feasible
+    because instances are tiny. Output is sorted by (weight, edge ids) so
+    runs are reproducible.
 
-    Raises ``DisconnectedError`` when there are none.
+    Raises ``CapExceededError``, before enumerating anything, when there
+    are more than ``caps.max_subsets`` such subsets, and
+    ``DisconnectedError`` when there are no spanning trees.
     """
     non_loops = tuple(e for e in m.edges if not e.is_loop)
+    candidates = comb(len(non_loops), m.component_count - 1)
+    if candidates > caps.max_subsets:
+        raise CapExceededError(
+            f"{candidates} spanning-tree candidate subsets exceeds cap {caps.max_subsets}"
+        )
     trees = []
     for subset in combinations(non_loops, m.component_count - 1):
         if _is_spanning_tree(m, subset):
@@ -127,7 +128,7 @@ def all_spanning_trees(m: ContractedGraph) -> tuple[SpanningTree, ...]:
     return tuple(trees)
 
 
-def all_msts(m: ContractedGraph) -> tuple[SpanningTree, ...]:
+def all_msts(m: ContractedGraph, caps: Caps = DEFAULT_CAPS) -> tuple[SpanningTree, ...]:
     """Exactly the minimum-weight spanning trees of ``m``.
 
     Computed by enumerating all spanning trees and filtering to minimum
@@ -141,14 +142,12 @@ def all_msts(m: ContractedGraph) -> tuple[SpanningTree, ...]:
     >>> [sorted(t.edge_ids) for t in all_msts(m)]
     [['a'], ['b']]
     """
-    trees = all_spanning_trees(m)
+    trees = all_spanning_trees(m, caps)
     best = trees[0].total_weight
     return tuple(t for t in trees if t.total_weight == best)
 
 
-def prim_reachable(
-    m: ContractedGraph, t: SpanningTree, max_components: int = 6
-) -> PrimTrace | None:
+def prim_reachable(m: ContractedGraph, t: SpanningTree, caps: Caps = DEFAULT_CAPS) -> PrimTrace | None:
     """Search for an order in which Prim's algorithm could have built ``t``.
 
     Tries every start vertex and explores greedy-feasible addition orders,
@@ -156,12 +155,12 @@ def prim_reachable(
     trace, or None when no run of Prim's algorithm can produce ``t``.
 
     Raises ``NotSpanningTreeError`` if ``t`` is not a spanning tree of ``m``,
-    and ``CapExceededError`` above ``max_components`` (the ordering search
-    is exponential in the component count).
+    and ``CapExceededError`` when the ``2**c`` component sets the memo
+    ranges over exceed ``caps.max_subsets``.
     """
-    if m.component_count > max_components:
+    if 1 << m.component_count > caps.max_subsets:
         raise CapExceededError(
-            f"{m.component_count} components exceeds the ordering-search cap {max_components}"
+            f"2^{m.component_count} component sets exceeds the ordering-search cap {caps.max_subsets}"
         )
     by_id = {e.id: e for e in m.edges}
     try:
@@ -205,13 +204,11 @@ def prim_reachable(
     return None
 
 
-def greedy_fixer_move(
-    position: "Position", busted: frozenset[str], tie_break: TieBreak | None = None
-) -> frozenset[str]:
+def greedy_fixer_move(position: "Position", busted: frozenset[str]) -> frozenset[str]:
     """The greedy response: reserve ids of a cheapest reconnecting subset.
 
     Returns the empty set when the busted graph is still connected;
-    otherwise returns the origin ids of the deterministic minimum spanning
+    otherwise returns the reserve ids of the deterministic minimum spanning
     tree of the contracted component multigraph. The result F always
     satisfies: busted graph plus F is connected, F has minimum weight among
     all connecting reserve subsets, and |F| is one less than the number of
@@ -230,7 +227,7 @@ def greedy_fixer_move(
     if m.component_count == 1:
         return frozenset()
     try:
-        tree = prim_mst(m, tie_break=tie_break)
+        tree = prim_mst(m)
     except DisconnectedError:
         raise BusterWinsError("reserve cannot reconnect the busted graph") from None
-    return frozenset(m.origin_of(i) for i in tree.edge_ids)
+    return tree.edge_ids

@@ -7,7 +7,6 @@ from busterfixer import (
     BusterWinsError,
     Caps,
     CapExceededError,
-    DominanceQuery,
     Edge,
     IllegalMoveError,
     Multigraph,
@@ -16,7 +15,6 @@ from busterfixer import (
     QUIT,
     apply_round,
     buster_wins,
-    dominates_all_strategies,
     enumerate_buster_moves,
     enumerate_fixer_responses,
     fixer_superior,
@@ -31,6 +29,8 @@ from busterfixer import (
     verify_optimal,
     verify_optimal_naive,
 )
+
+from busterfixer.adjudicator import _Arena, _dominated
 
 from conftest import random_instance, triangle_position
 from series_tables import ALL_SERIES, FAMILY_A, play_table_series
@@ -152,15 +152,15 @@ def test_enumerate_fixer_responses_buster_win_raises(triangle):
         enumerate_fixer_responses(p, frozenset({"e3", "e4"}))
 
 
+# The three tests below pose one alternative line against a target outcome
+# and call the reachability game directly: the bust budget and spend floor
+# are the target's totals minus what the alternative prefix accumulated.
+
+
 def test_dominates_quit_immediately(triangle):
-    # target: quit right after the cheap fix; alternative line spent 2 already
-    alt = apply_round(triangle, frozenset({"e1", "e2"}), frozenset({"e5"}))
-    q = DominanceQuery(
-        target=_triple(True, 2, 1),
-        position=alt,
-        accumulated=_triple(True, 2, 2),
-    )
-    assert dominates_all_strategies(q)
+    # target (Fixer win, 2 busted, spent 1); alternative line busted 2, spent 2
+    arena = _Arena(apply_round(triangle, frozenset({"e1", "e2"}), frozenset({"e5"})))
+    assert _dominated(arena, arena.graph_mask, arena.reserve_mask, 2 - 2, Fraction(1 - 2), True, {}, None)
 
 
 def test_dominates_fails_when_bust_budget_exhausted():
@@ -168,24 +168,17 @@ def test_dominates_fails_when_bust_budget_exhausted():
         graph=Multigraph(2, (Edge("a", 0, 1, Fraction(1)),)),
         reserve=Multigraph(2, ()),
     )
-    q = DominanceQuery(
-        target=_triple(False, 0, 0),
-        position=p,
-        accumulated=_triple(True, 0, 0),
-    )
-    # every completion of the alternative busts at least one more edge, and
-    # a loss cannot dominate the quit-now Fixer win
-    assert not dominates_all_strategies(q)
+    arena = _Arena(p)
+    # target (Buster win, 0 busted, spent 0); nothing accumulated yet. Every
+    # completion of the alternative busts at least one more edge, and a
+    # loss cannot dominate the quit-now Fixer win
+    assert not _dominated(arena, arena.graph_mask, arena.reserve_mask, 0 - 0, Fraction(0 - 0), False, {}, None)
 
 
 def test_dominates_buster_win_within_budget(triangle):
-    alt = apply_round(triangle, frozenset({"e1", "e2"}), frozenset({"e4", "e5"}))
-    q = DominanceQuery(
-        target=_triple(False, 4, 1),
-        position=alt,
-        accumulated=_triple(True, 2, 3),
-    )
-    assert dominates_all_strategies(q)
+    # target (Buster win, 4 busted, spent 1); alternative line busted 2, spent 3
+    arena = _Arena(apply_round(triangle, frozenset({"e1", "e2"}), frozenset({"e4", "e5"})))
+    assert _dominated(arena, arena.graph_mask, arena.reserve_mask, 4 - 2, Fraction(1 - 3), False, {}, None)
 
 
 def test_verify_optimal_worked_example(triangle):
@@ -252,13 +245,14 @@ def test_verify_optimal_caps():
 
 
 def _oracle_corpus(max_total):
-    for p in generate_instances(max_vertices=2, max_total_edges=max_total, reserve_weights=(0, 1)):
+    for p in generate_instances(max_vertices=2, max_total_edges=max_total, reserve_weights=(0, 1, 2)):
         yield p
 
 
 def test_oracle_agreement_exhaustive_tiny():
-    # every instance, bust, and legal response with |G|+|R| <= 4 on two
-    # vertices: the game search and the strategy-materializing oracle agree
+    # every instance (reserve weights 0, 1, 2), bust, and legal response with
+    # |G|+|R| <= 4 on two vertices: the game search and the
+    # strategy-materializing oracle agree
     checked = 0
     for p in _oracle_corpus(4):
         if len(p.graph) == 0:
@@ -335,115 +329,3 @@ def test_equal_weight_ties_every_tree_optimal():
     assert verify_optimal(p, busted, frozenset({"e4"}))
     assert verify_optimal(p, busted, frozenset({"e5"}))
     assert not verify_optimal(p, busted, frozenset({"e4", "e5"}))
-
-
-def _tree_series_totals(tree):
-    from busterfixer import strategy_series
-
-    return [series_totals(s) for s in strategy_series(tree)]
-
-
-def test_strategy_trees_worked_example_counts(triangle):
-    from busterfixer import enumerate_strategy_trees, strategy_series
-
-    busted = frozenset({"e1", "e2"})
-    # each round-1 response admits exactly one continuation strategy here,
-    # with 10, 10, and 17 series respectively
-    for candidate, expected_series in [({"e4"}, 10), ({"e5"}, 10), ({"e4", "e5"}, 17)]:
-        trees = enumerate_strategy_trees(triangle, busted, frozenset(candidate))
-        assert len(trees) == 1
-        assert len(strategy_series(trees[0])) == expected_series
-
-
-def test_strategy_tree_series_replay_legally(triangle):
-    from busterfixer import enumerate_strategy_trees, replay_positions, strategy_series
-
-    busted = frozenset({"e1", "e2"})
-    for candidate in [{"e4"}, {"e5"}, {"e4", "e5"}]:
-        (tree,) = enumerate_strategy_trees(triangle, busted, frozenset(candidate))
-        for series in strategy_series(tree):
-            replay_positions(series)  # raises on any illegal round
-        # every legal Buster continuation at every surviving node is assigned
-        assignments = tree.response_map
-        for seq in assignments:
-            assert all(isinstance(move, frozenset) for move in seq)
-
-
-def test_strategy_tree_counts_match_materialized_outcome_sets():
-    # third route: the outcome-set family derived from explicit trees equals
-    # what a fresh tree-by-tree evaluation produces on micro instances
-    from busterfixer import enumerate_strategy_trees
-
-    for p in generate_instances(max_vertices=2, max_total_edges=3, reserve_weights=(0, 1)):
-        if len(p.graph) == 0:
-            continue
-        for busted in enumerate_buster_moves(p):
-            if buster_wins(p, busted):
-                continue
-            for candidate in enumerate_fixer_responses(p, busted, bridge_only=False):
-                trees = enumerate_strategy_trees(p, busted, candidate)
-                assert trees, "at least one strategy always exists"
-                prefix_triple = OutcomeTriple(True, len(busted), p.reserve.weight(candidate))
-                for t in trees:
-                    # the quit-immediately prefix is a series of every strategy
-                    assert prefix_triple in _tree_series_totals(t)
-
-
-def test_tree_based_literal_chain_agrees_with_both_verifiers(triangle):
-    # evaluate the optimality definition over explicit trees only
-    from busterfixer import enumerate_strategy_trees
-
-    def tree_verdict(p, busted, candidate):
-        target_trees = enumerate_strategy_trees(p, busted, candidate)
-        alternatives = enumerate_fixer_responses(p, busted, bridge_only=False)
-        alt_trees = {alt: enumerate_strategy_trees(p, busted, alt) for alt in alternatives}
-        return any(
-            all(
-                any(fixer_superior(t, other) for other in _tree_series_totals(alt_tree))
-                for alt in alternatives
-                for alt_tree in alt_trees[alt]
-                for t in _tree_series_totals(target)
-            )
-            for target in target_trees
-        )
-
-    busted = frozenset({"e1", "e2"})
-    for candidate in [{"e4"}, {"e5"}, {"e4", "e5"}]:
-        expected = verify_optimal(triangle, busted, frozenset(candidate))
-        assert tree_verdict(triangle, busted, frozenset(candidate)) == expected
-        assert verify_optimal_naive(triangle, busted, frozenset(candidate)) == expected
-
-    for p in generate_instances(max_vertices=2, max_total_edges=4, reserve_weights=(1, 2)):
-        if len(p.graph) == 0:
-            continue
-        for busted in enumerate_buster_moves(p):
-            if buster_wins(p, busted):
-                continue
-            for candidate in enumerate_fixer_responses(p, busted, bridge_only=False):
-                assert tree_verdict(p, busted, candidate) == verify_optimal(p, busted, candidate)
-
-
-def test_strategy_trees_lost_round_single_completed_series():
-    from busterfixer import enumerate_strategy_trees, strategy_series
-
-    p = Position(
-        graph=Multigraph(2, (Edge("a", 0, 1, Fraction(1)),)),
-        reserve=Multigraph(2, ()),
-    )
-    trees = enumerate_strategy_trees(p, frozenset({"a"}), frozenset())
-    assert len(trees) == 1
-    (only,) = strategy_series(trees[0])
-    assert only.outcome.value == "Buster"
-
-
-def test_strategy_trees_cap():
-    from busterfixer import enumerate_strategy_trees
-
-    p = Position(
-        graph=Multigraph(1, (Edge("g0", 0, 0, Fraction(1)),)),
-        reserve=Multigraph(
-            1, tuple(Edge(f"r{i}", 0, 0, Fraction(0)) for i in range(4))
-        ),
-    )
-    with pytest.raises(CapExceededError):
-        enumerate_strategy_trees(p, frozenset({"g0"}), frozenset({"r0", "r1", "r2"}))

@@ -83,6 +83,20 @@ def test_msts_all_edges_busted_still_spannable(tmp_path, capsys):
     assert "{e4,e5} weight 3" in out
 
 
+def test_msts_spanning_tree_enumeration_capped(tmp_path, capsys):
+    # a 14-vertex path, two reserve edges per link, every graph edge busted:
+    # comb(26, 13) = 10,400,600 candidate trees must be refused, not tried
+    lines = [f"vertex v{i}" for i in range(14)]
+    for i in range(13):
+        lines.append(f"edge g{i} v{i} v{i + 1} 1 G")
+        lines += [f"edge r{i}{side} v{i} v{i + 1} 1 R" for side in "ab"]
+    path = tmp_path / "ladder.scn"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = cli_main(["msts", str(path), "--busted", ",".join(f"g{i}" for i in range(13))])
+    assert code == 2
+    assert "cap" in capsys.readouterr().err
+
+
 def test_simulate_scripted_and_replay_round_trip(tmp_path, capsys):
     scenario = _scenario_path(tmp_path)
     transcript_path = tmp_path / "run.txt"

@@ -6,6 +6,7 @@ import pytest
 from busterfixer import (
     QUIT,
     CapExceededError,
+    Caps,
     Edge,
     IllegalMoveError,
     Multigraph,
@@ -96,7 +97,7 @@ def test_enumerate_buster_moves_cap():
     p = Position(graph=Multigraph(2, edges), reserve=Multigraph(2, ()))
     with pytest.raises(CapExceededError):
         enumerate_buster_moves(p)
-    assert len(enumerate_buster_moves(p, cap=13)) == 2**13 - 1
+    assert len(enumerate_buster_moves(p, Caps(max_subsets=1 << 13))) == 2**13 - 1
 
 
 @pytest.mark.parametrize("name,first_fix,script,win,busted,cost", ALL_SERIES)

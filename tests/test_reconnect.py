@@ -238,11 +238,11 @@ def test_greedy_move_properties_random():
 
 
 def test_prim_reachable_component_cap():
-    from busterfixer import CapExceededError
+    from busterfixer import CapExceededError, Caps
 
-    chain = [(f"e{i}", i, i + 1, 1) for i in range(6)]
-    m = _contracted(7, chain)
+    chain = [(f"e{i}", i, i + 1, 1) for i in range(12)]
+    m = _contracted(13, chain)
     t = all_msts(m)[0]
     with pytest.raises(CapExceededError):
-        prim_reachable(m, t)
-    assert prim_reachable(m, t, max_components=7) is not None
+        prim_reachable(m, t)  # 2^13 component sets > the default 4096
+    assert prim_reachable(m, t, Caps(max_subsets=1 << 13)) is not None
