@@ -34,10 +34,20 @@ empirically.
 
 Every size limit comes from one :class:`Caps` object (defined in
 ``graph`` and re-exported here); exceeding it raises ``CapExceededError``.
-Searches are pure given their inputs. The optional ``cache`` argument is
-a plain dict keyed by id-free canonical position signatures; share one
-across calls to speed up sweeps (inserts are idempotent, so concurrent
-use only ever costs recomputation, never inconsistency).
+
+The searches run on exact integers: each arena scales its edge weights by
+the least common multiple of their denominators, so budgets, floors and
+memo keys are ints and ``Fraction`` appears only at the boundary, in the
+``OutcomeTriple`` of a witness. No float is ever involved.
+
+Searches are pure given their inputs. The optional ``cache`` argument is a
+plain dict. It holds search results keyed by id-free canonical position
+signatures (shared across instances), and the last position's arena with
+its per-bust memos (reused by every later call on that same ``Position``
+object, replaced by a call on any other). Share one across calls to speed
+up sweeps. Reuse is exact: a verdict and its witness are the same with or
+without the cache, and inserts are idempotent, so concurrent use only ever
+costs recomputation, never inconsistency.
 """
 
 from __future__ import annotations
@@ -45,6 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from math import lcm
 from typing import Callable, Iterable, Iterator
 
 from .engine import (
@@ -58,9 +69,6 @@ from .engine import (
 from .errors import BusterWinsError, CapExceededError, IllegalMoveError
 from .graph import DEFAULT_CAPS, Caps, Edge, Multigraph, _UnionFind, contract, is_connected
 from .reconnect import all_msts, all_spanning_trees
-
-ZERO = Fraction(0)
-
 
 def fixer_superior(a: OutcomeTriple, b: OutcomeTriple) -> bool:
     """True iff outcome ``a`` dominates outcome ``b``.
@@ -134,24 +142,31 @@ class _Arena:
     """Bitmask view of one instance's edges for the game searches.
 
     Bit ``i`` stands for the edge at index ``i`` of the combined edge list
-    (graph edges first, then reserve). Connectivity always spans the full
-    vertex set, so isolated vertices disconnect. Query results are memoized
-    per arena; everything is derived from the immutable position.
+    (graph edges first, then reserve). Weights are exact integers: the
+    edge weights times ``scale``, the least common multiple of their
+    denominators. Connectivity always spans the full vertex set, so
+    isolated vertices disconnect. Query results are memoized per arena;
+    everything is derived from the immutable position, so the arena also
+    carries the search memos shared by every verify call on it.
     """
 
     def __init__(self, p: Position):
         edges = p.graph.edges + p.reserve.edges
+        self.position = p
         self.n = p.graph.vertex_count
         self.ids = tuple(e.id for e in edges)
         self.ends = tuple((e.u, e.v) for e in edges)
-        self.weights = tuple(e.weight for e in edges)
+        self.scale = lcm(*(e.weight.denominator for e in edges))
+        self.weights = tuple(e.weight.numerator * (self.scale // e.weight.denominator) for e in edges)
         self.index = {e.id: i for i, e in enumerate(edges)}
         self.graph_mask = (1 << len(p.graph)) - 1
         self.reserve_mask = ((1 << len(edges)) - 1) ^ self.graph_mask
         self._connected: dict[int, bool] = {}
-        self._weight: dict[int, Fraction] = {0: ZERO}
-        self._responses: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
+        self._weight: dict[int, int] = {0: 0}
+        self._responses: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
         self._signature: dict[int, tuple] = {}
+        self.dominance_memo: dict = {}
+        self.adjudications: dict[tuple[int, bool], _Adjudication] = {}
 
     def mask_of(self, ids: Iterable[str]) -> int:
         mask = 0
@@ -162,10 +177,10 @@ class _Arena:
     def ids_of(self, mask: int) -> frozenset[str]:
         return frozenset(self.ids[i] for i in _bit_indices(mask))
 
-    def weight_of(self, mask: int) -> Fraction:
+    def weight_of(self, mask: int) -> int:
         cached = self._weight.get(mask)
         if cached is None:
-            cached = sum((self.weights[i] for i in _bit_indices(mask)), ZERO)
+            cached = sum(self.weights[i] for i in _bit_indices(mask))
             self._weight[mask] = cached
         return cached
 
@@ -178,7 +193,7 @@ class _Arena:
             self._connected[mask] = cached
         return cached
 
-    def responses(self, graph_mask: int, reserve_mask: int) -> tuple[tuple[int, Fraction], ...]:
+    def responses(self, graph_mask: int, reserve_mask: int) -> tuple[tuple[int, int], ...]:
         """All reserve submasks reconnecting ``graph_mask``, with weights."""
         key = (graph_mask, reserve_mask)
         cached = self._responses.get(key)
@@ -229,7 +244,7 @@ def _dominated(
     graph_mask: int,
     reserve_mask: int,
     bust_budget: int,
-    spend_floor: Fraction,
+    spend_floor: int,
     target_win: bool,
     memo: dict,
     cache: dict | None,
@@ -238,8 +253,9 @@ def _dominated(
 
     ``bust_budget`` is how much more may be busted here without exceeding
     the target's bust total; ``spend_floor`` is how much more Fixer must be
-    made to spend to reach the target's cost. Buster nodes take OR over
-    moves and quitting; Fixer responses are taken conjunctively.
+    made to spend (in the arena's scaled weights) to reach the target's
+    cost. Buster nodes take OR over moves and quitting; Fixer responses are
+    taken conjunctively.
     """
     pool = (graph_mask | reserve_mask).bit_count()
     if bust_budget < 0:
@@ -249,7 +265,7 @@ def _dominated(
     if spend_floor > arena.weight_of(reserve_mask):
         return False
     if spend_floor < 0:
-        spend_floor = ZERO
+        spend_floor = 0
     if target_win and spend_floor == 0:
         return True  # Buster quits the alternative line right here
     key = (graph_mask, reserve_mask, bust_budget, spend_floor, target_win)
@@ -259,6 +275,7 @@ def _dominated(
     if cache is not None:
         ckey = (
             arena.n,
+            arena.scale,
             arena.signature(graph_mask),
             arena.signature(reserve_mask),
             bust_budget,
@@ -301,51 +318,132 @@ def _dominated(
     return result
 
 
+# A failing check met by the survival search: (win, total busted, scaled
+# spend) of the target outcome, and the alternative it does not dominate.
+_Failure = tuple[bool, int, int, frozenset]
+
+
 def _survives(
     arena: _Arena,
     graph_mask: int,
     reserve_mask: int,
     busted_so_far: int,
-    spent_so_far: Fraction,
-    check: Callable[[bool, int, Fraction], bool],
+    spent_so_far: int,
+    check: Callable[[bool, int, int], frozenset | None],
     memo: dict,
-) -> bool:
+) -> tuple[bool, _Failure | None]:
     """Does some continuation strategy keep every reachable outcome passing?
 
     Fixer nodes take OR over legal responses; Buster's moves and the quit
     available at every surviving node are taken conjunctively, with
-    ``check`` applied to each completed outcome triple.
+    ``check`` applied to each completed outcome triple; it returns the
+    first alternative the outcome fails to dominate, or None.
+
+    Returns the verdict and the first failing check met in depth-first
+    order below this node (None when there is none). Both depend only on
+    the node and ``check``, so ``memo`` may be shared by every search that
+    uses the same ``check``, and the first failure of a root is the same
+    however much of its subtree was answered from the memo.
     """
     key = (graph_mask, reserve_mask, busted_so_far, spent_so_far)
     hit = memo.get(key)
     if hit is not None:
         return hit
-    result = check(True, busted_so_far, spent_so_far)  # Buster may quit here
-    if result:
+    alt = check(True, busted_so_far, spent_so_far)  # Buster may quit here
+    if alt is not None:
+        result = (False, (True, busted_so_far, spent_so_far, alt))
+    else:
+        ok, first = True, None
         for bust in _nonempty_submasks(graph_mask):
             total = busted_so_far + bust.bit_count()
             left = graph_mask ^ bust
             if not arena.connected(left | reserve_mask):
-                if not check(False, total, spent_so_far):
-                    result = False
+                alt = check(False, total, spent_so_far)
+                if alt is not None:
+                    ok = False
+                    first = first or (False, total, spent_so_far, alt)
                     break
                 continue
-            if not any(
-                _survives(
-                    arena,
-                    left | fix,
-                    reserve_mask ^ fix,
-                    total,
-                    spent_so_far + fix_weight,
-                    check,
-                    memo,
+            for fix, fix_weight in arena.responses(left, reserve_mask):
+                survived, failure = _survives(
+                    arena, left | fix, reserve_mask ^ fix, total, spent_so_far + fix_weight, check, memo
                 )
-                for fix, fix_weight in arena.responses(left, reserve_mask)
-            ):
-                result = False
+                first = first or failure
+                if survived:
+                    break
+            else:
+                ok = False
                 break
+        result = (ok, first)
     memo[key] = result
     return result
+
+
+class _Adjudication:
+    """What every candidate response to one (bust, prune setting) shares.
+
+    The alternative lines, the check memo (target outcome -> first
+    alternative it fails to dominate, or None) and the survival memo depend
+    only on the arena, the bust and the alternatives, so they serve every
+    candidate verified against this bust.
+    """
+
+    __slots__ = ("arena", "base_busted", "alt_lines", "check_memo", "survive_memo", "cache")
+
+    def __init__(self, arena: _Arena, bust_mask: int, bridge_only: bool, cache: dict | None):
+        left = arena.graph_mask ^ bust_mask
+        responses = arena.responses(left, arena.reserve_mask)
+        if bridge_only:
+            # Every reconnecting set has at least components(left) - 1 edges;
+            # those with exactly that many are the contracted spanning trees.
+            fewest = min(mask.bit_count() for mask, _ in responses)
+            responses = [r for r in responses if r[0].bit_count() == fewest]
+        ordered = sorted((weight, tuple(sorted(arena.ids_of(mask))), mask) for mask, weight in responses)
+        self.arena = arena
+        self.base_busted = bust_mask.bit_count()
+        self.alt_lines = tuple(
+            (frozenset(ids), left | mask, arena.reserve_mask ^ mask, weight) for weight, ids, mask in ordered
+        )
+        self.check_memo: dict[tuple[bool, int, int], frozenset | None] = {}
+        self.survive_memo: dict = {}
+        self.cache = cache
+
+    def check(self, win: bool, total_busted: int, spent: int) -> frozenset | None:
+        """The first alternative whose every line escapes this outcome, or None."""
+        key = (win, total_busted, spent)
+        memo = self.check_memo
+        if key in memo:
+            return memo[key]
+        failing = None
+        for alt_ids, alt_graph, alt_reserve, alt_spend in self.alt_lines:
+            if not _dominated(
+                self.arena,
+                alt_graph,
+                alt_reserve,
+                total_busted - self.base_busted,
+                spent - alt_spend,
+                win,
+                self.arena.dominance_memo,
+                self.cache,
+            ):
+                failing = alt_ids
+                break
+        memo[key] = failing
+        return failing
+
+
+# The key under which a shared ``cache`` keeps the last position's arena.
+_LAST_ARENA = object()
+
+
+def _arena_for(p: Position, cache: dict | None) -> _Arena:
+    """The arena for ``p``: the cached one when ``cache`` last saw this very object."""
+    if cache is None:
+        return _Arena(p)
+    arena = cache.get(_LAST_ARENA)
+    if arena is None or arena.position is not p:
+        arena = cache[_LAST_ARENA] = _Arena(p)
+    return arena
 
 
 @dataclass(frozen=True)
@@ -364,7 +462,7 @@ class VerifyResult:
 
 
 def _validated_candidate(p: Position, busted: frozenset[str], candidate: frozenset[str]) -> bool:
-    """Shared precondition checks; returns True when Buster wins the round."""
+    """The naive oracle's precondition checks; returns True when Buster wins the round."""
     if not busted or not busted <= p.graph.ids:
         raise IllegalMoveError("busted must be a nonempty subset of the current graph")
     if buster_wins(p, busted):
@@ -388,70 +486,59 @@ def verify_optimal_report(
     bridge_only: bool = True,
     cache: dict | None = None,
 ) -> VerifyResult:
-    """Like :func:`verify_optimal`, returning a witness alongside the verdict."""
+    """Like :func:`verify_optimal`, returning a witness alongside the verdict.
+
+    The search runs on the arena's integer-scaled weights; the witness's
+    ``fix_cost`` is converted back to an exact ``Fraction``. With a shared
+    ``cache``, consecutive calls on the same ``Position`` object reuse one
+    arena, and calls on the same bust and ``bridge_only`` reuse its
+    alternatives and check and survival memos. The result, witness
+    included, is the same as with ``cache=None``.
+    """
     busted = frozenset(busted)
     candidate = frozenset(candidate)
     if p.total_edges > caps.max_total_edges:
         raise CapExceededError(
             f"position has {p.total_edges} edges, cap is {caps.max_total_edges}"
         )
-    if _validated_candidate(p, busted, candidate):
-        # The round is already lost; the forced empty response is optimal.
-        return VerifyResult(optimal=True, alternatives=0)
-
-    arena = _Arena(p)
+    if 1 << len(p.reserve) > caps.max_subsets:
+        raise CapExceededError(f"2^{len(p.reserve)} reserve subsets exceeds cap {caps.max_subsets}")
+    if not busted or not busted <= p.graph.ids:
+        raise IllegalMoveError("busted must be a nonempty subset of the current graph")
+    arena = _arena_for(p, cache)
     bust_mask = arena.mask_of(busted)
     left = arena.graph_mask ^ bust_mask
-    alternatives = enumerate_fixer_responses(p, busted, bridge_only=bridge_only, caps=caps)
-    alt_lines = []
-    for alt in alternatives:
-        alt_mask = arena.mask_of(alt)
-        alt_lines.append((alt, left | alt_mask, arena.reserve_mask ^ alt_mask, arena.weight_of(alt_mask)))
-
-    base_busted = len(busted)
-    dominance_memo: dict = {}
-    check_memo: dict[tuple, bool] = {}
-    failure: list[tuple[OutcomeTriple, frozenset[str]]] = []
-
-    def check(win: bool, total_busted: int, spent: Fraction) -> bool:
-        key = (win, total_busted, spent)
-        hit = check_memo.get(key)
-        if hit is not None:
-            return hit
-        verdict = True
-        for alt_ids, alt_graph, alt_reserve, alt_spend in alt_lines:
-            if not _dominated(
-                arena,
-                alt_graph,
-                alt_reserve,
-                total_busted - base_busted,
-                spent - alt_spend,
-                win,
-                dominance_memo,
-                cache,
-            ):
-                verdict = False
-                if not failure:
-                    failure.append((OutcomeTriple(win, total_busted, spent), alt_ids))
-                break
-        check_memo[key] = verdict
-        return verdict
-
+    if not arena.connected(left | arena.reserve_mask):
+        if candidate:
+            raise IllegalMoveError("only the empty response is legal when Buster wins")
+        # The round is already lost; the forced empty response is optimal.
+        return VerifyResult(optimal=True, alternatives=0)
+    if not candidate <= p.reserve.ids:
+        raise IllegalMoveError("candidate must be a subset of the reserve")
     cand_mask = arena.mask_of(candidate)
-    ok = _survives(
+    if not arena.connected(left | cand_mask):
+        raise IllegalMoveError("candidate does not reconnect the busted graph")
+
+    job = arena.adjudications.get((bust_mask, bridge_only))
+    if job is None:
+        job = arena.adjudications[bust_mask, bridge_only] = _Adjudication(arena, bust_mask, bridge_only, cache)
+    ok, failure = _survives(
         arena,
         left | cand_mask,
         arena.reserve_mask ^ cand_mask,
-        base_busted,
+        job.base_busted,
         arena.weight_of(cand_mask),
-        check,
-        {},
+        job.check,
+        job.survive_memo,
     )
     if ok:
-        return VerifyResult(optimal=True, alternatives=len(alt_lines))
-    outcome, alt = failure[0] if failure else (None, None)
+        return VerifyResult(optimal=True, alternatives=len(job.alt_lines))
+    win, total_busted, spent, alt = failure
     return VerifyResult(
-        optimal=False, alternatives=len(alt_lines), failing_outcome=outcome, failing_alternative=alt
+        optimal=False,
+        alternatives=len(job.alt_lines),
+        failing_outcome=OutcomeTriple(win, total_busted, Fraction(spent, arena.scale)),
+        failing_alternative=alt,
     )
 
 
@@ -519,7 +606,7 @@ def verify_optimal_naive(
             size = bust.bit_count()
             remaining = graph_mask ^ bust
             if not arena.connected(remaining | reserve_mask):
-                per_move.append([frozenset({(False, size, ZERO)})])
+                per_move.append([frozenset({(False, size, 0)})])
                 continue
             options = []
             for fix, fix_weight in arena.responses(remaining, reserve_mask):
@@ -530,14 +617,14 @@ def verify_optimal_naive(
             per_move.append(list(dict.fromkeys(options)))
         results = []
         for combo in product(*per_move):
-            results.append(frozenset({(True, 0, ZERO)}).union(*combo))
+            results.append(frozenset({(True, 0, 0)}).union(*combo))
         out = list(dict.fromkeys(results))
         if len(out) > caps.max_subsets:
             raise CapExceededError(f"{len(out)} strategies exceeds cap {caps.max_subsets}")
         strategy_memo[key] = out
         return out
 
-    def shifted(sets: list[frozenset], spend: Fraction) -> list[frozenset]:
+    def shifted(sets: list[frozenset], spend: int) -> list[frozenset]:
         return [
             frozenset((w, b + base_busted, c + spend) for (w, b, c) in s) for s in sets
         ]
@@ -628,6 +715,13 @@ def theorem_sweep(
     without the bridge restriction and any disagreement is recorded. A
     nonempty counterexample list is a build-failing event for the corpus
     this library ships with. ``caps`` bounds every enumeration and search.
+
+    One ``cache`` is shared by every check: it holds cross-instance search
+    results and the current instance's arena, so every move, response and
+    prune setting of an instance reuses one arena and its per-bust memos
+    on exact integer-scaled weights. The greedy and converse response lists
+    come from ``contract``/``all_msts`` and ``enumerate_fixer_responses``,
+    independently of that kernel. Reuse changes no verdict.
     """
     report = SweepReport()
     cache: dict = {}

@@ -11,10 +11,12 @@ play in file order::
 
 Weights are plain decimal strings (``2`` or ``0.25``), parsed to exact
 rationals; scientific notation is rejected so the format stays trivially
-portable. The G pool must form a connected graph. Syntax problems raise
-``ScenarioParseError`` with a line number; semantic problems (duplicate
-ids, unresolved names, negative weights, a disconnected G pool) raise
-``ScenarioValidationError``.
+portable. The G pool must form a connected graph. Edge ids may not contain
+``,``, ``{``, ``}``, ``|`` or ``#``: transcripts write id sets as
+``{a,b}`` in ``|``-separated rows, so such an id could not be read back.
+Syntax problems raise ``ScenarioParseError`` with a line number; semantic
+problems (duplicate or unrepresentable ids, unresolved names, negative
+weights, a disconnected G pool) raise ``ScenarioValidationError``.
 """
 
 from __future__ import annotations
@@ -26,6 +28,10 @@ from importlib import resources
 from .engine import QUIT, BusterAction, Position, _QuitToken
 from .errors import ScenarioParseError, ScenarioValidationError
 from .graph import Edge, Multigraph, format_decimal_weight, is_connected, parse_decimal_weight
+
+# Characters the transcript format uses around ids (``{a,b}`` cells in
+# ``|``-separated rows) or that start a comment.
+_RESERVED_ID_CHARACTERS = frozenset(",{}|#")
 
 
 @dataclass(frozen=True)
@@ -113,6 +119,10 @@ def parse_scenario(text: bytes | str, name: str = "scenario") -> ScenarioFile:
     for decl in declarations:
         if decl.id in seen_ids:
             raise ScenarioValidationError(f"duplicate edge id {decl.id!r}")
+        if _RESERVED_ID_CHARACTERS.intersection(decl.id):
+            raise ScenarioValidationError(
+                f"edge id {decl.id!r} contains one of , {{ }} | #, which transcripts cannot represent"
+            )
         seen_ids.add(decl.id)
         for endpoint in (decl.u_name, decl.v_name):
             if endpoint not in names:

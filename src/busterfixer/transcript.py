@@ -15,6 +15,7 @@ and the policy/seed identifiers.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,6 +35,9 @@ from .graph import format_weight
 
 _COLUMNS = ("j", "G_j", "R_j", "B_j", "F_j", "sum|B|", "sum w(F)", "Winner")
 
+# The only cost forms render_transcript writes: ``3`` or ``7/2``.
+_COST_RE = re.compile(r"[0-9]+(?:/[1-9][0-9]*)?")
+
 
 def _render_ids(ids: frozenset[str]) -> str:
     return "{" + ",".join(sorted(ids)) + "}"
@@ -45,6 +49,12 @@ def _parse_ids(text: str) -> frozenset[str]:
         raise ScenarioParseError(f"expected an id set, got {text!r}")
     inner = text[1:-1]
     return frozenset(part for part in inner.split(",") if part)
+
+
+def _parse_cost(text: str) -> Fraction:
+    if _COST_RE.fullmatch(text) is None:
+        raise ValueError(f"expected a cost like 3 or 7/2, got {text!r}")
+    return Fraction(text)
 
 
 def render_transcript(s: Series, *, scenario: str = "scenario", policy: str = "") -> str:
@@ -111,7 +121,11 @@ class ParsedTranscript:
 
 
 def parse_transcript(text: str) -> ParsedTranscript:
-    """Parse a rendered transcript back into structured rows."""
+    """Parse a rendered transcript back into structured rows.
+
+    Costs must take the forms :func:`render_transcript` writes (``3`` or
+    ``7/2``); ``1e0``, ``0.5`` and the like raise ``ScenarioParseError``.
+    """
     scenario_name = ""
     policy = ""
     rows: list[TranscriptRow] = []
@@ -147,7 +161,7 @@ def parse_transcript(text: str) -> ParsedTranscript:
                 busted=_parse_ids(cells[3]),
                 fixed=_parse_ids(cells[4]),
                 busted_total=int(cells[5]),
-                cost_total=Fraction(cells[6]),
+                cost_total=_parse_cost(cells[6]),
                 winner=cells[7],
             )
         except ValueError as exc:

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
 
 from busterfixer import (
     BusterWinsError,
@@ -30,10 +31,11 @@ from busterfixer import (
     verify_optimal_naive,
 )
 
-from busterfixer.adjudicator import _Arena, _dominated
+from busterfixer.adjudicator import _Arena, _dominated, verify_optimal_report
 
 from conftest import random_instance, triangle_position
 from series_tables import ALL_SERIES, FAMILY_A, play_table_series
+from test_properties import PROPERTY, instances
 
 
 def _triple(win, busted, cost):
@@ -186,6 +188,65 @@ def test_verify_optimal_worked_example(triangle):
     assert verify_optimal(triangle, busted, frozenset({"e4"}))
     assert not verify_optimal(triangle, busted, frozenset({"e5"}))
     assert not verify_optimal(triangle, busted, frozenset({"e4", "e5"}))
+
+
+@pytest.mark.parametrize("bridge_only", [True, False])
+def test_verify_optimal_report_worked_example_witnesses(triangle, bridge_only):
+    busted = frozenset({"e1", "e2"})
+    cache = {}
+    for share in (None, cache, cache):
+        report = lambda c: verify_optimal_report(triangle, busted, frozenset(c), bridge_only=bridge_only, cache=share)
+        assert report({"e4"}).optimal
+        assert report({"e5"}).failing_outcome == OutcomeTriple(True, 2, Fraction(2))
+        assert report({"e5"}).failing_alternative == frozenset({"e4"})
+        assert report({"e4", "e5"}).failing_outcome == OutcomeTriple(True, 2, Fraction(3))
+        assert report({"e4", "e5"}).failing_alternative == frozenset({"e4"})
+
+
+def _every_check(p):
+    for busted in enumerate_buster_moves(p):
+        if buster_wins(p, busted):
+            continue
+        for candidate in enumerate_fixer_responses(p, busted, bridge_only=False):
+            for bridge_only in (True, False):
+                yield busted, candidate, bridge_only
+
+
+def _assert_shared_cache_changes_nothing(positions, cache):
+    for p in positions:
+        for busted, candidate, bridge_only in _every_check(p):
+            shared = verify_optimal_report(p, busted, candidate, bridge_only=bridge_only, cache=cache)
+            fresh = verify_optimal_report(p, busted, candidate, bridge_only=bridge_only)
+            assert shared == fresh
+
+
+def test_shared_cache_reports_equal_fresh_reports():
+    # one cache across the whole corpus: the cross-instance results and the
+    # per-instance arena and per-bust memos must not move a verdict or witness
+    _assert_shared_cache_changes_nothing(generate_instances(3, 4, (0, 1, 2)), {})
+
+
+_ACROSS_EXAMPLES: dict = {}
+
+
+@PROPERTY
+@given(instances(max_vertices=3, max_total_edges=5))
+def test_shared_cache_reports_equal_fresh_reports_fractional(p):
+    # weights with denominators 2 and 3 give arenas of scale 2, 3 and 6; one
+    # cache across all examples mixes scales in its cross-instance entries
+    _assert_shared_cache_changes_nothing([p], _ACROSS_EXAMPLES)
+
+
+def test_verify_optimal_report_caps_reserve_subsets():
+    # 13 parallel reserve edges: 2**13 response subsets exceed the default
+    # max_subsets, even when the bridge-only alternatives are only 13
+    p = Position(
+        graph=Multigraph(2, (Edge("a", 0, 1, Fraction(1)),)),
+        reserve=Multigraph(2, tuple(Edge(f"r{i:02}", 0, 1, Fraction(1)) for i in range(13))),
+    )
+    caps = Caps(max_total_edges=16)
+    with pytest.raises(CapExceededError):
+        verify_optimal_report(p, frozenset({"a"}), frozenset({"r00"}), caps, bridge_only=True)
 
 
 def test_verify_optimal_naive_agrees_on_worked_example(triangle):

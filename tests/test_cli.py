@@ -166,6 +166,15 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert cli_main(["verify", SCN, "--busted", "zz", "--candidate", "e4"]) == 2
 
 
+def test_unrepresentable_edge_id_exits_two(tmp_path, capsys):
+    bad = tmp_path / "comma.scn"
+    bad.write_text("vertex a\nvertex b\nedge x,y a b 1 G\nedge r a b 1 R\n", encoding="utf-8")
+    assert cli_main(["simulate", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "'x,y'" in err and "transcripts cannot represent" in err
+    assert "Traceback" not in err
+
+
 def test_play_interactive(monkeypatch, capsys):
     feed = io.StringIO("e1,e2\nquit\n")
     monkeypatch.setattr("sys.stdin", feed)

@@ -81,6 +81,13 @@ def test_parse_rejects_scientific_notation_with_line_number():
     assert exc.value.line_number == 3
 
 
+def test_parse_rejects_ids_transcripts_cannot_represent():
+    for bad in ("x,y", "{x", "x}", "x|y", "x#y"):
+        text = f"vertex a\nvertex b\nedge {bad} a b 1 G\n"
+        with pytest.raises(ScenarioValidationError, match="transcripts cannot represent"):
+            parse_scenario(text)
+
+
 def test_parse_rejects_unknown_vertex():
     with pytest.raises(ScenarioValidationError):
         parse_scenario("vertex a\nedge g1 a z 1 G\n")

@@ -1,8 +1,12 @@
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from busterfixer import (
+    Edge,
+    Multigraph,
+    Position,
     Series,
     Winner,
     ScenarioParseError,
@@ -96,3 +100,31 @@ def test_replay_detects_tampered_totals(triangle):
 def test_parse_transcript_requires_header():
     with pytest.raises(ScenarioParseError):
         parse_transcript("nothing here\n")
+
+
+def test_parse_transcript_rejects_costs_render_never_writes(triangle):
+    series = play_table_series(triangle, {"e4"}, (frozenset({"e1", "e2"}), frozenset({"e3"})))
+    text = render_transcript(series, scenario="paper_1_2")
+    row = "| 3      | 3        | Fixer"
+    assert row in text
+    for cost in ("1e0", "0.5", "3.0", "-3", "3/0", " 3/2x"):
+        with pytest.raises(ScenarioParseError):
+            parse_transcript(text.replace(row, f"| 3      | {cost} | Fixer"))
+
+
+def test_every_rendered_transcript_parses(triangle):
+    # fractional running costs render as n/d and must read back exactly
+    halves = Position(
+        graph=triangle.graph,
+        reserve=Multigraph(3, tuple(Edge(e.id, e.u, e.v, e.weight / 2) for e in triangle.reserve)),
+    )
+    for initial in (triangle, halves):
+        for _, rows in ALL_FAMILIES:
+            for name, first_fix, script, *_ in rows:
+                series = play_table_series(initial, first_fix, script)
+                text = render_transcript(series, scenario="paper_1_2", policy=f"series={name}")
+                parsed = parse_transcript(text)
+                assert [row.cost_total for row in parsed.rows] == [
+                    sum((initial.reserve.weight(r.fixed) for r in series.rounds[: j + 1]), Fraction(0))
+                    for j in range(len(series.rounds))
+                ]
