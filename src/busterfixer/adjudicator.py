@@ -26,11 +26,16 @@ materializing every strategy's outcome set explicitly. It exists to pin
 the definition's reading, and any disagreement between the two is
 surfaced as a test failure rather than resolved silently.
 
+Every list of legal responses and every round-legality check comes from
+one place, the per-instance bitmask arena: ``_Arena.ordered_responses``
+lists the responses cheapest first (``enumerate_fixer_responses`` is a
+thin wrapper over it), and ``_legal_round`` checks a bust and candidate.
 By default the alternatives compared against are restricted to responses
 whose every edge is a bridge after the fix (equivalently, spanning trees
-of the contracted graph); this restriction provably preserves the verdict
-and ``bridge_only=False`` disables it so the equivalence can be checked
-empirically.
+of the contracted graph, the reconnecting sets of fewest edges); this
+restriction provably preserves the verdict and ``bridge_only=False``
+disables it so the equivalence can be checked empirically. The naive
+oracle never applies it.
 
 Every size limit comes from one :class:`Caps` object (defined in
 ``graph`` and re-exported here); exceeding it raises ``CapExceededError``.
@@ -62,13 +67,14 @@ from .engine import (
     OutcomeTriple,
     Position,
     Series,
-    buster_wins,
+    buster_wins,  # noqa: F401  unused here, kept because perfbench's binding self-test reads it
     enumerate_buster_moves,
     series_totals,
 )
 from .errors import BusterWinsError, CapExceededError, IllegalMoveError
-from .graph import DEFAULT_CAPS, Caps, Edge, Multigraph, _UnionFind, contract, is_connected
-from .reconnect import all_msts, all_spanning_trees
+from .graph import DEFAULT_CAPS, Caps, Edge, Multigraph, _UnionFind, contract
+from .reconnect import all_msts
+
 
 def fixer_superior(a: OutcomeTriple, b: OutcomeTriple) -> bool:
     """True iff outcome ``a`` dominates outcome ``b``.
@@ -96,46 +102,28 @@ def series_superior(s: Series, t: Series) -> bool:
     return fixer_superior(series_totals(s), series_totals(t))
 
 
-def enumerate_fixer_responses(
-    p: Position, busted: frozenset[str], bridge_only: bool = False, caps: Caps = DEFAULT_CAPS
-) -> list[frozenset[str]]:
+def enumerate_fixer_responses(p: Position, busted: frozenset[str], caps: Caps = DEFAULT_CAPS) -> list[frozenset[str]]:
     """All legal Fixer responses to ``busted``, cheapest first.
 
     A response is any reserve subset whose addition reconnects the busted
     graph (the empty set when it is still connected; supersets with
-    redundant edges are legal too). With ``bridge_only`` the list is
-    restricted to responses whose every edge is a bridge after the fix,
-    which are exactly the spanning trees of the contracted graph (just the
-    empty response when the graph is still connected).
+    redundant edges are legal too). The list is the arena's
+    :meth:`_Arena.ordered_responses`, the one enumeration every verifier
+    compares against.
 
     Order: by total weight, then lexicographically on the sorted id tuple.
 
-    Raises ``BusterWinsError`` when not even the full reserve reconnects,
-    and ``CapExceededError`` when the enumeration exceeds ``caps.max_subsets``.
+    Raises ``IllegalMoveError`` for an illegal bust, ``BusterWinsError``
+    when not even the full reserve reconnects, and ``CapExceededError``
+    when the enumeration exceeds ``caps.max_subsets``.
     """
-    busted = frozenset(busted)
-    if buster_wins(p, busted):
+    arena = _Arena(p)
+    left = arena.left_after(frozenset(busted))
+    if not arena.connected(left | arena.reserve_mask):
         raise BusterWinsError("no response can reconnect; Buster wins this round")
-    remaining = p.graph.without(busted)
-    m = contract(remaining, p.reserve.edges)
-    if bridge_only:
-        if m.component_count == 1:
-            return [frozenset()]
-        responses = [t.edge_ids for t in all_spanning_trees(m, caps)]
-    else:
-        ids = sorted(p.reserve.ids)
-        if 1 << len(ids) > caps.max_subsets:
-            raise CapExceededError(f"2^{len(ids)} reserve subsets exceeds cap {caps.max_subsets}")
-        labels = m.component_of
-        responses = []
-        for mask in range(1 << len(ids)):
-            chosen = [p.reserve.edge(ids[b]) for b in range(len(ids)) if mask >> b & 1]
-            uf = _UnionFind(m.component_count)
-            joined = sum(1 for e in chosen if uf.union(labels[e.u], labels[e.v]))
-            if joined == m.component_count - 1:
-                responses.append(frozenset(e.id for e in chosen))
-    responses.sort(key=lambda f: (p.reserve.weight(f), tuple(sorted(f))))
-    return responses
+    if 1 << len(p.reserve) > caps.max_subsets:
+        raise CapExceededError(f"2^{len(p.reserve)} reserve subsets exceeds cap {caps.max_subsets}")
+    return [frozenset(ids) for _, ids, _ in arena.ordered_responses(left)]
 
 
 class _Arena:
@@ -166,16 +154,13 @@ class _Arena:
         self._responses: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
         self._signature: dict[int, tuple] = {}
         self.dominance_memo: dict = {}
-        self.adjudications: dict[tuple[int, bool], _Adjudication] = {}
+        self.adjudications: dict[tuple[int, bool], _Adjudication] = {}  # by (graph mask left, bridge_only)
 
     def mask_of(self, ids: Iterable[str]) -> int:
         mask = 0
         for i in ids:
             mask |= 1 << self.index[i]
         return mask
-
-    def ids_of(self, mask: int) -> frozenset[str]:
-        return frozenset(self.ids[i] for i in _bit_indices(mask))
 
     def weight_of(self, mask: int) -> int:
         cached = self._weight.get(mask)
@@ -193,6 +178,12 @@ class _Arena:
             self._connected[mask] = cached
         return cached
 
+    def left_after(self, busted: frozenset[str]) -> int:
+        """The graph mask a legal bust leaves; raises ``IllegalMoveError`` otherwise."""
+        if not busted or not busted <= self.position.graph.ids:
+            raise IllegalMoveError("busted must be a nonempty subset of the current graph")
+        return self.graph_mask ^ self.mask_of(busted)
+
     def responses(self, graph_mask: int, reserve_mask: int) -> tuple[tuple[int, int], ...]:
         """All reserve submasks reconnecting ``graph_mask``, with weights."""
         key = (graph_mask, reserve_mask)
@@ -209,6 +200,21 @@ class _Arena:
             cached = tuple(out)
             self._responses[key] = cached
         return cached
+
+    def ordered_responses(self, graph_mask: int, bridge_only: bool = False) -> list[tuple[int, tuple[str, ...], int]]:
+        """Every response reconnecting ``graph_mask`` from the full reserve, cheapest first.
+
+        Each is (scaled weight, sorted ids, reserve mask), ordered by weight
+        and then by ids. With ``bridge_only``, only the sets of fewest edges.
+        """
+        responses = self.responses(graph_mask, self.reserve_mask)
+        if bridge_only:
+            # Every reconnecting set has at least components(graph_mask) - 1
+            # edges; those with exactly that many are the contracted spanning trees.
+            fewest = min(mask.bit_count() for mask, _ in responses)
+            responses = [r for r in responses if r[0].bit_count() == fewest]
+        ids = self.ids
+        return sorted((weight, tuple(sorted(ids[i] for i in _bit_indices(mask))), mask) for mask, weight in responses)
 
     def signature(self, mask: int) -> tuple:
         """Id-free canonical key of a mask: sorted endpoint/weight triples."""
@@ -390,19 +396,12 @@ class _Adjudication:
 
     __slots__ = ("arena", "base_busted", "alt_lines", "check_memo", "survive_memo", "cache")
 
-    def __init__(self, arena: _Arena, bust_mask: int, bridge_only: bool, cache: dict | None):
-        left = arena.graph_mask ^ bust_mask
-        responses = arena.responses(left, arena.reserve_mask)
-        if bridge_only:
-            # Every reconnecting set has at least components(left) - 1 edges;
-            # those with exactly that many are the contracted spanning trees.
-            fewest = min(mask.bit_count() for mask, _ in responses)
-            responses = [r for r in responses if r[0].bit_count() == fewest]
-        ordered = sorted((weight, tuple(sorted(arena.ids_of(mask))), mask) for mask, weight in responses)
+    def __init__(self, arena: _Arena, left: int, bridge_only: bool, cache: dict | None):
         self.arena = arena
-        self.base_busted = bust_mask.bit_count()
+        self.base_busted = (arena.graph_mask ^ left).bit_count()
         self.alt_lines = tuple(
-            (frozenset(ids), left | mask, arena.reserve_mask ^ mask, weight) for weight, ids, mask in ordered
+            (frozenset(ids), left | mask, arena.reserve_mask ^ mask, weight)
+            for weight, ids, mask in arena.ordered_responses(left, bridge_only)
         )
         self.check_memo: dict[tuple[bool, int, int], frozenset | None] = {}
         self.survive_memo: dict = {}
@@ -461,20 +460,24 @@ class VerifyResult:
     failing_alternative: frozenset[str] | None = None
 
 
-def _validated_candidate(p: Position, busted: frozenset[str], candidate: frozenset[str]) -> bool:
-    """The naive oracle's precondition checks; returns True when Buster wins the round."""
-    if not busted or not busted <= p.graph.ids:
-        raise IllegalMoveError("busted must be a nonempty subset of the current graph")
-    if buster_wins(p, busted):
+def _legal_round(arena: _Arena, busted: frozenset[str], candidate: frozenset[str]) -> tuple[int, int] | None:
+    """The graph mask the bust leaves and the candidate mask, or None when Buster wins.
+
+    Raises ``IllegalMoveError`` for an illegal bust, for a nonempty
+    candidate when Buster wins, and for a candidate outside the reserve or
+    one that does not reconnect, checked in that order.
+    """
+    left = arena.left_after(busted)
+    if not arena.connected(left | arena.reserve_mask):
         if candidate:
             raise IllegalMoveError("only the empty response is legal when Buster wins")
-        return True
-    if not candidate <= p.reserve.ids:
+        return None
+    if not candidate <= arena.position.reserve.ids:
         raise IllegalMoveError("candidate must be a subset of the reserve")
-    fixed = tuple(p.reserve.edge(i) for i in sorted(candidate))
-    if not is_connected(p.graph.without(busted).with_edges(fixed)):
+    cand_mask = arena.mask_of(candidate)
+    if not arena.connected(left | cand_mask):
         raise IllegalMoveError("candidate does not reconnect the busted graph")
-    return False
+    return left, cand_mask
 
 
 def verify_optimal_report(
@@ -503,25 +506,15 @@ def verify_optimal_report(
         )
     if 1 << len(p.reserve) > caps.max_subsets:
         raise CapExceededError(f"2^{len(p.reserve)} reserve subsets exceeds cap {caps.max_subsets}")
-    if not busted or not busted <= p.graph.ids:
-        raise IllegalMoveError("busted must be a nonempty subset of the current graph")
     arena = _arena_for(p, cache)
-    bust_mask = arena.mask_of(busted)
-    left = arena.graph_mask ^ bust_mask
-    if not arena.connected(left | arena.reserve_mask):
-        if candidate:
-            raise IllegalMoveError("only the empty response is legal when Buster wins")
+    masks = _legal_round(arena, busted, candidate)
+    if masks is None:
         # The round is already lost; the forced empty response is optimal.
         return VerifyResult(optimal=True, alternatives=0)
-    if not candidate <= p.reserve.ids:
-        raise IllegalMoveError("candidate must be a subset of the reserve")
-    cand_mask = arena.mask_of(candidate)
-    if not arena.connected(left | cand_mask):
-        raise IllegalMoveError("candidate does not reconnect the busted graph")
-
-    job = arena.adjudications.get((bust_mask, bridge_only))
+    left, cand_mask = masks
+    job = arena.adjudications.get((left, bridge_only))
     if job is None:
-        job = arena.adjudications[bust_mask, bridge_only] = _Adjudication(arena, bust_mask, bridge_only, cache)
+        job = arena.adjudications[left, bridge_only] = _Adjudication(arena, left, bridge_only, cache)
     ok, failure = _survives(
         arena,
         left | cand_mask,
@@ -586,12 +579,11 @@ def verify_optimal_naive(
         raise CapExceededError(
             f"position has {p.total_edges} edges, naive cap is {caps.naive_max_total_edges}"
         )
-    if _validated_candidate(p, busted, candidate):
-        return True
-
     arena = _Arena(p)
-    bust_mask = arena.mask_of(busted)
-    left = arena.graph_mask ^ bust_mask
+    masks = _legal_round(arena, busted, candidate)
+    if masks is None:
+        return True
+    left, cand_mask = masks
     base_busted = len(busted)
     strategy_memo: dict[tuple[int, int], list[frozenset]] = {}
 
@@ -632,19 +624,15 @@ def verify_optimal_naive(
     def superior(a: tuple, b: tuple) -> bool:
         return (a[0] or not b[0]) and a[1] >= b[1] and a[2] <= b[2]
 
-    cand_mask = arena.mask_of(candidate)
     target_sets = shifted(
         strategies(left | cand_mask, arena.reserve_mask ^ cand_mask), arena.weight_of(cand_mask)
     )
-    alternative_sets = []
-    for alt in enumerate_fixer_responses(p, busted, bridge_only=False, caps=caps):
-        alt_mask = arena.mask_of(alt)
-        alternative_sets.append(
-            shifted(
-                strategies(left | alt_mask, arena.reserve_mask ^ alt_mask),
-                arena.weight_of(alt_mask),
-            )
-        )
+    if 1 << len(p.reserve) > caps.max_subsets:
+        raise CapExceededError(f"2^{len(p.reserve)} reserve subsets exceeds cap {caps.max_subsets}")
+    alternative_sets = [
+        shifted(strategies(left | alt_mask, arena.reserve_mask ^ alt_mask), alt_weight)
+        for alt_weight, _, alt_mask in arena.ordered_responses(left)
+    ]
     return any(
         all(
             any(superior(t, other) for other in alt_outcomes)
@@ -719,55 +707,52 @@ def theorem_sweep(
     One ``cache`` is shared by every check: it holds cross-instance search
     results and the current instance's arena, so every move, response and
     prune setting of an instance reuses one arena and its per-bust memos
-    on exact integer-scaled weights. The greedy and converse response lists
-    come from ``contract``/``all_msts`` and ``enumerate_fixer_responses``,
-    independently of that kernel. Reuse changes no verdict.
+    on exact integer-scaled weights. Buster-wins is decided on that arena.
+    The greedy list comes from ``contract``/``all_msts``, independently of
+    the arena; the converse list is the arena's ordered responses, the same
+    enumeration the verifier compares against, which
+    ``enumerate_fixer_responses`` exposes and the tests check against a
+    brute force over reserve subsets. Reuse changes no verdict.
     """
     report = SweepReport()
     cache: dict = {}
+
+    def adjudicate(p: Position, busted: frozenset[str], response: frozenset[str]) -> bool:
+        verdict = verify_optimal(p, busted, response, caps, bridge_only=bridge_only, cache=cache)
+        if compare_prune:
+            other = verify_optimal(p, busted, response, caps, bridge_only=not bridge_only, cache=cache)
+            if other != verdict:
+                report.prune_mismatches.append(
+                    Counterexample("prune-mismatch", p, busted, response, f"pruned={verdict} full={other}")
+                )
+        return verdict
+
     for p in instances:
         report.instances += 1
         if len(p.graph) == 0:
             continue
+        arena = _arena_for(p, cache)
         for busted in enumerate_buster_moves(p, caps):
             report.moves += 1
-            if buster_wins(p, busted):
+            left = arena.left_after(busted)
+            if arena.connected(left | arena.reserve_mask):
+                msts = all_msts(contract(p.graph.without(busted), p.reserve.edges), caps)
+                minimum = msts[0].total_weight
+                greedy = sorted({t.edge_ids for t in msts}, key=lambda s: tuple(sorted(s)))
+                others = [frozenset(ids) for _, ids, _ in arena.ordered_responses(left)]
+            else:  # Buster wins the round: the forced empty response is the only one
+                minimum, greedy, others = Fraction(0), [frozenset()], []
+            for response in greedy:
                 report.greedy_checked += 1
-                if not verify_optimal(p, busted, frozenset(), caps, bridge_only=bridge_only, cache=cache):
-                    report.counterexamples.append(
-                        Counterexample("greedy-not-optimal", p, busted, frozenset(), "forced empty response rejected")
-                    )
-                continue
-            m = contract(p.graph.without(busted), p.reserve.edges)
-            msts = all_msts(m, caps)
-            minimum = msts[0].total_weight
-            greedy_sets = sorted({t.edge_ids for t in msts}, key=lambda s: tuple(sorted(s)))
-            for response in greedy_sets:
-                report.greedy_checked += 1
-                verdict = verify_optimal(p, busted, response, caps, bridge_only=bridge_only, cache=cache)
-                if compare_prune:
-                    other = verify_optimal(p, busted, response, caps, bridge_only=not bridge_only, cache=cache)
-                    if other != verdict:
-                        report.prune_mismatches.append(
-                            Counterexample("prune-mismatch", p, busted, response, f"pruned={verdict} full={other}")
-                        )
-                if not verdict:
+                if not adjudicate(p, busted, response):
                     report.counterexamples.append(
                         Counterexample("greedy-not-optimal", p, busted, response, f"weight {minimum}")
                     )
-            greedy_lookup = set(greedy_sets)
-            for response in enumerate_fixer_responses(p, busted, bridge_only=False, caps=caps):
-                if response in greedy_lookup:
+            for response in others:
+                if response in greedy:
                     continue
                 report.responses_checked += 1
-                verdict = verify_optimal(p, busted, response, caps, bridge_only=bridge_only, cache=cache)
-                if compare_prune:
-                    other = verify_optimal(p, busted, response, caps, bridge_only=not bridge_only, cache=cache)
-                    if other != verdict:
-                        report.prune_mismatches.append(
-                            Counterexample("prune-mismatch", p, busted, response, f"pruned={verdict} full={other}")
-                        )
-                if verdict and p.reserve.weight(response) != minimum:
+                if adjudicate(p, busted, response) and p.reserve.weight(response) != minimum:
                     report.counterexamples.append(
                         Counterexample(
                             "non-minimum-optimal",

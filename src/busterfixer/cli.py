@@ -17,8 +17,8 @@ Subcommands:
 
 Exit codes: 0 success; 1 verification failure, sweep counterexample, or
 replay mismatch (including the no-spanning-tree answer from ``msts``);
-2 usage, parse, validation, illegal-move, or cap errors. Diagnostics go
-to stderr.
+2 usage, parse, validation, illegal-move, or cap errors, and unreadable
+files. Diagnostics go to stderr; no input ends in a traceback.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .errors import (
     ScenarioParseError,
     ScenarioValidationError,
 )
-from .graph import contract, format_weight
+from .graph import contract, format_weight, parse_decimal_weight
 from .reconnect import all_msts
 from .scenario import ScenarioFile, load_bundled_scenario, parse_scenario
 
@@ -64,6 +64,14 @@ def _load_scenario(path_text: str) -> ScenarioFile:
 
 def _ids(text: str) -> frozenset[str]:
     return frozenset(part for part in text.split(",") if part)
+
+
+def _weights(text: str) -> list:
+    """Comma-separated reserve weights, in the scenario files' decimal grammar."""
+    try:
+        return [parse_decimal_weight(w) for w in text.split(",") if w != ""]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -131,11 +139,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_theorem_sweep(args: argparse.Namespace) -> int:
-    weights = [int(w) for w in args.weights.split(",") if w != ""]
     instances = adjudicator.generate_instances(
         max_vertices=args.max_vertices,
         max_total_edges=args.max_total_edges,
-        reserve_weights=weights,
+        reserve_weights=args.weights,
     )
     report = adjudicator.theorem_sweep(
         instances,
@@ -246,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("theorem-sweep", parents=[caps_parent, out_parent],
                        help="check greedy optimality over all instances within caps")
     p.add_argument("--max-vertices", type=int, default=3)
-    p.add_argument("--weights", default="0,1,2", help="comma-separated reserve weights to enumerate")
+    p.add_argument("--weights", type=_weights, default="0,1,2", help="comma-separated decimal reserve weights")
     p.add_argument("--compare-prune", action="store_true",
                    help="also run every check without the bridge restriction and compare")
     p.set_defaults(func=_cmd_theorem_sweep)
@@ -279,7 +286,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GameError as exc:

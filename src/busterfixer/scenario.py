@@ -12,8 +12,9 @@ play in file order::
 Weights are plain decimal strings (``2`` or ``0.25``), parsed to exact
 rationals; scientific notation is rejected so the format stays trivially
 portable. The G pool must form a connected graph. Edge ids may not contain
-``,``, ``{``, ``}``, ``|`` or ``#``: transcripts write id sets as
-``{a,b}`` in ``|``-separated rows, so such an id could not be read back.
+``,``, ``{``, ``}``, ``|`` or ``#`` (transcripts write id sets as ``{a,b}``
+in ``|``-separated rows) nor be ``quit`` (``buster quit`` is the quit
+directive), since such an id could not be read back.
 Syntax problems raise ``ScenarioParseError`` with a line number; semantic
 problems (duplicate or unrepresentable ids, unresolved names, negative
 weights, a disconnected G pool) raise ``ScenarioValidationError``.
@@ -119,9 +120,10 @@ def parse_scenario(text: bytes | str, name: str = "scenario") -> ScenarioFile:
     for decl in declarations:
         if decl.id in seen_ids:
             raise ScenarioValidationError(f"duplicate edge id {decl.id!r}")
-        if _RESERVED_ID_CHARACTERS.intersection(decl.id):
+        if _RESERVED_ID_CHARACTERS.intersection(decl.id) or decl.id == "quit":
             raise ScenarioValidationError(
-                f"edge id {decl.id!r} contains one of , {{ }} | #, which transcripts cannot represent"
+                f"edge id {decl.id!r} is quit or contains one of , {{ }} | #,"
+                " which scripts and transcripts cannot represent"
             )
         seen_ids.add(decl.id)
         for endpoint in (decl.u_name, decl.v_name):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -21,6 +22,7 @@ from busterfixer import (
     fixer_superior,
     generate_instances,
     greedy_fixer,
+    is_connected,
     play_series,
     random_buster,
     scripted_buster,
@@ -125,15 +127,20 @@ def test_triple_reduction_matches_raw_sums():
         assert series_superior(s, t) == raw
 
 
+def _bridge_only_responses(p, busted):
+    arena = _Arena(p)
+    return [frozenset(ids) for _, ids, _ in arena.ordered_responses(arena.left_after(busted), bridge_only=True)]
+
+
 def test_enumerate_fixer_responses_bridge_only(triangle):
-    assert enumerate_fixer_responses(triangle, frozenset({"e1", "e2"}), bridge_only=True) == [
+    assert _bridge_only_responses(triangle, frozenset({"e1", "e2"})) == [
         frozenset({"e4"}),
         frozenset({"e5"}),
     ]
 
 
 def test_enumerate_fixer_responses_all(triangle):
-    assert enumerate_fixer_responses(triangle, frozenset({"e1", "e2"}), bridge_only=False) == [
+    assert enumerate_fixer_responses(triangle, frozenset({"e1", "e2"})) == [
         frozenset({"e4"}),
         frozenset({"e5"}),
         frozenset({"e4", "e5"}),
@@ -141,11 +148,43 @@ def test_enumerate_fixer_responses_all(triangle):
 
 
 def test_enumerate_fixer_responses_connected_graph(triangle):
-    assert enumerate_fixer_responses(triangle, frozenset({"e1"}), bridge_only=True) == [frozenset()]
-    between = enumerate_fixer_responses(triangle, frozenset({"e1"}), bridge_only=False)
+    assert _bridge_only_responses(triangle, frozenset({"e1"})) == [frozenset()]
+    between = enumerate_fixer_responses(triangle, frozenset({"e1"}))
     # still connected: every reserve subset is legal, cheapest first
     assert between[0] == frozenset()
     assert len(between) == 4
+
+
+def _reference_responses(p, busted):
+    """Every reserve subset that reconnects, by brute force on multigraphs."""
+    remaining = p.graph.without(busted)
+    ids = sorted(p.reserve.ids)
+    found = [
+        frozenset(chosen)
+        for size in range(len(ids) + 1)
+        for chosen in combinations(ids, size)
+        if is_connected(remaining.with_edges(tuple(p.reserve.edge(i) for i in chosen)))
+    ]
+    return sorted(found, key=lambda f: (p.reserve.weight(f), tuple(sorted(f))))
+
+
+def _assert_responses_match_reference(positions):
+    for p in positions:
+        for busted in enumerate_buster_moves(p):
+            if not buster_wins(p, busted):
+                assert enumerate_fixer_responses(p, busted) == _reference_responses(p, busted)
+
+
+def test_enumerate_fixer_responses_matches_brute_force():
+    # the list every verifier compares against, checked against an
+    # enumeration that shares no code with the arena
+    _assert_responses_match_reference(generate_instances(3, 4, (0, 1, 2)))
+
+
+@PROPERTY
+@given(instances(max_vertices=4, max_total_edges=6))
+def test_enumerate_fixer_responses_matches_brute_force_fractional(p):
+    _assert_responses_match_reference([p])
 
 
 def test_enumerate_fixer_responses_buster_win_raises(triangle):
@@ -207,7 +246,7 @@ def _every_check(p):
     for busted in enumerate_buster_moves(p):
         if buster_wins(p, busted):
             continue
-        for candidate in enumerate_fixer_responses(p, busted, bridge_only=False):
+        for candidate in enumerate_fixer_responses(p, busted):
             for bridge_only in (True, False):
                 yield busted, candidate, bridge_only
 
@@ -321,7 +360,7 @@ def test_oracle_agreement_exhaustive_tiny():
         for busted in enumerate_buster_moves(p):
             if buster_wins(p, busted):
                 continue
-            for candidate in enumerate_fixer_responses(p, busted, bridge_only=False):
+            for candidate in enumerate_fixer_responses(p, busted):
                 expected = verify_optimal_naive(p, busted, candidate)
                 assert verify_optimal(p, busted, candidate) == expected
                 assert verify_optimal(p, busted, candidate, bridge_only=False) == expected
@@ -338,7 +377,7 @@ def test_oracle_agreement_sampled_three_vertices():
         for busted in enumerate_buster_moves(p):
             if buster_wins(p, busted):
                 continue
-            for candidate in enumerate_fixer_responses(p, busted, bridge_only=False):
+            for candidate in enumerate_fixer_responses(p, busted):
                 naive = verify_optimal_naive(p, busted, candidate)
                 assert verify_optimal(p, busted, candidate, cache=cache) == naive
                 checked += 1

@@ -1,4 +1,5 @@
 import io
+import re
 from pathlib import Path
 
 import pytest
@@ -164,6 +165,44 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert cli_main(["simulate", str(bad)]) == 2
     assert cli_main(["simulate", str(tmp_path / "missing.scn")]) == 2
     assert cli_main(["verify", SCN, "--busted", "zz", "--candidate", "e4"]) == 2
+
+
+def test_theorem_sweep_decimal_weights(capsys):
+    # --weights takes the scenario files' decimal grammar
+    code = cli_main(["theorem-sweep", "--max-vertices", "2", "--max-total-edges", "2", "--weights", "0,0.5"])
+    assert code == 0
+    assert "counterexamples: 0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["theorem-sweep", "--weights", "a"],
+        ["theorem-sweep", "--weights", "-1"],
+        ["theorem-sweep", "--weights", "1/2"],
+        ["replay", SCN, "{latin1}"],
+        ["replay", SCN, "{dir}"],
+        ["simulate", "{dir}"],
+    ],
+)
+def test_bad_input_exits_two_without_traceback(tmp_path, capsys, argv):
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes("# scenario: caf\xe9\n".encode("latin-1"))
+    argv = [arg.format(latin1=latin1, dir=tmp_path) for arg in argv]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
+def test_readme_scenario_example_simulates(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Scenario files", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    path = tmp_path / "readme.scn"
+    path.write_text(block, encoding="utf-8")
+    assert cli_main(["simulate", str(path)]) == 0
+    assert "Winner" in capsys.readouterr().out
 
 
 def test_unrepresentable_edge_id_exits_two(tmp_path, capsys):

@@ -1,23 +1,35 @@
 """Property tests over random instances, derandomized so every run is identical."""
 
+import string
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from busterfixer import (
+    QUIT,
     Edge,
     Multigraph,
     Position,
+    ScenarioFile,
     all_msts,
     buster_wins,
     contract,
     enumerate_buster_moves,
     enumerate_fixer_responses,
+    greedy_fixer,
     greedy_fixer_move,
+    parse_scenario,
+    parse_transcript,
+    play_series,
+    random_buster,
+    render_scenario,
+    render_transcript,
+    replay_transcript,
     verify_optimal,
     verify_optimal_naive,
 )
+from busterfixer.scenario import EdgeDeclaration
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=300)
 
@@ -51,7 +63,7 @@ def test_verify_optimal_agrees_with_naive_oracle(p):
     for busted in enumerate_buster_moves(p):
         if buster_wins(p, busted):
             continue
-        for candidate in enumerate_fixer_responses(p, busted, bridge_only=False):
+        for candidate in enumerate_fixer_responses(p, busted):
             assert verify_optimal(p, busted, candidate) == verify_optimal_naive(p, busted, candidate)
 
 
@@ -63,3 +75,52 @@ def test_greedy_fixer_move_is_a_minimum_spanning_tree(p):
             continue
         m = contract(p.graph.without(busted), p.reserve.edges)
         assert greedy_fixer_move(p, busted) in {t.edge_ids for t in all_msts(m)}
+
+
+# Scenario names and edge ids: printable non-space ASCII without the
+# characters transcripts reserve, and never the script keyword ``quit``.
+NAME = st.text("".join(c for c in string.printable if not c.isspace() and c not in ",{}|#"), min_size=1, max_size=4)
+ID = NAME.filter(lambda text: text != "quit")
+DECIMAL = st.builds(lambda k, places: Fraction(k, 10**places), st.integers(0, 999), st.integers(0, 3))
+
+
+@st.composite
+def scenarios(draw) -> ScenarioFile:
+    """A valid scenario: a connected G pool, a reserve, and a script that may quit."""
+    names = draw(st.lists(NAME, min_size=1, max_size=4, unique=True))
+    endpoints = st.tuples(st.sampled_from(names), st.sampled_from(names))
+    graph = [(draw(st.sampled_from(names[:v])), names[v]) for v in range(1, len(names))]
+    graph += draw(st.lists(endpoints, max_size=4))
+    reserve = draw(st.lists(endpoints, max_size=4))
+    pooled = [(u, v, "G") for u, v in graph] + [(u, v, "R") for u, v in reserve]
+    ids = draw(st.lists(ID, min_size=len(pooled), max_size=len(pooled), unique=True))
+    edges = [EdgeDeclaration(i, u, v, draw(DECIMAL), pool) for i, (u, v, pool) in zip(ids, pooled)]
+    edges = draw(st.permutations(edges))
+    move = st.frozensets(st.sampled_from(ids), min_size=1) if ids else st.nothing()
+    script = draw(st.lists(st.one_of(st.just(QUIT), move), max_size=4))
+    return ScenarioFile("scenario", tuple(names), tuple(edges), tuple(script))
+
+
+@PROPERTY
+@given(scenarios())
+def test_scenario_render_parse_round_trip(s):
+    assert parse_scenario(render_scenario(s)) == s
+
+
+@st.composite
+def relabelled(draw, positions) -> Position:
+    """A drawn position with its edge ids replaced by drawn scenario ids."""
+    p = draw(positions)
+    ids = iter(draw(st.lists(ID, min_size=p.total_edges, max_size=p.total_edges, unique=True)))
+
+    def rename(g: Multigraph) -> Multigraph:
+        return Multigraph(g.vertex_count, tuple(Edge(next(ids), e.u, e.v, e.weight) for e in g.edges))
+
+    return Position(graph=rename(p.graph), reserve=rename(p.reserve))
+
+
+@PROPERTY
+@given(relabelled(instances(max_vertices=4, max_total_edges=8)), st.integers(0, 10**6))
+def test_transcript_render_parse_replay_round_trip(p, seed):
+    t = render_transcript(play_series(p, random_buster(seed), greedy_fixer()))
+    assert render_transcript(replay_transcript(p, parse_transcript(t))) == t

@@ -232,7 +232,7 @@ def test_greedy_move_properties_random():
             labels = components(remaining)
             assert len(move) == max(labels)
             # minimum weight among all reconnecting subsets (oracle)
-            responses = enumerate_fixer_responses(p, busted, bridge_only=False)
+            responses = enumerate_fixer_responses(p, busted)
             minimum = min(p.reserve.weight(f) for f in responses)
             assert p.reserve.weight(move) == minimum
 

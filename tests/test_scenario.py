@@ -82,7 +82,8 @@ def test_parse_rejects_scientific_notation_with_line_number():
 
 
 def test_parse_rejects_ids_transcripts_cannot_represent():
-    for bad in ("x,y", "{x", "x}", "x|y", "x#y"):
+    # `quit` alone: `buster quit` is the quit directive, never a bust of edge quit
+    for bad in ("x,y", "{x", "x}", "x|y", "x#y", "quit"):
         text = f"vertex a\nvertex b\nedge {bad} a b 1 G\n"
         with pytest.raises(ScenarioValidationError, match="transcripts cannot represent"):
             parse_scenario(text)
