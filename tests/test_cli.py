@@ -244,3 +244,31 @@ def test_play_eof_ends_session(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "input closed" in out
+
+
+def test_play_session_quit_first_then_empty_graph(tmp_path, monkeypatch, capsys):
+    loop = tmp_path / "loop.scn"
+    loop.write_text("vertex a\nedge l a a 1 G\n", encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", io.StringIO("quit\nl\nl\n"))
+    assert cli_main(["play", str(loop)]) == 0
+    assert capsys.readouterr().out == (
+        "playing loop; enter Buster moves as comma-separated edge ids, or 'quit'\n"
+        "round 1: graph {l} reserve {}\n"
+        "buster> cannot quit before making a move; enter a move\n"
+        "round 1: graph {l} reserve {}\n"
+        "buster> fixer responds {} (cost 0)\n"
+        "round 2: graph {} reserve {}\n"
+        "graph has no edges left to bust; Fixer wins\n"
+    )
+
+
+def test_play_session_move_then_eof(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("e1,e2\n"))
+    assert cli_main(["play", SCN]) == 0
+    assert capsys.readouterr().out == (
+        "playing paper_1_2; enter Buster moves as comma-separated edge ids, or 'quit'\n"
+        "round 1: graph {e1,e2,e3} reserve {e4,e5}\n"
+        "buster> fixer responds {e4} (cost 1)\n"
+        "round 2: graph {e3,e4} reserve {e5}\n"
+        "buster> input closed; ending session\n"
+    )
