@@ -180,8 +180,7 @@ class _Arena:
 
     def left_after(self, busted: frozenset[str]) -> int:
         """The graph mask a legal bust leaves; raises ``IllegalMoveError`` otherwise."""
-        if not busted or not busted <= self.position.graph.ids:
-            raise IllegalMoveError("busted must be a nonempty subset of the current graph")
+        self.position.check_bust(busted)
         return self.graph_mask ^ self.mask_of(busted)
 
     def responses(self, graph_mask: int, reserve_mask: int) -> tuple[tuple[int, int], ...]:

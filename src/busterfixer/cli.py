@@ -39,8 +39,9 @@ from .errors import (
     ScenarioValidationError,
 )
 from .graph import contract, format_weight, parse_decimal_weight
-from .reconnect import all_msts
+from .reconnect import all_msts, greedy_fixer_move
 from .scenario import ScenarioFile, load_bundled_scenario, parse_scenario
+from .transcript import _render_ids
 
 _USAGE_ERRORS = (
     ScenarioParseError,
@@ -132,7 +133,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "NOT-OPTIMAL\n"
         f"witness: outcome (winner={winner}, busted={outcome.total_busted}, "
         f"spent={format_weight(outcome.fix_cost)}) is not dominated when the alternative "
-        f"response is {{{','.join(sorted(result.failing_alternative))}}}\n",
+        f"response is {_render_ids(result.failing_alternative)}\n",
         args.out,
     )
     return 1
@@ -158,8 +159,7 @@ def _cmd_msts(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args.scenario)
     initial = scenario.initial_position()
     busted = _ids(args.busted)
-    if not busted or not busted <= initial.graph.ids:
-        raise IllegalMoveError("busted must be a nonempty subset of the graph")
+    initial.check_bust(busted)
     m = contract(initial.graph.without(busted), initial.reserve.edges)
     try:
         trees = all_msts(m)
@@ -168,7 +168,7 @@ def _cmd_msts(args: argparse.Namespace) -> int:
         return 1
     lines = [f"{len(trees)} minimum spanning tree(s) over {m.component_count} component(s)"]
     for tree in trees:
-        lines.append("{" + ",".join(sorted(tree.edge_ids)) + "}" + f" weight {format_weight(tree.total_weight)}")
+        lines.append(f"{_render_ids(tree.edge_ids)} weight {format_weight(tree.total_weight)}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -190,41 +190,49 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     return 0
 
 
+def _round_line(round_index: int, pos: engine.Position) -> str:
+    return f"round {round_index}: graph {_render_ids(pos.graph.ids)} reserve {_render_ids(pos.reserve.ids)}"
+
+
 def _cmd_play(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args.scenario)
-    pos = scenario.initial_position()
-    fixer = engine.greedy_fixer()
-    history: list[engine.RoundRecord] = []
-    print(f"playing {scenario.name}; enter Buster moves as comma-separated edge ids, or 'quit'")
-    while True:
-        print(f"round {len(history) + 1}: graph {{{','.join(sorted(pos.graph.ids))}}} "
-              f"reserve {{{','.join(sorted(pos.reserve.ids))}}}")
-        if len(pos.graph) == 0:
-            print("graph has no edges left to bust; Fixer wins")
-            return 0
-        try:
+
+    def buster(pos: engine.Position, history: tuple) -> engine.BusterAction:
+        while True:
+            print(_round_line(len(history) + 1, pos))
             entered = input("buster> ").strip()
-        except EOFError:
-            print("input closed; ending session")
-            return 0
-        if entered == "quit":
-            if not history:
+            if entered == "quit":
+                if history:
+                    print("Buster quits; Fixer wins")
+                    return engine.QUIT
                 print("cannot quit before making a move; enter a move")
                 continue
-            print("Buster quits; Fixer wins")
-            return 0
-        move = _ids(entered)
-        if not move or not move <= pos.graph.ids:
-            print("illegal move: must be a nonempty subset of the current graph; try again")
-            continue
-        if engine.buster_wins(pos, move):
-            print(f"busting {{{','.join(sorted(move))}}} cannot be fixed; Buster wins")
-            return 0
-        fix = fixer(pos, move, tuple(history))
-        cost = pos.reserve.weight(fix)
-        print(f"fixer responds {{{','.join(sorted(fix))}}} (cost {format_weight(cost)})")
-        history.append(engine.RoundRecord(busted=move, fixed=fix))
-        pos = engine.apply_round(pos, move, fix)
+            move = _ids(entered)
+            try:
+                pos.check_bust(move)
+                return move
+            except IllegalMoveError:
+                print("illegal move: must be a nonempty subset of the current graph; try again")
+
+    def fixer(pos: engine.Position, busted: frozenset[str], history: tuple) -> frozenset[str]:
+        fix = greedy_fixer_move(pos, busted)
+        print(f"fixer responds {_render_ids(fix)} (cost {format_weight(pos.reserve.weight(fix))})")
+        return fix
+
+    print(f"playing {scenario.name}; enter Buster moves as comma-separated edge ids, or 'quit'")
+    try:
+        series = engine.play_series(scenario.initial_position(), buster, fixer)
+    except EOFError:
+        print("input closed; ending session")
+        return 0
+    if series.outcome is engine.Winner.BUSTER:
+        print(f"busting {_render_ids(series.rounds[-1].busted)} cannot be fixed; Buster wins")
+    else:
+        end = engine.replay_positions(series)[-1]
+        if not end.graph:
+            print(_round_line(len(series.rounds) + 1, end))
+            print("graph has no edges left to bust; Fixer wins")
+    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -79,17 +79,18 @@ class Position:
     def total_edges(self) -> int:
         return len(self.graph) + len(self.reserve)
 
+    def check_bust(self, busted: frozenset[str]) -> None:
+        """Buster's one rule: raise ``IllegalMoveError`` unless ``busted`` is a nonempty subset of the graph."""
+        if not busted or not busted <= self.graph.ids:
+            raise IllegalMoveError("busted must be a nonempty subset of the current graph")
+
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """One round: the busted graph edges and the fixed reserve edges."""
+    """One round: the busted graph edges and the fixed reserve edges, checked where played or replayed."""
 
     busted: frozenset[str]
     fixed: frozenset[str]
-
-    def __post_init__(self):
-        if not self.busted:
-            raise ValueError("busted must be nonempty")
 
 
 @dataclass(frozen=True)
@@ -133,17 +134,14 @@ FixerPolicy = Callable[[Position, frozenset, tuple[RoundRecord, ...]], frozenset
 def apply_round(p: Position, busted: frozenset[str], fixed: frozenset[str]) -> Position:
     """Advance one round: remove ``busted`` from the graph, move ``fixed`` in.
 
-    Connectivity of the result is deliberately not checked here; the
-    verifier needs to build positions from responses that fail, so
-    legality checks live in :func:`play_series` and the enumerators.
+    Connectivity of the result is not checked here: a Buster-win round
+    legally leaves it disconnected, and :func:`play_series` and
+    :func:`replay_positions` check the fix themselves.
 
-    Raises ``IllegalMoveError`` when ``busted`` is not a nonempty subset of
-    the graph or ``fixed`` is not a subset of the reserve.
+    Raises ``IllegalMoveError`` when ``busted`` breaks
+    :meth:`Position.check_bust` or ``fixed`` is not a subset of the reserve.
     """
-    if not busted:
-        raise IllegalMoveError("busted must be nonempty")
-    if not busted <= p.graph.ids:
-        raise IllegalMoveError(f"busted edges not in graph: {sorted(busted - p.graph.ids)}")
+    p.check_bust(busted)
     if not fixed <= p.reserve.ids:
         raise IllegalMoveError(f"fixed edges not in reserve: {sorted(fixed - p.reserve.ids)}")
     moved = tuple(p.reserve.edge(i) for i in sorted(fixed))
@@ -154,11 +152,11 @@ def apply_round(p: Position, busted: frozenset[str], fixed: frozenset[str]) -> P
 
 
 def buster_wins(p: Position, busted: frozenset[str]) -> bool:
-    """True iff no reserve spending can reconnect the graph after ``busted``."""
-    if not busted:
-        raise IllegalMoveError("busted must be nonempty")
-    if not busted <= p.graph.ids:
-        raise IllegalMoveError(f"busted edges not in graph: {sorted(busted - p.graph.ids)}")
+    """True iff no reserve spending can reconnect the graph after ``busted``.
+
+    Raises ``IllegalMoveError`` when ``busted`` breaks :meth:`Position.check_bust`.
+    """
+    p.check_bust(busted)
     everything = p.graph.without(busted).with_edges(p.reserve.edges)
     return not is_connected(everything)
 
@@ -189,7 +187,8 @@ def play_series(initial: Position, buster: BusterPolicy, fixer: FixerPolicy) -> 
     Buster may quit only after surviving at least one round (a quit before
     any move is a ``PolicyError``). If the graph ever has no edges at all,
     Buster has no legal move and the series ends as a Fixer win. Illegal
-    moves from either policy raise ``PolicyError`` with the round index.
+    moves from either policy raise ``PolicyError`` with the round index;
+    an illegal bust carries the :meth:`Position.check_bust` message.
 
     Per-round conservation of the combined pool is asserted; a violation
     raises ``IdentityViolationError`` and indicates an engine bug.
@@ -210,8 +209,10 @@ def play_series(initial: Position, buster: BusterPolicy, fixer: FixerPolicy) -> 
             outcome = Winner.FIXER
             break
         busted = frozenset(action)
-        if not busted or not busted <= pos.graph.ids:
-            raise PolicyError("Buster move is not a nonempty subset of the graph", round_index)
+        try:
+            pos.check_bust(busted)
+        except IllegalMoveError as exc:
+            raise PolicyError(str(exc), round_index) from None
         if buster_wins(pos, busted):
             rounds.append(RoundRecord(busted=busted, fixed=frozenset()))
             outcome = Winner.BUSTER
@@ -329,15 +330,14 @@ def greedy_fixer() -> FixerPolicy:
     return policy
 
 
-def scripted_fixer(responses: Sequence[Iterable[str]], then: FixerPolicy | None = None) -> FixerPolicy:
-    """Replay fixed responses, then delegate to ``then`` (default: greedy)."""
+def scripted_fixer(responses: Sequence[Iterable[str]]) -> FixerPolicy:
+    """Replay fixed responses, then answer with :func:`greedy_fixer_move`."""
     frozen = [frozenset(r) for r in responses]
-    fallback = then or greedy_fixer()
 
     def policy(position: Position, busted: frozenset[str], history: tuple[RoundRecord, ...]) -> frozenset[str]:
         index = len(history)
         if index < len(frozen):
             return frozen[index]
-        return fallback(position, busted, history)
+        return greedy_fixer_move(position, busted)
 
     return policy

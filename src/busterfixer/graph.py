@@ -205,7 +205,6 @@ class ContractedGraph:
     """
 
     component_count: int
-    component_of: tuple[int, ...]
     edges: tuple[Edge, ...]
 
 
@@ -274,8 +273,4 @@ def contract(base: Multigraph, reserve: Iterable[Edge]) -> ContractedGraph:
     contracted = []
     for e in sorted(reserve, key=lambda e: e.id):
         contracted.append(Edge(e.id, labels[e.u], labels[e.v], e.weight))
-    return ContractedGraph(
-        component_count=max(labels) + 1,
-        component_of=labels,
-        edges=tuple(contracted),
-    )
+    return ContractedGraph(component_count=max(labels) + 1, edges=tuple(contracted))

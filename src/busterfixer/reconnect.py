@@ -24,7 +24,6 @@ from .errors import (
     BusterWinsError,
     CapExceededError,
     DisconnectedError,
-    IllegalMoveError,
     NotSpanningTreeError,
 )
 from .graph import DEFAULT_CAPS, Caps, ContractedGraph, Edge, _UnionFind, contract
@@ -216,13 +215,11 @@ def greedy_fixer_move(position: "Position", busted: frozenset[str]) -> frozenset
 
     Raises ``BusterWinsError`` when even the full reserve cannot reconnect
     (callers record the empty response by convention), and
-    ``IllegalMoveError`` when ``busted`` is not a nonempty subset of the
-    graph.
+    ``IllegalMoveError`` when ``busted`` is not a legal bust
+    (:meth:`~busterfixer.engine.Position.check_bust`).
     """
-    graph = position.graph
-    if not busted or not busted <= graph.ids:
-        raise IllegalMoveError("busted must be a nonempty subset of the current graph")
-    remaining = graph.without(busted)
+    position.check_bust(busted)
+    remaining = position.graph.without(busted)
     m = contract(remaining, position.reserve.edges)
     if m.component_count == 1:
         return frozenset()

@@ -142,13 +142,7 @@ def parse_scenario(text: bytes | str, name: str = "scenario") -> ScenarioFile:
         edges=tuple(declarations),
         script=tuple(script),
     )
-    graph_edges = [d for d in scenario.edges if d.pool == "G"]
-    index = {v: i for i, v in enumerate(scenario.vertex_names)}
-    probe = Multigraph(
-        len(scenario.vertex_names),
-        tuple(Edge(d.id, index[d.u_name], index[d.v_name], d.weight) for d in graph_edges),
-    )
-    if not is_connected(probe):
+    if not is_connected(scenario.initial_position().graph):
         raise ScenarioValidationError("G-pool edges do not form a connected graph")
     return scenario
 

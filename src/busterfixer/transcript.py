@@ -16,7 +16,7 @@ and the policy/seed identifiers.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .engine import (
@@ -28,7 +28,6 @@ from .engine import (
     replay_positions,
     scripted_buster,
     scripted_fixer,
-    series_totals,
 )
 from .errors import ScenarioParseError
 from .graph import format_weight
@@ -57,49 +56,6 @@ def _parse_cost(text: str) -> Fraction:
     return Fraction(text)
 
 
-def render_transcript(s: Series, *, scenario: str = "scenario", policy: str = "") -> str:
-    """Render one series as a deterministic fixed-width text table.
-
-    A zero-round series renders as the headers plus a winner line only.
-    """
-    header = [f"# scenario: {scenario}"]
-    if policy:
-        header.append(f"# policy: {policy}")
-
-    if not s.rounds:
-        return "\n".join(header + [" | ".join(_COLUMNS), f"Winner: {s.outcome.value}"]) + "\n"
-
-    positions = replay_positions(s)
-    rows = []
-    busted_total = 0
-    cost_total = Fraction(0)
-    for idx, record in enumerate(s.rounds):
-        entering = positions[idx]
-        busted_total += len(record.busted)
-        cost_total += s.initial.reserve.weight(record.fixed)
-        final = idx == len(s.rounds) - 1
-        winner = s.outcome.value if final else Winner.FIXER.value
-        rows.append(
-            (
-                str(idx + 1),
-                _render_ids(entering.graph.ids),
-                _render_ids(entering.reserve.ids),
-                _render_ids(record.busted),
-                _render_ids(record.fixed),
-                str(busted_total),
-                format_weight(cost_total),
-                winner,
-            )
-        )
-
-    widths = [max(len(col), *(len(row[i]) for row in rows)) for i, col in enumerate(_COLUMNS)]
-    lines = header[:]
-    lines.append(" | ".join(col.ljust(widths[i]) for i, col in enumerate(_COLUMNS)).rstrip())
-    for row in rows:
-        lines.append(" | ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
-    return "\n".join(lines) + "\n"
-
-
 @dataclass(frozen=True)
 class TranscriptRow:
     round_index: int
@@ -118,6 +74,68 @@ class ParsedTranscript:
     policy: str
     rows: tuple[TranscriptRow, ...]
     winner: str
+
+
+def transcript_rows(s: Series) -> list[TranscriptRow]:
+    """The rows of ``s``'s transcript, built from one :func:`replay_positions` pass.
+
+    Raises ``IllegalMoveError`` when the series does not replay legally.
+    """
+    positions = replay_positions(s)
+    rows = []
+    busted_total = 0
+    cost_total = Fraction(0)
+    for idx, record in enumerate(s.rounds):
+        entering = positions[idx]
+        busted_total += len(record.busted)
+        cost_total += s.initial.reserve.weight(record.fixed)
+        final = idx == len(s.rounds) - 1
+        rows.append(
+            TranscriptRow(
+                round_index=idx + 1,
+                graph_ids=entering.graph.ids,
+                reserve_ids=entering.reserve.ids,
+                busted=record.busted,
+                fixed=record.fixed,
+                busted_total=busted_total,
+                cost_total=cost_total,
+                winner=s.outcome.value if final else Winner.FIXER.value,
+            )
+        )
+    return rows
+
+
+def render_transcript(s: Series, *, scenario: str = "scenario", policy: str = "") -> str:
+    """Render one series as a deterministic fixed-width text table.
+
+    A zero-round series renders as the headers plus a winner line only.
+    """
+    header = [f"# scenario: {scenario}"]
+    if policy:
+        header.append(f"# policy: {policy}")
+
+    if not s.rounds:
+        return "\n".join(header + [" | ".join(_COLUMNS), f"Winner: {s.outcome.value}"]) + "\n"
+
+    rows = [
+        (
+            str(row.round_index),
+            _render_ids(row.graph_ids),
+            _render_ids(row.reserve_ids),
+            _render_ids(row.busted),
+            _render_ids(row.fixed),
+            str(row.busted_total),
+            format_weight(row.cost_total),
+            row.winner,
+        )
+        for row in transcript_rows(s)
+    ]
+    widths = [max(len(col), *(len(row[i]) for row in rows)) for i, col in enumerate(_COLUMNS)]
+    lines = header[:]
+    lines.append(" | ".join(col.ljust(widths[i]) for i, col in enumerate(_COLUMNS)).rstrip())
+    for row in rows:
+        lines.append(" | ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
+    return "\n".join(lines) + "\n"
 
 
 def parse_transcript(text: str) -> ParsedTranscript:
@@ -176,10 +194,11 @@ def parse_transcript(text: str) -> ParsedTranscript:
 def replay_transcript(initial: Position, parsed: ParsedTranscript) -> Series:
     """Re-execute a transcript and re-assert every recorded column.
 
-    The busted/fixed columns drive scripted policies through the engine;
-    the entering graph and reserve sets, the running totals, and the winner
-    of every row must reproduce exactly. Any difference raises
-    ``ScenarioParseError`` describing the first mismatching row.
+    The busted/fixed columns drive scripted policies through the engine,
+    and every row :func:`transcript_rows` builds from the replayed series
+    must equal the parsed row, the final winner included. A different row
+    count or any differing cell raises ``ScenarioParseError`` naming the
+    first mismatching row.
     """
     script = [row.busted for row in parsed.rows]
     if parsed.winner == Winner.FIXER.value:
@@ -189,32 +208,17 @@ def replay_transcript(initial: Position, parsed: ParsedTranscript) -> Series:
         scripted_buster(script),
         scripted_fixer([row.fixed for row in parsed.rows]),
     )
-    if series.outcome.value != parsed.winner:
-        raise ScenarioParseError(
-            f"replayed winner {series.outcome.value} != recorded {parsed.winner}"
-        )
-    positions = replay_positions(series)
-    busted_total = 0
-    cost_total = Fraction(0)
-    for idx, row in enumerate(parsed.rows):
-        entering = positions[idx]
-        busted_total += len(row.busted)
-        cost_total += initial.reserve.weight(row.fixed)
-        mismatches = []
-        if entering.graph.ids != row.graph_ids:
-            mismatches.append("graph")
-        if entering.reserve.ids != row.reserve_ids:
-            mismatches.append("reserve")
-        if busted_total != row.busted_total:
-            mismatches.append("sum|B|")
-        if cost_total != row.cost_total:
-            mismatches.append("sum w(F)")
+    rows = transcript_rows(series)
+    if len(rows) != len(parsed.rows):
+        raise ScenarioParseError(f"transcript has {len(parsed.rows)} rows, replay has {len(rows)}")
+    for built, row in zip(rows, parsed.rows):
+        mismatches = [
+            column
+            for column, field in zip(_COLUMNS, fields(TranscriptRow))
+            if getattr(built, field.name) != getattr(row, field.name)
+        ]
         if mismatches:
             raise ScenarioParseError(
-                f"round {idx + 1}: transcript disagrees with replay on {', '.join(mismatches)}"
+                f"round {built.round_index}: transcript disagrees with replay on {', '.join(mismatches)}"
             )
-    totals = series_totals(series)
-    final = parsed.rows[-1] if parsed.rows else None
-    if final and (totals.total_busted != final.busted_total or totals.fix_cost != final.cost_total):
-        raise ScenarioParseError("transcript totals disagree with replayed series totals")
     return series

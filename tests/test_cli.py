@@ -272,3 +272,19 @@ def test_play_session_move_then_eof(monkeypatch, capsys):
         "round 2: graph {e3,e4} reserve {e5}\n"
         "buster> input closed; ending session\n"
     )
+
+
+def test_replay_rows_after_buster_win_is_a_mismatch(tmp_path, capsys):
+    scenario = tmp_path / "pair.scn"
+    scenario.write_text(
+        "vertex a\nvertex b\nedge g1 a b 1 G\nedge g2 a b 1 G\nbuster g1,g2\n", encoding="utf-8"
+    )
+    transcript_path = tmp_path / "run.txt"
+    assert cli_main(["simulate", str(scenario), "--out", str(transcript_path)]) == 0
+    with transcript_path.open("a", encoding="utf-8") as handle:
+        handle.write("2 | {} | {} | {g1} | {} | 3 | 0 | Buster\n")
+        handle.write("3 | {} | {} | {g1} | {} | 4 | 0 | Buster\n")
+    assert cli_main(["replay", str(scenario), str(transcript_path)]) == 1
+    err = capsys.readouterr().err
+    assert "REPLAY-MISMATCH" in err
+    assert "Traceback" not in err

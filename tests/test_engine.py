@@ -1,3 +1,5 @@
+import contextlib
+import io
 import random
 from fractions import Fraction
 
@@ -18,6 +20,8 @@ from busterfixer import (
     Winner,
     apply_round,
     buster_wins,
+    cli_main,
+    enumerate_fixer_responses,
     enumerate_buster_moves,
     greedy_fixer,
     play_series,
@@ -26,7 +30,10 @@ from busterfixer import (
     scripted_buster,
     scripted_fixer,
     series_totals,
+    verify_optimal_naive,
+    verify_optimal_report,
 )
+from busterfixer.reconnect import greedy_fixer_move
 
 from conftest import random_instance, triangle_position
 from series_tables import ALL_SERIES, B1, expected_triple, play_table_series
@@ -222,3 +229,71 @@ def test_greedy_survives_every_buster_line(triangle):
             walk(nxt, depth + 1)
 
     walk(triangle, 0)
+
+
+BUST_RULE = "busted must be a nonempty subset of the current graph"
+
+
+def _raises_bust_rule(call):
+    def check(p, busted):
+        with pytest.raises(IllegalMoveError) as exc:
+            call(p, busted)
+        assert str(exc.value) == BUST_RULE
+
+    return check
+
+
+def _play_series_rejects(p, busted):
+    with pytest.raises(PolicyError) as exc:
+        play_series(p, scripted_buster([busted]), greedy_fixer())
+    assert exc.value.round_index == 1
+    assert str(exc.value) == f"round 1: {BUST_RULE}"
+
+
+def _replay_positions_rejects(p, busted):
+    series = Series(initial=p, rounds=(RoundRecord(busted=busted, fixed=frozenset()),), outcome=Winner.BUSTER)
+    with pytest.raises(IllegalMoveError):
+        replay_positions(series)
+
+
+def _cli_rejects(*argv):
+    def check(p, busted):
+        # the bundled paper_1_2 scenario is the same triangle as ``p``
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert cli_main([argv[0], "paper_1_2.scn", "--busted", ",".join(busted), *argv[1:]]) == 2
+        assert err.getvalue() == f"error: {BUST_RULE}\n"
+
+    return check
+
+
+@pytest.mark.parametrize("busted", [frozenset(), frozenset({"zz"})], ids=["empty", "unknown"])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        _raises_bust_rule(lambda p, b: apply_round(p, b, frozenset())),
+        _raises_bust_rule(buster_wins),
+        _raises_bust_rule(greedy_fixer_move),
+        _raises_bust_rule(enumerate_fixer_responses),
+        _raises_bust_rule(lambda p, b: verify_optimal_report(p, b, frozenset({"e4"}))),
+        _raises_bust_rule(lambda p, b: verify_optimal_naive(p, b, frozenset({"e4"}))),
+        _play_series_rejects,
+        _replay_positions_rejects,
+        _cli_rejects("msts"),
+        _cli_rejects("verify", "--candidate", "e4"),
+    ],
+    ids=[
+        "apply_round",
+        "buster_wins",
+        "greedy_fixer_move",
+        "enumerate_fixer_responses",
+        "verify_optimal_report",
+        "verify_optimal_naive",
+        "play_series",
+        "replay_positions",
+        "cli_msts",
+        "cli_verify",
+    ],
+)
+def test_every_entry_point_enforces_the_one_bust_rule(entry, busted, triangle):
+    entry(triangle, busted)

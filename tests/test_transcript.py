@@ -10,9 +10,12 @@ from busterfixer import (
     Series,
     Winner,
     ScenarioParseError,
+    greedy_fixer,
     parse_transcript,
+    play_series,
     render_transcript,
     replay_transcript,
+    scripted_buster,
 )
 
 from conftest import triangle_position
@@ -128,3 +131,18 @@ def test_every_rendered_transcript_parses(triangle):
                     sum((initial.reserve.weight(r.fixed) for r in series.rounds[: j + 1]), Fraction(0))
                     for j in range(len(series.rounds))
                 ]
+
+
+def test_replay_rejects_rows_after_buster_win():
+    # the series ends at round 1; the two appended rows have no replayed counterpart
+    initial = Position(
+        graph=Multigraph(2, (Edge("g1", 0, 1, Fraction(1)), Edge("g2", 0, 1, Fraction(1)))),
+        reserve=Multigraph(2, ()),
+    )
+    series = play_series(initial, scripted_buster([{"g1", "g2"}]), greedy_fixer())
+    text = render_transcript(series) + (
+        "2 | {} | {} | {g1} | {} | 3 | 0 | Buster\n"
+        "3 | {} | {} | {g1} | {} | 4 | 0 | Buster\n"
+    )
+    with pytest.raises(ScenarioParseError, match="3 rows, replay has 1"):
+        replay_transcript(initial, parse_transcript(text))
