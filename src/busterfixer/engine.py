@@ -138,8 +138,8 @@ def apply_round(p: Position, busted: frozenset[str], fixed: frozenset[str]) -> P
     legally leaves it disconnected, and :func:`play_series` and
     :func:`replay_positions` check the fix themselves.
 
-    Raises ``IllegalMoveError`` when ``busted`` breaks
-    :meth:`Position.check_bust` or ``fixed`` is not a subset of the reserve.
+    Raises ``IllegalMoveError`` for an illegal bust (see
+    :meth:`Position.check_bust`) or a ``fixed`` outside the reserve.
     """
     p.check_bust(busted)
     if not fixed <= p.reserve.ids:
@@ -154,7 +154,7 @@ def apply_round(p: Position, busted: frozenset[str], fixed: frozenset[str]) -> P
 def buster_wins(p: Position, busted: frozenset[str]) -> bool:
     """True iff no reserve spending can reconnect the graph after ``busted``.
 
-    Raises ``IllegalMoveError`` when ``busted`` breaks :meth:`Position.check_bust`.
+    Raises ``IllegalMoveError`` for an illegal bust (see :meth:`Position.check_bust`).
     """
     p.check_bust(busted)
     everything = p.graph.without(busted).with_edges(p.reserve.edges)

@@ -215,8 +215,8 @@ def greedy_fixer_move(position: "Position", busted: frozenset[str]) -> frozenset
 
     Raises ``BusterWinsError`` when even the full reserve cannot reconnect
     (callers record the empty response by convention), and
-    ``IllegalMoveError`` when ``busted`` is not a legal bust
-    (:meth:`~busterfixer.engine.Position.check_bust`).
+    ``IllegalMoveError`` for an illegal bust (see
+    :meth:`~busterfixer.engine.Position.check_bust`).
     """
     position.check_bust(busted)
     remaining = position.graph.without(busted)

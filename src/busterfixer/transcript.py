@@ -58,6 +58,8 @@ def _parse_cost(text: str) -> Fraction:
 
 @dataclass(frozen=True)
 class TranscriptRow:
+    """One table row; the fields follow the ``_COLUMNS`` order, which replay's mismatch report relies on."""
+
     round_index: int
     graph_ids: frozenset[str]
     reserve_ids: frozenset[str]

@@ -24,6 +24,7 @@ from busterfixer import (
     enumerate_fixer_responses,
     enumerate_buster_moves,
     greedy_fixer,
+    greedy_fixer_move,
     play_series,
     random_buster,
     replay_positions,
@@ -33,7 +34,6 @@ from busterfixer import (
     verify_optimal_naive,
     verify_optimal_report,
 )
-from busterfixer.reconnect import greedy_fixer_move
 
 from conftest import random_instance, triangle_position
 from series_tables import ALL_SERIES, B1, expected_triple, play_table_series
@@ -250,12 +250,6 @@ def _play_series_rejects(p, busted):
     assert str(exc.value) == f"round 1: {BUST_RULE}"
 
 
-def _replay_positions_rejects(p, busted):
-    series = Series(initial=p, rounds=(RoundRecord(busted=busted, fixed=frozenset()),), outcome=Winner.BUSTER)
-    with pytest.raises(IllegalMoveError):
-        replay_positions(series)
-
-
 def _cli_rejects(*argv):
     def check(p, busted):
         # the bundled paper_1_2 scenario is the same triangle as ``p``
@@ -278,7 +272,7 @@ def _cli_rejects(*argv):
         _raises_bust_rule(lambda p, b: verify_optimal_report(p, b, frozenset({"e4"}))),
         _raises_bust_rule(lambda p, b: verify_optimal_naive(p, b, frozenset({"e4"}))),
         _play_series_rejects,
-        _replay_positions_rejects,
+        _raises_bust_rule(lambda p, b: replay_positions(Series(p, (RoundRecord(b, frozenset()),), Winner.BUSTER))),
         _cli_rejects("msts"),
         _cli_rejects("verify", "--candidate", "e4"),
     ],
