@@ -182,6 +182,50 @@ def test_replay_positions_validates(triangle):
         replay_positions(bad)
 
 
+def _rounds(*pairs):
+    return tuple(RoundRecord(frozenset(busted), frozenset(fixed)) for busted, fixed in pairs)
+
+
+# On the triangle, busting e1,e2 and fixing e4 leaves graph {e3,e4} and
+# reserve {e5}; busting e3,e4 next cannot be fixed, since e5 misses vertex a.
+@pytest.mark.parametrize(
+    "rounds,outcome,message",
+    [
+        (
+            _rounds(({"e1", "e2"}, {"e4"}), ({"e3", "e4"}, ())),
+            Winner.FIXER,
+            "round 2: unreconnectable bust inside a surviving series",
+        ),
+        (
+            _rounds(({"e1", "e2"}, {"e4"}), ({"e3", "e4"}, {"e5"})),
+            Winner.BUSTER,
+            "round 2: Buster-win round must record an empty fix",
+        ),
+        (_rounds(({"e1", "e2"}, ())), Winner.FIXER, "round 1: fix does not reconnect the graph"),
+        ((), Winner.BUSTER, "Buster win requires at least one round"),
+        (
+            _rounds(({"e1", "e2"}, {"e4"})),
+            Winner.BUSTER,
+            "final round is reconnectable but outcome says Buster won",
+        ),
+        (_rounds(({"e1", "e2"}, {"e4", "zz"})), Winner.FIXER, "fixed edges not in reserve: ['zz']"),
+    ],
+    ids=[
+        "unreconnectable-inside",
+        "buster-win-nonempty-fix",
+        "fix-does-not-reconnect",
+        "buster-win-zero-rounds",
+        "final-round-reconnectable",
+        "fix-outside-reserve",
+    ],
+)
+def test_replay_positions_rejections(rounds, outcome, message, triangle):
+    with pytest.raises(IllegalMoveError) as exc:
+        replay_positions(Series(initial=triangle, rounds=rounds, outcome=outcome))
+    assert type(exc.value) is IllegalMoveError
+    assert str(exc.value) == message
+
+
 def test_random_series_conservation_and_termination():
     rng = random.Random(99)
     for trial in range(200):
