@@ -29,7 +29,9 @@ surfaced as a test failure rather than resolved silently.
 Every list of legal responses and every round-legality check comes from
 one place, the per-instance bitmask arena: ``_Arena.ordered_responses``
 lists the responses cheapest first (``enumerate_fixer_responses`` is a
-thin wrapper over it), and ``_legal_round`` checks a bust and candidate.
+thin wrapper over it), ``_Arena.left_after`` checks a bust,
+``_Arena.unfixable`` decides Buster-wins and ``_legal_round`` checks a
+candidate.
 By default the alternatives compared against are restricted to responses
 whose every edge is a bridge after the fix (equivalently, spanning trees
 of the contracted graph, the reconnecting sets of fewest edges); this
@@ -119,7 +121,7 @@ def enumerate_fixer_responses(p: Position, busted: frozenset[str], caps: Caps = 
     """
     arena = _Arena(p)
     left = arena.left_after(frozenset(busted))
-    if not arena.connected(left | arena.reserve_mask):
+    if arena.unfixable(left):
         raise BusterWinsError("no response can reconnect; Buster wins this round")
     if 1 << len(p.reserve) > caps.max_subsets:
         raise CapExceededError(f"2^{len(p.reserve)} reserve subsets exceeds cap {caps.max_subsets}")
@@ -182,6 +184,10 @@ class _Arena:
         """The graph mask a legal bust leaves; raises ``IllegalMoveError`` otherwise."""
         self.position.check_bust(busted)
         return self.graph_mask ^ self.mask_of(busted)
+
+    def unfixable(self, left: int) -> bool:
+        """The Buster-wins test: not even the whole reserve reconnects the graph mask ``left``."""
+        return not self.connected(left | self.reserve_mask)
 
     def responses(self, graph_mask: int, reserve_mask: int) -> tuple[tuple[int, int], ...]:
         """All reserve submasks reconnecting ``graph_mask``, with weights."""
@@ -459,20 +465,20 @@ class VerifyResult:
     failing_alternative: frozenset[str] | None = None
 
 
-def _legal_round(arena: _Arena, busted: frozenset[str], candidate: frozenset[str]) -> tuple[int, int] | None:
+def _legal_round(arena: _Arena, busted: Iterable[str], candidate: Iterable[str]) -> tuple[int, int] | None:
     """The graph mask the bust leaves and the candidate mask, or None when Buster wins.
 
     Raises ``IllegalMoveError`` for an illegal bust, for a nonempty
     candidate when Buster wins, and for a candidate outside the reserve or
     one that does not reconnect, checked in that order.
     """
-    left = arena.left_after(busted)
-    if not arena.connected(left | arena.reserve_mask):
+    left = arena.left_after(frozenset(busted))
+    candidate = frozenset(candidate)
+    if arena.unfixable(left):
         if candidate:
             raise IllegalMoveError("only the empty response is legal when Buster wins")
         return None
-    if not candidate <= arena.position.reserve.ids:
-        raise IllegalMoveError("candidate must be a subset of the reserve")
+    arena.position.check_fix(candidate)
     cand_mask = arena.mask_of(candidate)
     if not arena.connected(left | cand_mask):
         raise IllegalMoveError("candidate does not reconnect the busted graph")
@@ -497,12 +503,8 @@ def verify_optimal_report(
     alternatives and check and survival memos. The result, witness
     included, is the same as with ``cache=None``.
     """
-    busted = frozenset(busted)
-    candidate = frozenset(candidate)
     if p.total_edges > caps.max_total_edges:
-        raise CapExceededError(
-            f"position has {p.total_edges} edges, cap is {caps.max_total_edges}"
-        )
+        raise CapExceededError(f"position has {p.total_edges} edges, cap is {caps.max_total_edges}")
     if 1 << len(p.reserve) > caps.max_subsets:
         raise CapExceededError(f"2^{len(p.reserve)} reserve subsets exceeds cap {caps.max_subsets}")
     arena = _arena_for(p, cache)
@@ -572,18 +574,14 @@ def verify_optimal_naive(
     sets, with no bridge restriction and no budget reasoning. Exponentially
     expensive by design; the independent oracle for :func:`verify_optimal`.
     """
-    busted = frozenset(busted)
-    candidate = frozenset(candidate)
     if p.total_edges > caps.naive_max_total_edges:
-        raise CapExceededError(
-            f"position has {p.total_edges} edges, naive cap is {caps.naive_max_total_edges}"
-        )
+        raise CapExceededError(f"position has {p.total_edges} edges, naive cap is {caps.naive_max_total_edges}")
     arena = _Arena(p)
     masks = _legal_round(arena, busted, candidate)
     if masks is None:
         return True
     left, cand_mask = masks
-    base_busted = len(busted)
+    base_busted = (arena.graph_mask ^ left).bit_count()
     strategy_memo: dict[tuple[int, int], list[frozenset]] = {}
 
     def strategies(graph_mask: int, reserve_mask: int) -> list[frozenset]:
@@ -734,7 +732,7 @@ def theorem_sweep(
         for busted in enumerate_buster_moves(p, caps):
             report.moves += 1
             left = arena.left_after(busted)
-            if arena.connected(left | arena.reserve_mask):
+            if not arena.unfixable(left):
                 msts = all_msts(contract(p.graph.without(busted), p.reserve.edges), caps)
                 minimum = msts[0].total_weight
                 greedy = sorted({t.edge_ids for t in msts}, key=lambda s: tuple(sorted(s)))

@@ -182,7 +182,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     except ScenarioParseError as exc:
         print(f"REPLAY-MISMATCH: {exc}", file=sys.stderr)
         return 1
-    rendered = transcript.render_transcript(series, scenario=parsed.scenario_name, policy=parsed.policy)
+    # replay_transcript checked that these rows equal the replayed series' rows
+    rendered = transcript._format_rows(parsed.rows, series.outcome, parsed.scenario_name, parsed.policy)
     if rendered != text:
         print("REPLAY-MISMATCH: re-rendered transcript differs from the file", file=sys.stderr)
         return 1
@@ -291,10 +292,7 @@ def cli_main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, UnicodeDecodeError) as exc:
+    except (*_USAGE_ERRORS, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GameError as exc:

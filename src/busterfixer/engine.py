@@ -9,6 +9,12 @@ may then either continue or quit; quitting ends the series as a Fixer
 win. Each round strictly shrinks the combined edge pool, so every series
 terminates within ``|G| + |R|`` rounds.
 
+Buster's rule is ``Position.check_bust`` and Fixer's (a fix is a subset
+of the current reserve) is ``Position.check_fix``. :func:`play_series`
+and :func:`replay_positions` run every round through one private checked
+round step, which decides Buster-wins once per round; :func:`buster_wins`
+and :func:`apply_round` are thin uses of its two halves.
+
 Move sources and response policies are plain callables receiving the
 current position and the history of rounds played so far; the ones
 provided here (scripted, seeded-random, greedy) are stateless, deriving
@@ -84,6 +90,11 @@ class Position:
         if not busted or not busted <= self.graph.ids:
             raise IllegalMoveError("busted must be a nonempty subset of the current graph")
 
+    def check_fix(self, fixed: frozenset[str]) -> None:
+        """Fixer's one rule: raise ``IllegalMoveError`` unless ``fixed`` is a subset of the reserve."""
+        if not fixed <= self.reserve.ids:
+            raise IllegalMoveError("fixed must be a subset of the current reserve")
+
 
 @dataclass(frozen=True)
 class RoundRecord:
@@ -131,24 +142,47 @@ BusterPolicy = Callable[[Position, tuple[RoundRecord, ...]], BusterAction]
 FixerPolicy = Callable[[Position, frozenset, tuple[RoundRecord, ...]], frozenset]
 
 
+def _bust_half(p: Position, busted: frozenset[str]) -> tuple[Multigraph, bool]:
+    """The graph a legal bust leaves, and whether not even the whole reserve reconnects it."""
+    p.check_bust(busted)
+    left = p.graph.without(busted)
+    return left, not is_connected(left.with_edges(p.reserve.edges))
+
+
+def _fix_half(p: Position, left: Multigraph, fixed: frozenset[str]) -> Position:
+    """The position after a legal ``fixed`` moves into ``left``; its connectivity is not checked."""
+    p.check_fix(fixed)
+    return Position(graph=left.with_edges(p.reserve.edge(i) for i in sorted(fixed)), reserve=p.reserve.without(fixed))
+
+
+def _round(
+    p: Position, busted: frozenset[str], respond: Callable[[], Iterable[str]], round_index: int
+) -> tuple[frozenset[str], Position, bool]:
+    """The checked round step: (fix, next position, whether Buster won).
+
+    ``respond`` is asked for the fix only when Buster does not win. Raises
+    ``IllegalMoveError`` for an illegal bust or fix, and ``PolicyError``
+    with ``round_index`` for a fix that does not reconnect.
+    """
+    left, wins = _bust_half(p, busted)
+    if wins:
+        return frozenset(), Position(graph=left, reserve=p.reserve), True
+    fixed = frozenset(respond())
+    nxt = _fix_half(p, left, fixed)
+    if not is_connected(nxt.graph):
+        raise PolicyError("fix does not reconnect the graph", round_index)
+    return fixed, nxt, False
+
+
 def apply_round(p: Position, busted: frozenset[str], fixed: frozenset[str]) -> Position:
     """Advance one round: remove ``busted`` from the graph, move ``fixed`` in.
 
-    Connectivity of the result is not checked here: a Buster-win round
-    legally leaves it disconnected, and :func:`play_series` and
-    :func:`replay_positions` check the fix themselves.
-
-    Raises ``IllegalMoveError`` for an illegal bust (see
-    :meth:`Position.check_bust`) or a ``fixed`` outside the reserve.
+    Connectivity of the result is not checked: a Buster-win round legally
+    leaves it disconnected. Raises ``IllegalMoveError`` for an illegal bust
+    or fix (see :meth:`Position.check_bust` and :meth:`Position.check_fix`).
     """
     p.check_bust(busted)
-    if not fixed <= p.reserve.ids:
-        raise IllegalMoveError(f"fixed edges not in reserve: {sorted(fixed - p.reserve.ids)}")
-    moved = tuple(p.reserve.edge(i) for i in sorted(fixed))
-    return Position(
-        graph=p.graph.without(busted).with_edges(moved),
-        reserve=p.reserve.without(fixed),
-    )
+    return _fix_half(p, p.graph.without(busted), fixed)
 
 
 def buster_wins(p: Position, busted: frozenset[str]) -> bool:
@@ -156,9 +190,7 @@ def buster_wins(p: Position, busted: frozenset[str]) -> bool:
 
     Raises ``IllegalMoveError`` for an illegal bust (see :meth:`Position.check_bust`).
     """
-    p.check_bust(busted)
-    everything = p.graph.without(busted).with_edges(p.reserve.edges)
-    return not is_connected(everything)
+    return _bust_half(p, busted)[1]
 
 
 def enumerate_buster_moves(p: Position, caps: Caps = DEFAULT_CAPS) -> list[frozenset[str]]:
@@ -187,8 +219,9 @@ def play_series(initial: Position, buster: BusterPolicy, fixer: FixerPolicy) -> 
     Buster may quit only after surviving at least one round (a quit before
     any move is a ``PolicyError``). If the graph ever has no edges at all,
     Buster has no legal move and the series ends as a Fixer win. Illegal
-    moves from either policy raise ``PolicyError`` with the round index;
-    an illegal bust carries the :meth:`Position.check_bust` message.
+    moves from either policy raise ``PolicyError`` with the round index; an
+    illegal bust or fix carries the :meth:`Position.check_bust` or
+    :meth:`Position.check_fix` message.
 
     Per-round conservation of the combined pool is asserted; a violation
     raises ``IdentityViolationError`` and indicates an engine bug.
@@ -210,25 +243,17 @@ def play_series(initial: Position, buster: BusterPolicy, fixer: FixerPolicy) -> 
             break
         busted = frozenset(action)
         try:
-            pos.check_bust(busted)
+            fixed, nxt, wins = _round(pos, busted, lambda: fixer(pos, busted, tuple(rounds)), round_index)
         except IllegalMoveError as exc:
             raise PolicyError(str(exc), round_index) from None
-        if buster_wins(pos, busted):
-            rounds.append(RoundRecord(busted=busted, fixed=frozenset()))
+        rounds.append(RoundRecord(busted=busted, fixed=fixed))
+        if wins:
             outcome = Winner.BUSTER
             break
-        fixed = frozenset(fixer(pos, busted, tuple(rounds)))
-        if not fixed <= pos.reserve.ids:
-            raise PolicyError("Fixer response is not a subset of the reserve", round_index)
-        before = pos.total_edges
-        nxt = apply_round(pos, busted, fixed)
-        if not is_connected(nxt.graph):
-            raise PolicyError("Fixer response does not reconnect the graph", round_index)
-        if nxt.total_edges != before - len(busted):
+        if nxt.total_edges != pos.total_edges - len(busted):
             raise IdentityViolationError("per-round edge conservation failed")
         if pos.reserve.weight() - nxt.reserve.weight() != pos.reserve.weight(fixed):
             raise IdentityViolationError("per-round reserve weight conservation failed")
-        rounds.append(RoundRecord(busted=busted, fixed=fixed))
         pos = nxt
         if len(rounds) > initial.total_edges:
             raise IdentityViolationError("series exceeded its termination bound")
@@ -238,27 +263,27 @@ def play_series(initial: Position, buster: BusterPolicy, fixer: FixerPolicy) -> 
 def replay_positions(s: Series) -> list[Position]:
     """Entering positions for each round plus the end state, with legality checks.
 
-    Verifies the recorded rounds replay into a legal series: intermediate
-    graphs are connected, and a Buster-win outcome matches an unreconnectable
-    final bust. Raises ``IllegalMoveError`` on any violation.
+    Each recorded round goes through the round step :func:`play_series`
+    uses. Only the final round of a Buster-win series may be
+    unreconnectable, and its fix must be empty. Raises ``IllegalMoveError``
+    on any violation.
     """
     positions = [s.initial]
-    pos = s.initial
+    wins = False
     for idx, record in enumerate(s.rounds):
-        final = idx == len(s.rounds) - 1
-        wins = buster_wins(pos, record.busted)
-        if wins and not (final and s.outcome is Winner.BUSTER):
+        try:
+            _, pos, wins = _round(positions[-1], record.busted, lambda: record.fixed, idx + 1)
+        except PolicyError as exc:
+            raise IllegalMoveError(str(exc)) from None
+        if wins and not (idx == len(s.rounds) - 1 and s.outcome is Winner.BUSTER):
             raise IllegalMoveError(f"round {idx + 1}: unreconnectable bust inside a surviving series")
         if wins and record.fixed:
             raise IllegalMoveError(f"round {idx + 1}: Buster-win round must record an empty fix")
-        pos = apply_round(pos, record.busted, record.fixed)
-        if not wins and not is_connected(pos.graph):
-            raise IllegalMoveError(f"round {idx + 1}: fix does not reconnect the graph")
         positions.append(pos)
     if s.outcome is Winner.BUSTER:
         if not s.rounds:
             raise IllegalMoveError("Buster win requires at least one round")
-        if not buster_wins(positions[-2], s.rounds[-1].busted):
+        if not wins:
             raise IllegalMoveError("final round is reconnectable but outcome says Buster won")
     return positions
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from typing import Sequence
 
 from .engine import (
     QUIT,
@@ -83,60 +84,37 @@ def transcript_rows(s: Series) -> list[TranscriptRow]:
 
     Raises ``IllegalMoveError`` when the series does not replay legally.
     """
-    positions = replay_positions(s)
     rows = []
-    busted_total = 0
-    cost_total = Fraction(0)
-    for idx, record in enumerate(s.rounds):
-        entering = positions[idx]
+    busted_total, cost_total = 0, Fraction(0)
+    for j, (entering, record) in enumerate(zip(replay_positions(s), s.rounds), start=1):
         busted_total += len(record.busted)
         cost_total += s.initial.reserve.weight(record.fixed)
-        final = idx == len(s.rounds) - 1
-        rows.append(
-            TranscriptRow(
-                round_index=idx + 1,
-                graph_ids=entering.graph.ids,
-                reserve_ids=entering.reserve.ids,
-                busted=record.busted,
-                fixed=record.fixed,
-                busted_total=busted_total,
-                cost_total=cost_total,
-                winner=s.outcome.value if final else Winner.FIXER.value,
-            )
-        )
+        winner = s.outcome.value if j == len(s.rounds) else Winner.FIXER.value
+        ids = (entering.graph.ids, entering.reserve.ids, record.busted, record.fixed)
+        rows.append(TranscriptRow(j, *ids, busted_total, cost_total, winner))
     return rows
 
 
 def render_transcript(s: Series, *, scenario: str = "scenario", policy: str = "") -> str:
     """Render one series as a deterministic fixed-width text table.
 
-    A zero-round series renders as the headers plus a winner line only.
+    A zero-round series renders, unreplayed, as the headers plus a winner line only.
     """
-    header = [f"# scenario: {scenario}"]
-    if policy:
-        header.append(f"# policy: {policy}")
+    return _format_rows(transcript_rows(s) if s.rounds else (), s.outcome, scenario, policy)
 
-    if not s.rounds:
-        return "\n".join(header + [" | ".join(_COLUMNS), f"Winner: {s.outcome.value}"]) + "\n"
 
-    rows = [
-        (
-            str(row.round_index),
-            _render_ids(row.graph_ids),
-            _render_ids(row.reserve_ids),
-            _render_ids(row.busted),
-            _render_ids(row.fixed),
-            str(row.busted_total),
-            format_weight(row.cost_total),
-            row.winner,
-        )
-        for row in transcript_rows(s)
+def _format_rows(rows: Sequence[TranscriptRow], outcome: Winner, scenario: str, policy: str) -> str:
+    """The text :func:`render_transcript` writes for these rows; ``outcome`` names a zero-row winner."""
+    lines = [f"# scenario: {scenario}"] + ([f"# policy: {policy}"] if policy else [])
+    table = [_COLUMNS] + [
+        (str(row.round_index), *map(_render_ids, (row.graph_ids, row.reserve_ids, row.busted, row.fixed)),
+         str(row.busted_total), format_weight(row.cost_total), row.winner)
+        for row in rows
     ]
-    widths = [max(len(col), *(len(row[i]) for row in rows)) for i, col in enumerate(_COLUMNS)]
-    lines = header[:]
-    lines.append(" | ".join(col.ljust(widths[i]) for i, col in enumerate(_COLUMNS)).rstrip())
-    for row in rows:
-        lines.append(" | ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
+    widths = [max(len(cells[i]) for cells in table) for i in range(len(_COLUMNS))]
+    lines += [" | ".join(cell.ljust(width) for cell, width in zip(cells, widths)).rstrip() for cells in table]
+    if not rows:
+        lines.append(f"Winner: {outcome.value}")
     return "\n".join(lines) + "\n"
 
 

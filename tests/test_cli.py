@@ -124,6 +124,19 @@ def test_replay_detects_mismatch(tmp_path, capsys):
     assert "REPLAY-MISMATCH" in captured.err
 
 
+def test_replay_byte_only_mismatch(tmp_path, capsys):
+    # an extra blank line parses and replays, so only the byte comparison sees it
+    scenario = _scenario_path(tmp_path)
+    transcript_path = tmp_path / "run.txt"
+    cli_main(["simulate", scenario, "--out", str(transcript_path)])
+    transcript_path.write_text(transcript_path.read_text(encoding="utf-8") + "\n", encoding="utf-8")
+    code = cli_main(["replay", scenario, str(transcript_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "REPLAY-MISMATCH: re-rendered transcript differs from the file\n"
+
+
 def test_simulate_random_seeded_deterministic(tmp_path, capsys):
     # a scenario without a script uses the seeded random Buster
     scenario = tmp_path / "noscript.scn"

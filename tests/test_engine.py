@@ -208,7 +208,7 @@ def _rounds(*pairs):
             Winner.BUSTER,
             "final round is reconnectable but outcome says Buster won",
         ),
-        (_rounds(({"e1", "e2"}, {"e4", "zz"})), Winner.FIXER, "fixed edges not in reserve: ['zz']"),
+        (_rounds(({"e1", "e2"}, {"e4", "zz"})), Winner.FIXER, "fixed must be a subset of the current reserve"),
     ],
     ids=[
         "unreconnectable-inside",
@@ -335,3 +335,56 @@ def _cli_rejects(*argv):
 )
 def test_every_entry_point_enforces_the_one_bust_rule(entry, busted, triangle):
     entry(triangle, busted)
+
+
+FIX_RULE = "fixed must be a subset of the current reserve"
+FIX_BUST = frozenset({"e1", "e2"})  # reconnectable: e4 alone rejoins vertex b
+
+
+def _raises_fix_rule(call):
+    def check(p, fixed):
+        with pytest.raises(IllegalMoveError) as exc:
+            call(p, fixed)
+        assert str(exc.value) == FIX_RULE
+
+    return check
+
+
+def _play_series_rejects_fix(p, fixed):
+    with pytest.raises(PolicyError) as exc:
+        play_series(p, scripted_buster([FIX_BUST]), scripted_fixer([fixed]))
+    assert exc.value.round_index == 1
+    assert str(exc.value) == f"round 1: {FIX_RULE}"
+
+
+def _cli_verify_rejects_fix(p, fixed):
+    # the bundled paper_1_2 scenario is the same triangle as ``p``
+    err = io.StringIO()
+    argv = ["verify", "paper_1_2.scn", "--busted", ",".join(sorted(FIX_BUST)), "--candidate", ",".join(sorted(fixed))]
+    with contextlib.redirect_stderr(err):
+        assert cli_main(argv) == 2
+    assert err.getvalue() == f"error: {FIX_RULE}\n"
+
+
+@pytest.mark.parametrize("fixed", [frozenset({"e1"}), frozenset({"e4", "zz"})], ids=["graph-edge", "unknown"])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        _raises_fix_rule(lambda p, f: apply_round(p, FIX_BUST, f)),
+        _play_series_rejects_fix,
+        _raises_fix_rule(lambda p, f: replay_positions(Series(p, (RoundRecord(FIX_BUST, f),), Winner.FIXER))),
+        _raises_fix_rule(lambda p, f: verify_optimal_report(p, FIX_BUST, f)),
+        _raises_fix_rule(lambda p, f: verify_optimal_naive(p, FIX_BUST, f)),
+        _cli_verify_rejects_fix,
+    ],
+    ids=[
+        "apply_round",
+        "play_series",
+        "replay_positions",
+        "verify_optimal_report",
+        "verify_optimal_naive",
+        "cli_verify",
+    ],
+)
+def test_every_entry_point_enforces_the_one_fix_rule(entry, fixed, triangle):
+    entry(triangle, fixed)

@@ -65,6 +65,13 @@ def test_zero_round_series_renders_headers_and_winner(triangle):
     assert lines[-1] == "Winner: Fixer"
 
 
+def test_zero_round_series_renders_exact_bytes(triangle):
+    empty = Series(initial=triangle, rounds=(), outcome=Winner.FIXER)
+    assert render_transcript(empty, scenario="z", policy="p") == (
+        "# scenario: z\n# policy: p\nj | G_j | R_j | B_j | F_j | sum|B| | sum w(F) | Winner\nWinner: Fixer\n"
+    )
+
+
 @pytest.mark.parametrize("family,rows", ALL_FAMILIES)
 def test_golden_tables_byte_match(family, rows):
     expected = (GOLDEN_DIR / f"{family}.txt").read_text(encoding="utf-8")
