@@ -124,10 +124,3 @@ def test_cli_never_raises_or_shows_a_traceback(argv, scenario, transcript, raw):
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue()
 
-
-def test_replay_of_the_unmangled_transcript_is_ok(tmp_path, capsys):
-    # the fuzzer's base transcript is exactly what ``simulate`` writes
-    path = tmp_path / "run.txt"
-    path.write_text(_PAPER_TRANSCRIPT, encoding="utf-8")
-    assert cli_main(["replay", "paper_1_2.scn", str(path)]) == 0
-    assert capsys.readouterr().out == "REPLAY-OK\n"
