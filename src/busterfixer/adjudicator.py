@@ -27,11 +27,13 @@ the definition's reading, and any disagreement between the two is
 surfaced as a test failure rather than resolved silently.
 
 Every list of legal responses and every round-legality check comes from
-one place, the per-instance bitmask arena: ``_Arena.ordered_responses``
-lists the responses cheapest first (``enumerate_fixer_responses`` is a
-thin wrapper over it), ``_Arena.left_after`` checks a bust,
-``_Arena.unfixable`` decides Buster-wins and ``_legal_round`` checks a
-candidate.
+one place, the per-instance bitmask arena. The arena is the engine's
+``graph.EdgeIndex`` (edge bits, integer-scaled weights, memoized
+connectivity and weight per mask) plus the search memos:
+``_Arena.ordered_responses`` lists the responses cheapest first
+(``enumerate_fixer_responses`` is a thin wrapper over it),
+``_Arena.left_after`` checks a bust, the index's ``unfixable`` decides
+Buster-wins and ``_legal_round`` checks a candidate.
 By default the alternatives compared against are restricted to responses
 whose every edge is a bridge after the fix (equivalently, spanning trees
 of the contracted graph, the reconnecting sets of fewest edges); this
@@ -42,10 +44,10 @@ oracle never applies it.
 Every size limit comes from one :class:`Caps` object (defined in
 ``graph`` and re-exported here); exceeding it raises ``CapExceededError``.
 
-The searches run on exact integers: each arena scales its edge weights by
-the least common multiple of their denominators, so budgets, floors and
-memo keys are ints and ``Fraction`` appears only at the boundary, in the
-``OutcomeTriple`` of a witness. No float is ever involved.
+The searches run on exact integers: each arena's index scales its edge
+weights by the least common multiple of their denominators, so budgets,
+floors and memo keys are ints and ``Fraction`` appears only at the
+boundary, in the ``OutcomeTriple`` of a witness. No float is ever involved.
 
 Searches are pure given their inputs. The optional ``cache`` argument is a
 plain dict. It holds search results keyed by id-free canonical position
@@ -62,7 +64,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from math import lcm
 from typing import Callable, Iterable, Iterator
 
 from .engine import (
@@ -74,7 +75,7 @@ from .engine import (
     series_totals,
 )
 from .errors import BusterWinsError, CapExceededError, IllegalMoveError
-from .graph import DEFAULT_CAPS, Caps, Edge, Multigraph, _UnionFind, contract
+from .graph import DEFAULT_CAPS, Caps, Edge, EdgeIndex, Multigraph, _bit_indices, _UnionFind, contract
 from .reconnect import all_msts
 
 
@@ -121,73 +122,32 @@ def enumerate_fixer_responses(p: Position, busted: frozenset[str], caps: Caps = 
     """
     arena = _Arena(p)
     left = arena.left_after(frozenset(busted))
-    if arena.unfixable(left):
+    if arena.unfixable(left, arena.reserve_mask):
         raise BusterWinsError("no response can reconnect; Buster wins this round")
     if 1 << len(p.reserve) > caps.max_subsets:
         raise CapExceededError(f"2^{len(p.reserve)} reserve subsets exceeds cap {caps.max_subsets}")
     return [frozenset(ids) for _, ids, _ in arena.ordered_responses(left)]
 
 
-class _Arena:
-    """Bitmask view of one instance's edges for the game searches.
+class _Arena(EdgeIndex):
+    """The verifier's view of one position: its edge index plus the search memos.
 
-    Bit ``i`` stands for the edge at index ``i`` of the combined edge list
-    (graph edges first, then reserve). Weights are exact integers: the
-    edge weights times ``scale``, the least common multiple of their
-    denominators. Connectivity always spans the full vertex set, so
-    isolated vertices disconnect. Query results are memoized per arena;
-    everything is derived from the immutable position, so the arena also
-    carries the search memos shared by every verify call on it.
+    Everything is derived from the immutable position, so the arena carries
+    the memos shared by every verify call on it.
     """
 
     def __init__(self, p: Position):
-        edges = p.graph.edges + p.reserve.edges
+        super().__init__(p.graph, p.reserve)
         self.position = p
-        self.n = p.graph.vertex_count
-        self.ids = tuple(e.id for e in edges)
-        self.ends = tuple((e.u, e.v) for e in edges)
-        self.scale = lcm(*(e.weight.denominator for e in edges))
-        self.weights = tuple(e.weight.numerator * (self.scale // e.weight.denominator) for e in edges)
-        self.index = {e.id: i for i, e in enumerate(edges)}
-        self.graph_mask = (1 << len(p.graph)) - 1
-        self.reserve_mask = ((1 << len(edges)) - 1) ^ self.graph_mask
-        self._connected: dict[int, bool] = {}
-        self._weight: dict[int, int] = {0: 0}
         self._responses: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
         self._signature: dict[int, tuple] = {}
         self.dominance_memo: dict = {}
         self.adjudications: dict[tuple[int, bool], _Adjudication] = {}  # by (graph mask left, bridge_only)
 
-    def mask_of(self, ids: Iterable[str]) -> int:
-        mask = 0
-        for i in ids:
-            mask |= 1 << self.index[i]
-        return mask
-
-    def weight_of(self, mask: int) -> int:
-        cached = self._weight.get(mask)
-        if cached is None:
-            cached = sum(self.weights[i] for i in _bit_indices(mask))
-            self._weight[mask] = cached
-        return cached
-
-    def connected(self, mask: int) -> bool:
-        cached = self._connected.get(mask)
-        if cached is None:
-            uf = _UnionFind(self.n)
-            joins = sum(1 for i in _bit_indices(mask) if uf.union(*self.ends[i]))
-            cached = joins == self.n - 1
-            self._connected[mask] = cached
-        return cached
-
     def left_after(self, busted: frozenset[str]) -> int:
         """The graph mask a legal bust leaves; raises ``IllegalMoveError`` otherwise."""
         self.position.check_bust(busted)
         return self.graph_mask ^ self.mask_of(busted)
-
-    def unfixable(self, left: int) -> bool:
-        """The Buster-wins test: not even the whole reserve reconnects the graph mask ``left``."""
-        return not self.connected(left | self.reserve_mask)
 
     def responses(self, graph_mask: int, reserve_mask: int) -> tuple[tuple[int, int], ...]:
         """All reserve submasks reconnecting ``graph_mask``, with weights."""
@@ -234,13 +194,6 @@ class _Arena:
             cached = tuple(sorted(triples))
             self._signature[mask] = cached
         return cached
-
-
-def _bit_indices(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _nonempty_submasks(mask: int) -> Iterator[int]:
@@ -474,7 +427,7 @@ def _legal_round(arena: _Arena, busted: Iterable[str], candidate: Iterable[str])
     """
     left = arena.left_after(frozenset(busted))
     candidate = frozenset(candidate)
-    if arena.unfixable(left):
+    if arena.unfixable(left, arena.reserve_mask):
         if candidate:
             raise IllegalMoveError("only the empty response is legal when Buster wins")
         return None
@@ -732,7 +685,7 @@ def theorem_sweep(
         for busted in enumerate_buster_moves(p, caps):
             report.moves += 1
             left = arena.left_after(busted)
-            if not arena.unfixable(left):
+            if not arena.unfixable(left, arena.reserve_mask):
                 msts = all_msts(contract(p.graph.without(busted), p.reserve.edges), caps)
                 minimum = msts[0].total_weight
                 greedy = sorted({t.edge_ids for t in msts}, key=lambda s: tuple(sorted(s)))

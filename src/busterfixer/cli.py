@@ -212,8 +212,8 @@ def _cmd_play(args: argparse.Namespace) -> int:
             try:
                 pos.check_bust(move)
                 return move
-            except IllegalMoveError:
-                print("illegal move: must be a nonempty subset of the current graph; try again")
+            except IllegalMoveError as exc:
+                print(f"illegal move: {exc}; try again")
 
     def fixer(pos: engine.Position, busted: frozenset[str], history: tuple) -> frozenset[str]:
         fix = greedy_fixer_move(pos, busted)

@@ -10,10 +10,14 @@ win. Each round strictly shrinks the combined edge pool, so every series
 terminates within ``|G| + |R|`` rounds.
 
 Buster's rule is ``Position.check_bust`` and Fixer's (a fix is a subset
-of the current reserve) is ``Position.check_fix``. :func:`play_series`
-and :func:`replay_positions` run every round through one private checked
-round step, which decides Buster-wins once per round; :func:`buster_wins`
-and :func:`apply_round` are thin uses of its two halves.
+of the current reserve) is ``Position.check_fix``. A round only moves
+edge bits between the pools of one ``graph.EdgeIndex`` of the starting
+position: a bust clears graph bits, Buster wins when graph and whole
+reserve together are disconnected, and a fix moves bits from reserve to
+graph. Every function here plays or replays rounds through that one
+checked round step, on integer-scaled weights, and builds a ``Position``
+only where its caller receives one. An index lives for one walk; a
+finished ``Series`` keeps only its outcome triple.
 
 Move sources and response policies are plain callables receiving the
 current position and the history of rounds played so far; the ones
@@ -27,7 +31,8 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from functools import cached_property
+from typing import AbstractSet, Callable, Iterable, Sequence, Union
 
 from .errors import (
     CapExceededError,
@@ -35,7 +40,7 @@ from .errors import (
     IllegalMoveError,
     PolicyError,
 )
-from .graph import DEFAULT_CAPS, Caps, Multigraph, is_connected
+from .graph import DEFAULT_CAPS, Caps, EdgeIndex, Multigraph
 from .reconnect import greedy_fixer_move
 
 # Chance that random_buster quits after a survived round; seeded series
@@ -60,6 +65,18 @@ class _QuitToken:
 QUIT = _QuitToken()
 
 BusterAction = Union[frozenset, _QuitToken]
+
+
+def _check_bust(busted: frozenset[str], graph_ids: AbstractSet[str]) -> None:
+    """Buster's one rule: raise ``IllegalMoveError`` unless ``busted`` is a nonempty subset of the graph."""
+    if not busted or not busted <= graph_ids:
+        raise IllegalMoveError("busted must be a nonempty subset of the current graph")
+
+
+def _check_fix(fixed: frozenset[str], reserve_ids: AbstractSet[str]) -> None:
+    """Fixer's one rule: raise ``IllegalMoveError`` unless ``fixed`` is a subset of the reserve."""
+    if not fixed <= reserve_ids:
+        raise IllegalMoveError("fixed must be a subset of the current reserve")
 
 
 class Winner(Enum):
@@ -87,13 +104,11 @@ class Position:
 
     def check_bust(self, busted: frozenset[str]) -> None:
         """Buster's one rule: raise ``IllegalMoveError`` unless ``busted`` is a nonempty subset of the graph."""
-        if not busted or not busted <= self.graph.ids:
-            raise IllegalMoveError("busted must be a nonempty subset of the current graph")
+        _check_bust(busted, self.graph.ids)
 
     def check_fix(self, fixed: frozenset[str]) -> None:
         """Fixer's one rule: raise ``IllegalMoveError`` unless ``fixed`` is a subset of the reserve."""
-        if not fixed <= self.reserve.ids:
-            raise IllegalMoveError("fixed must be a subset of the current reserve")
+        _check_fix(fixed, self.reserve.ids)
 
 
 @dataclass(frozen=True)
@@ -122,6 +137,11 @@ class Series:
     def length(self) -> int:
         return len(self.rounds)
 
+    @cached_property
+    def _totals(self) -> OutcomeTriple:
+        """The checked outcome triple :func:`series_totals` returns, computed on first use."""
+        return _checked_totals(self)
+
 
 @dataclass(frozen=True)
 class OutcomeTriple:
@@ -142,36 +162,49 @@ BusterPolicy = Callable[[Position, tuple[RoundRecord, ...]], BusterAction]
 FixerPolicy = Callable[[Position, frozenset, tuple[RoundRecord, ...]], frozenset]
 
 
-def _bust_half(p: Position, busted: frozenset[str]) -> tuple[Multigraph, bool]:
-    """The graph a legal bust leaves, and whether not even the whole reserve reconnects it."""
-    p.check_bust(busted)
-    left = p.graph.without(busted)
-    return left, not is_connected(left.with_edges(p.reserve.edges))
+class _Walk(EdgeIndex):
+    """A position's edge index plus the (graph mask, reserve mask) pair a walk has reached.
 
-
-def _fix_half(p: Position, left: Multigraph, fixed: frozenset[str]) -> Position:
-    """The position after a legal ``fixed`` moves into ``left``; its connectivity is not checked."""
-    p.check_fix(fixed)
-    return Position(graph=left.with_edges(p.reserve.edge(i) for i in sorted(fixed)), reserve=p.reserve.without(fixed))
-
-
-def _round(
-    p: Position, busted: frozenset[str], respond: Callable[[], Iterable[str]], round_index: int
-) -> tuple[frozenset[str], Position, bool]:
-    """The checked round step: (fix, next position, whether Buster won).
-
-    ``respond`` is asked for the fix only when Buster does not win. Raises
-    ``IllegalMoveError`` for an illegal bust or fix, and ``PolicyError``
-    with ``round_index`` for a fix that does not reconnect.
+    :meth:`round` is the one checked round step; a bust clears graph bits
+    and a fix moves bits from the reserve to the graph.
     """
-    left, wins = _bust_half(p, busted)
-    if wins:
-        return frozenset(), Position(graph=left, reserve=p.reserve), True
-    fixed = frozenset(respond())
-    nxt = _fix_half(p, left, fixed)
-    if not is_connected(nxt.graph):
-        raise PolicyError("fix does not reconnect the graph", round_index)
-    return fixed, nxt, False
+
+    def __init__(self, p: Position):
+        super().__init__(p.graph, p.reserve)
+        self.graph, self.reserve = self.graph_mask, self.reserve_mask
+
+    def position(self) -> Position:
+        return Position(graph=self.multigraph(self.graph), reserve=self.multigraph(self.reserve))
+
+    def bust(self, busted: frozenset[str]) -> bool:
+        """Clear a legal bust from the graph; True iff not even the whole reserve reconnects it."""
+        _check_bust(busted, self.ids_of(self.graph))
+        self.graph ^= self.mask_of(busted)
+        return self.unfixable(self.graph, self.reserve)
+
+    def fix(self, fixed: frozenset[str]) -> None:
+        """Move a legal fix from the reserve into the graph; connectivity is not checked."""
+        _check_fix(fixed, self.ids_of(self.reserve))
+        mask = self.mask_of(fixed)
+        self.graph |= mask
+        self.reserve ^= mask
+
+    def round(
+        self, busted: frozenset[str], respond: Callable[[], Iterable[str]], round_index: int
+    ) -> tuple[frozenset[str], bool]:
+        """The checked round step: (fix, whether Buster won).
+
+        ``respond`` is asked for the fix only when Buster does not win.
+        Raises ``IllegalMoveError`` for an illegal bust or fix, and
+        ``PolicyError`` with ``round_index`` for a fix that does not reconnect.
+        """
+        if self.bust(busted):
+            return frozenset(), True
+        fixed = frozenset(respond())
+        self.fix(fixed)
+        if not self.connected(self.graph):
+            raise PolicyError("fix does not reconnect the graph", round_index)
+        return fixed, False
 
 
 def apply_round(p: Position, busted: frozenset[str], fixed: frozenset[str]) -> Position:
@@ -181,8 +214,10 @@ def apply_round(p: Position, busted: frozenset[str], fixed: frozenset[str]) -> P
     leaves it disconnected. Raises ``IllegalMoveError`` for an illegal bust
     or fix (see :meth:`Position.check_bust` and :meth:`Position.check_fix`).
     """
-    p.check_bust(busted)
-    return _fix_half(p, p.graph.without(busted), fixed)
+    walk = _Walk(p)
+    walk.bust(busted)
+    walk.fix(fixed)
+    return walk.position()
 
 
 def buster_wins(p: Position, busted: frozenset[str]) -> bool:
@@ -190,7 +225,7 @@ def buster_wins(p: Position, busted: frozenset[str]) -> bool:
 
     Raises ``IllegalMoveError`` for an illegal bust (see :meth:`Position.check_bust`).
     """
-    return _bust_half(p, busted)[1]
+    return _Walk(p).bust(busted)
 
 
 def enumerate_buster_moves(p: Position, caps: Caps = DEFAULT_CAPS) -> list[frozenset[str]]:
@@ -226,13 +261,14 @@ def play_series(initial: Position, buster: BusterPolicy, fixer: FixerPolicy) -> 
     Per-round conservation of the combined pool is asserted; a violation
     raises ``IdentityViolationError`` and indicates an engine bug.
     """
-    if not is_connected(initial.graph):
+    walk = _Walk(initial)
+    if not walk.connected(walk.graph):
         raise IllegalMoveError("initial graph must be connected")
     rounds: list[RoundRecord] = []
     pos = initial
     while True:
         round_index = len(rounds) + 1
-        if len(pos.graph) == 0:
+        if not walk.graph:
             outcome = Winner.FIXER  # Buster cannot move; forced quit
             break
         action = buster(pos, tuple(rounds))
@@ -242,22 +278,46 @@ def play_series(initial: Position, buster: BusterPolicy, fixer: FixerPolicy) -> 
             outcome = Winner.FIXER
             break
         busted = frozenset(action)
+        edges, reserve_weight = (walk.graph | walk.reserve).bit_count(), walk.weight_of(walk.reserve)
         try:
-            fixed, nxt, wins = _round(pos, busted, lambda: fixer(pos, busted, tuple(rounds)), round_index)
+            fixed, wins = walk.round(busted, lambda: fixer(pos, busted, tuple(rounds)), round_index)
         except IllegalMoveError as exc:
             raise PolicyError(str(exc), round_index) from None
         rounds.append(RoundRecord(busted=busted, fixed=fixed))
         if wins:
             outcome = Winner.BUSTER
             break
-        if nxt.total_edges != pos.total_edges - len(busted):
+        if (walk.graph | walk.reserve).bit_count() != edges - len(busted):
             raise IdentityViolationError("per-round edge conservation failed")
-        if pos.reserve.weight() - nxt.reserve.weight() != pos.reserve.weight(fixed):
+        if reserve_weight - walk.weight_of(walk.reserve) != walk.weight_of(walk.mask_of(fixed)):
             raise IdentityViolationError("per-round reserve weight conservation failed")
-        pos = nxt
         if len(rounds) > initial.total_edges:
             raise IdentityViolationError("series exceeded its termination bound")
+        pos = walk.position()
     return Series(initial=initial, rounds=tuple(rounds), outcome=outcome)
+
+
+def _replay(s: Series) -> tuple[EdgeIndex, list[tuple[int, int]]]:
+    """The walk behind :func:`replay_positions`: its index, and the masks of the positions it returns."""
+    walk = _Walk(s.initial)
+    masks = [(walk.graph, walk.reserve)]
+    wins = False
+    for idx, record in enumerate(s.rounds):
+        try:
+            _, wins = walk.round(record.busted, lambda: record.fixed, idx + 1)
+        except PolicyError as exc:
+            raise IllegalMoveError(str(exc)) from None
+        if wins and not (idx == len(s.rounds) - 1 and s.outcome is Winner.BUSTER):
+            raise IllegalMoveError(f"round {idx + 1}: unreconnectable bust inside a surviving series")
+        if wins and record.fixed:
+            raise IllegalMoveError(f"round {idx + 1}: Buster-win round must record an empty fix")
+        masks.append((walk.graph, walk.reserve))
+    if s.outcome is Winner.BUSTER:
+        if not s.rounds:
+            raise IllegalMoveError("Buster win requires at least one round")
+        if not wins:
+            raise IllegalMoveError("final round is reconnectable but outcome says Buster won")
+    return walk, masks
 
 
 def replay_positions(s: Series) -> list[Position]:
@@ -268,24 +328,10 @@ def replay_positions(s: Series) -> list[Position]:
     unreconnectable, and its fix must be empty. Raises ``IllegalMoveError``
     on any violation.
     """
-    positions = [s.initial]
-    wins = False
-    for idx, record in enumerate(s.rounds):
-        try:
-            _, pos, wins = _round(positions[-1], record.busted, lambda: record.fixed, idx + 1)
-        except PolicyError as exc:
-            raise IllegalMoveError(str(exc)) from None
-        if wins and not (idx == len(s.rounds) - 1 and s.outcome is Winner.BUSTER):
-            raise IllegalMoveError(f"round {idx + 1}: unreconnectable bust inside a surviving series")
-        if wins and record.fixed:
-            raise IllegalMoveError(f"round {idx + 1}: Buster-win round must record an empty fix")
-        positions.append(pos)
-    if s.outcome is Winner.BUSTER:
-        if not s.rounds:
-            raise IllegalMoveError("Buster win requires at least one round")
-        if not wins:
-            raise IllegalMoveError("final round is reconnectable but outcome says Buster won")
-    return positions
+    index, masks = _replay(s)
+    return [s.initial] + [
+        Position(graph=index.multigraph(graph), reserve=index.multigraph(reserve)) for graph, reserve in masks[1:]
+    ]
 
 
 def series_totals(s: Series) -> OutcomeTriple:
@@ -294,22 +340,29 @@ def series_totals(s: Series) -> OutcomeTriple:
     Direct route: sum busted cardinalities and fixed weights over rounds.
     End-state route: pool shrinkage ``|G1|+|R1|-|Gend|-|Rend|`` and reserve
     weight drop ``w(R1)-w(Rend)``. Disagreement raises
-    ``IdentityViolationError`` (an engine bug, not a caller error).
+    ``IdentityViolationError`` (an engine bug, not a caller error); an
+    illegal series raises ``IllegalMoveError``. The triple is computed once
+    per ``Series`` object and kept on it.
     """
+    return s._totals
+
+
+def _checked_totals(s: Series) -> OutcomeTriple:
+    index, masks = _replay(s)
     direct_busted = sum(len(r.busted) for r in s.rounds)
-    direct_cost = sum((s.initial.reserve.weight(r.fixed) for r in s.rounds), Fraction(0))
-    end = replay_positions(s)[-1]
-    identity_busted = s.initial.total_edges - end.total_edges
-    identity_cost = s.initial.reserve.weight() - end.reserve.weight()
+    direct_cost = sum(index.weight_of(index.mask_of(r.fixed)) for r in s.rounds)
+    end_graph, end_reserve = masks[-1]
+    identity_busted = s.initial.total_edges - (end_graph | end_reserve).bit_count()
+    identity_cost = index.weight_of(index.reserve_mask) - index.weight_of(end_reserve)
     if direct_busted != identity_busted or direct_cost != identity_cost:
         raise IdentityViolationError(
-            f"totals identities disagree: direct ({direct_busted}, {direct_cost}) "
-            f"vs end-state ({identity_busted}, {identity_cost})"
+            f"totals identities disagree: direct ({direct_busted}, {Fraction(direct_cost, index.scale)}) "
+            f"vs end-state ({identity_busted}, {Fraction(identity_cost, index.scale)})"
         )
     return OutcomeTriple(
         fixer_win=s.outcome is Winner.FIXER,
         total_busted=direct_busted,
-        fix_cost=direct_cost,
+        fix_cost=Fraction(direct_cost, index.scale),
     )
 
 

@@ -5,11 +5,15 @@ spending reserve edges stays unambiguous even when parallel edges share
 endpoints and weights. Weights are ``fractions.Fraction`` values throughout:
 minimum spanning trees and equal-weight tie enumeration need exact
 comparisons, so binary floats never appear. Instance sizes are tiny by
-design and every query recomputes from scratch.
+design and every query on a :class:`Multigraph` recomputes from scratch.
 
 All values are immutable after construction and every operation is a pure
 function, so graphs can be shared freely between threads. The size limits
 of every exponential enumeration in the package live here, in :class:`Caps`.
+
+:class:`EdgeIndex` is the bitmask form of a position that the engine and
+the verifier share: edge bits, integer-scaled weights, and connectivity
+and weight memoized per mask for the life of the index.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Iterator
 
 from .errors import IllegalMoveError
@@ -274,3 +279,75 @@ def contract(base: Multigraph, reserve: Iterable[Edge]) -> ContractedGraph:
     for e in sorted(reserve, key=lambda e: e.id):
         contracted.append(Edge(e.id, labels[e.u], labels[e.v], e.weight))
     return ContractedGraph(component_count=max(labels) + 1, edges=tuple(contracted))
+
+
+def _bit_indices(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class EdgeIndex:
+    """Bitmask view of one instance's edges: a set of edges is an int.
+
+    Bit ``i`` stands for ``edges[i]``; the graph's edges come first, then
+    the reserve's, each in id order. Weights are exact integers: the edge
+    weights times ``scale``, the least common multiple of their
+    denominators. Connectivity always spans the full vertex set, so
+    isolated vertices disconnect. Connectivity and weight are memoized per
+    mask for the life of the index.
+    """
+
+    def __init__(self, graph: Multigraph, reserve: Multigraph):
+        edges = graph.edges + reserve.edges
+        self.n = graph.vertex_count
+        self.edges = edges
+        self.ids = tuple(e.id for e in edges)
+        self.ends = tuple((e.u, e.v) for e in edges)
+        self.spans = tuple(1 << e.u | 1 << e.v for e in edges)
+        self.scale = lcm(*(e.weight.denominator for e in edges))
+        self.weights = tuple(e.weight.numerator * (self.scale // e.weight.denominator) for e in edges)
+        self.index = {e.id: i for i, e in enumerate(edges)}
+        self.graph_mask = (1 << len(graph)) - 1
+        self.reserve_mask = ((1 << len(edges)) - 1) ^ self.graph_mask
+        self._connected: dict[int, bool] = {}
+        self._weight: dict[int, int] = {0: 0}
+
+    def mask_of(self, ids: Iterable[str]) -> int:
+        mask = 0
+        for i in ids:
+            mask |= 1 << self.index[i]
+        return mask
+
+    def ids_of(self, mask: int) -> frozenset[str]:
+        return frozenset(self.ids[i] for i in _bit_indices(mask))
+
+    def multigraph(self, mask: int) -> Multigraph:
+        """The edges of ``mask`` as a :class:`Multigraph` over the index's vertices."""
+        return Multigraph(self.n, tuple(self.edges[i] for i in _bit_indices(mask)))
+
+    def weight_of(self, mask: int) -> int:
+        cached = self._weight.get(mask)
+        if cached is None:
+            cached = sum(self.weights[i] for i in _bit_indices(mask))
+            self._weight[mask] = cached
+        return cached
+
+    def connected(self, mask: int) -> bool:
+        cached = self._connected.get(mask)
+        if cached is None:
+            # grow vertex 0's component, a set of vertex bits, until it stops growing
+            spans = [self.spans[i] for i in _bit_indices(mask)]
+            reached, grown = 0, 1
+            while grown != reached:
+                reached = grown
+                for span in spans:
+                    if grown & span:
+                        grown |= span
+            cached = self._connected[mask] = reached == (1 << self.n) - 1
+        return cached
+
+    def unfixable(self, left: int, reserve: int) -> bool:
+        """The Buster-wins test: not even all of ``reserve`` reconnects the graph mask ``left``."""
+        return not self.connected(left | reserve)

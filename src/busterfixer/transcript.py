@@ -25,8 +25,8 @@ from .engine import (
     Position,
     Series,
     Winner,
+    _replay,
     play_series,
-    replay_positions,
     scripted_buster,
     scripted_fixer,
 )
@@ -80,27 +80,30 @@ class ParsedTranscript:
 
 
 def transcript_rows(s: Series) -> list[TranscriptRow]:
-    """The rows of ``s``'s transcript, built from one :func:`replay_positions` pass.
+    """The rows of ``s``'s transcript, built from one replay of the series on masks.
 
-    Raises ``IllegalMoveError`` when the series does not replay legally.
+    Raises ``IllegalMoveError`` when the series does not replay legally,
+    a zero-round series included.
     """
+    index, masks = _replay(s)
     rows = []
-    busted_total, cost_total = 0, Fraction(0)
-    for j, (entering, record) in enumerate(zip(replay_positions(s), s.rounds), start=1):
+    busted_total = cost_total = 0
+    for j, ((graph, reserve), record) in enumerate(zip(masks, s.rounds), start=1):
         busted_total += len(record.busted)
-        cost_total += s.initial.reserve.weight(record.fixed)
+        cost_total += index.weight_of(index.mask_of(record.fixed))
         winner = s.outcome.value if j == len(s.rounds) else Winner.FIXER.value
-        ids = (entering.graph.ids, entering.reserve.ids, record.busted, record.fixed)
-        rows.append(TranscriptRow(j, *ids, busted_total, cost_total, winner))
+        ids = (index.ids_of(graph), index.ids_of(reserve), record.busted, record.fixed)
+        rows.append(TranscriptRow(j, *ids, busted_total, Fraction(cost_total, index.scale), winner))
     return rows
 
 
 def render_transcript(s: Series, *, scenario: str = "scenario", policy: str = "") -> str:
     """Render one series as a deterministic fixed-width text table.
 
-    A zero-round series renders, unreplayed, as the headers plus a winner line only.
+    A zero-round series renders as the headers plus a winner line only.
+    Raises ``IllegalMoveError`` when the series does not replay legally.
     """
-    return _format_rows(transcript_rows(s) if s.rounds else (), s.outcome, scenario, policy)
+    return _format_rows(transcript_rows(s), s.outcome, scenario, policy)
 
 
 def _format_rows(rows: Sequence[TranscriptRow], outcome: Winner, scenario: str, policy: str) -> str:

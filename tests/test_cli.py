@@ -248,6 +248,18 @@ def test_play_rejects_illegal_then_busts(monkeypatch, capsys):
     assert "Buster wins" in out
 
 
+def test_play_illegal_move_prints_the_bust_rule(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("e9\n"))
+    assert cli_main(["play", SCN]) == 0
+    assert capsys.readouterr().out == (
+        "playing paper_1_2; enter Buster moves as comma-separated edge ids, or 'quit'\n"
+        "round 1: graph {e1,e2,e3} reserve {e4,e5}\n"
+        "buster> illegal move: busted must be a nonempty subset of the current graph; try again\n"
+        "round 1: graph {e1,e2,e3} reserve {e4,e5}\n"
+        "buster> input closed; ending session\n"
+    )
+
+
 def test_play_eof_ends_session(monkeypatch, capsys):
     def raise_eof(prompt=""):
         raise EOFError

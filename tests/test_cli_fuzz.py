@@ -1,12 +1,13 @@
-"""CLI fuzzing: no argv and no file contents make the CLI raise or print a traceback.
+"""CLI fuzzing: no argv, file contents or stdin make the CLI raise or print a traceback.
 
 ``cli_main`` runs ``simulate``, ``verify``, ``msts`` and ``replay`` on argv
 built from their options and on small scenario and transcript files, some
-well formed and some mangled. It must return 0, 1 or 2 and its stderr must
-never hold a traceback. ``theorem-sweep`` is left out because its legal
-arguments can run for minutes, and ``play`` because it reads stdin.
-Scenarios stay within 6 edges and the naive oracle's cap within 5, so
-every example runs in milliseconds.
+well formed and some mangled, and ``play`` on such scenarios with stdin
+lines of edge ids, ``quit``, blanks and junk, ending in end of file. It
+must return 0, 1 or 2 and its output must never hold a traceback.
+``theorem-sweep`` is left out because its legal arguments can run for
+minutes. Scenarios stay within 6 edges and the naive oracle's cap within
+5, so every example runs in milliseconds.
 """
 
 import contextlib
@@ -14,6 +15,7 @@ import io
 import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -124,3 +126,37 @@ def test_cli_never_raises_or_shows_a_traceback(argv, scenario, transcript, raw):
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue()
 
+
+# Scenarios worth playing, each with the edge ids its moves are drawn from:
+# the paper triangle, a lone loop (Buster runs out of edges) and a pair of
+# parallel edges whose only reserve edge is a loop (busting both wins).
+_PLAYABLE = [
+    (_PAPER_TEXT, ["e1", "e2", "e3", "e4", "e5"]),
+    ("vertex a\nedge l a a 1 G\n", ["l"]),
+    ("vertex a\nvertex b\nedge g1 a b 1 G\nedge g2 a b 1 G\nedge r1 a a 0.5 R\n", ["g1", "g2", "r1"]),
+]
+
+
+@st.composite
+def _sessions(draw) -> tuple[str, list[str]]:
+    """A scenario, mostly playable, and the stdin lines of one session."""
+    text, ids = draw(st.sampled_from(_PLAYABLE))
+    text = draw(st.one_of(st.just(text), st.just(text), st.just(text), _mangled(text), _scenarios()))
+    move = st.sets(st.sampled_from(ids), min_size=1).map(sorted).map(",".join)
+    line = st.one_of(move, move, move, st.just("quit"), st.just(""), _IDS, _JUNK)
+    return text, draw(st.lists(line, max_size=8))
+
+
+@FUZZ
+@given(session=_sessions())
+def test_play_never_raises_or_shows_a_traceback(session):
+    scenario, lines = session
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario_path = Path(tmp, "fuzz.scn")
+        scenario_path.write_text(scenario, encoding="utf-8")
+        stdin = io.StringIO("".join(f"{line}\n" for line in lines))
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch("sys.stdin", stdin), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main(["play", str(scenario_path)])
+    assert code in (0, 1, 2), (lines, code)
+    assert "Traceback" not in out.getvalue() + err.getvalue()

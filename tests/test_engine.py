@@ -172,6 +172,22 @@ def test_series_totals_zero_round_prefix(triangle):
     assert series_totals(empty) == OutcomeTriple(True, 0, Fraction(0))
 
 
+def test_series_totals_computed_once_per_series(triangle):
+    series = play_table_series(triangle, {"e4"}, (B1, frozenset({"e3"})))
+    first = series_totals(series)
+    assert series_totals(series) is first
+    twin = Series(initial=series.initial, rounds=series.rounds, outcome=series.outcome)
+    assert twin == series and hash(twin) == hash(series)  # the kept triple is not part of a series' value
+    assert series_totals(twin) == first
+
+
+def test_series_totals_rejects_an_illegal_series_on_every_call(triangle):
+    bad = Series(initial=triangle, rounds=(), outcome=Winner.BUSTER)
+    for _ in range(2):
+        with pytest.raises(IllegalMoveError, match="Buster win requires at least one round"):
+            series_totals(bad)
+
+
 def test_replay_positions_validates(triangle):
     bad = Series(
         initial=triangle,

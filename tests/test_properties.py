@@ -12,6 +12,7 @@ from busterfixer import (
     Multigraph,
     Position,
     ScenarioFile,
+    Winner,
     all_msts,
     buster_wins,
     contract,
@@ -19,12 +20,14 @@ from busterfixer import (
     enumerate_fixer_responses,
     greedy_fixer,
     greedy_fixer_move,
+    is_connected,
     parse_scenario,
     parse_transcript,
     play_series,
     random_buster,
     render_scenario,
     render_transcript,
+    replay_positions,
     replay_transcript,
     verify_optimal,
     verify_optimal_naive,
@@ -124,3 +127,23 @@ def relabelled(draw, positions) -> Position:
 def test_transcript_render_parse_replay_round_trip(p, seed):
     t = render_transcript(play_series(p, random_buster(seed), greedy_fixer()))
     assert render_transcript(replay_transcript(p, parse_transcript(t))) == t
+
+
+@PROPERTY
+@given(instances(max_vertices=4, max_total_edges=6), st.integers(0, 10**6))
+def test_mask_round_step_matches_multigraph_reference(p, seed):
+    """The engine's bit-flip rounds against rounds rebuilt with ``Multigraph.without``/``with_edges``."""
+    for busted in enumerate_buster_moves(p):
+        assert buster_wins(p, busted) == (not is_connected(p.graph.without(busted).with_edges(p.reserve.edges)))
+    series = play_series(p, random_buster(seed), greedy_fixer())
+    positions = replay_positions(series)
+    assert len(positions) == series.length + 1 and positions[0] == p
+    pos = p
+    for j, record in enumerate(series.rounds):
+        pos = Position(
+            graph=pos.graph.without(record.busted).with_edges(pos.reserve.edge(i) for i in record.fixed),
+            reserve=pos.reserve.without(record.fixed),
+        )
+        assert positions[j + 1] == pos
+        survived = series.outcome is Winner.FIXER or j < series.length - 1
+        assert is_connected(pos.graph) == survived

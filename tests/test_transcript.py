@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import pytest
 
 from busterfixer import (
     Edge,
+    IllegalMoveError,
     Multigraph,
     Position,
     Series,
@@ -19,7 +21,7 @@ from busterfixer import (
 )
 
 from conftest import triangle_position
-from series_tables import ALL_FAMILIES, play_table_series
+from series_tables import ALL_FAMILIES, ALL_SERIES, play_table_series
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -70,6 +72,25 @@ def test_zero_round_series_renders_exact_bytes(triangle):
     assert render_transcript(empty, scenario="z", policy="p") == (
         "# scenario: z\n# policy: p\nj | G_j | R_j | B_j | F_j | sum|B| | sum w(F) | Winner\nWinner: Fixer\n"
     )
+
+
+def test_zero_round_buster_series_is_rejected(triangle):
+    with pytest.raises(IllegalMoveError) as exc:
+        render_transcript(Series(initial=triangle, rounds=(), outcome=Winner.BUSTER))
+    assert type(exc.value) is IllegalMoveError
+    assert str(exc.value) == "Buster win requires at least one round"
+
+
+# sha256 of the 37 table series' transcripts, rendered with scenario=name
+# and concatenated in table order; recorded before the engine moved to masks.
+TABLE_TRANSCRIPTS_SHA256 = "43b8f5bf19f834ef2800ad68f994bee68d61c837f7e84837dd2dc3d6b2a8d243"
+
+
+def test_table_transcripts_hash_pinned(triangle):
+    digest = hashlib.sha256()
+    for name, first_fix, script, *_ in ALL_SERIES:
+        digest.update(render_transcript(play_table_series(triangle, first_fix, script), scenario=name).encode())
+    assert digest.hexdigest() == TABLE_TRANSCRIPTS_SHA256
 
 
 @pytest.mark.parametrize("family,rows", ALL_FAMILIES)
