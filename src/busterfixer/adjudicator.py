@@ -15,10 +15,15 @@ alternative response and every alternative continuation strategy. The
 verifier evaluates that exists/forall chain by backward induction:
 
 * the target side is a survival game (Fixer picks responses, Buster picks
-  moves and quit points, every realized outcome must pass the check), and
+  moves and quit points, every realized outcome must pass the check),
+  ``_Adjudication.survives``, and
 * the check itself is a reachability game per alternative response line
   (Buster steers, all alternative-Fixer responses are taken conjunctively)
-  on remaining bust/spend budgets relative to the target outcome.
+  on remaining bust/spend budgets relative to the target outcome,
+  ``_Arena.dominated``.
+
+Each search is a method of the object that owns its memos, so no recursive
+call passes a memo, a cache or a callback.
 
 ``verify_optimal_naive`` is the one strategy-materializing oracle: it
 evaluates the same definition with no game machinery at all, by
@@ -29,11 +34,13 @@ surfaced as a test failure rather than resolved silently.
 Every list of legal responses and every round-legality check comes from
 one place, the per-instance bitmask arena. The arena is the engine's
 ``graph.EdgeIndex`` (edge bits, integer-scaled weights, memoized
-connectivity and weight per mask) plus the search memos:
-``_Arena.ordered_responses`` lists the responses cheapest first
+connectivity and weight per mask) plus the reachability search and its
+memo: ``_Arena.ordered_responses`` lists the responses cheapest first
 (``enumerate_fixer_responses`` is a thin wrapper over it),
 ``_Arena.left_after`` checks a bust, the index's ``unfixable`` decides
-Buster-wins and ``_legal_round`` checks a candidate.
+Buster-wins and ``_legal_round`` checks a candidate. Per bust and prune
+setting the arena keeps one ``_Adjudication``: the alternative lines, the
+check memo and the survival search with its memo.
 By default the alternatives compared against are restricted to responses
 whose every edge is a bridge after the fix (equivalently, spanning trees
 of the contracted graph, the reconnecting sets of fewest edges); this
@@ -43,6 +50,9 @@ oracle never applies it.
 
 Every size limit comes from one :class:`Caps` object (defined in
 ``graph`` and re-exported here); exceeding it raises ``CapExceededError``.
+Every entry point gets its arena from ``_arena_for``, the one check of the
+reserve-subset cap, made before any response is enumerated. The total-edge
+caps are checked by ``verify_optimal_report`` and ``verify_optimal_naive``.
 
 The searches run on exact integers: each arena's index scales its edge
 weights by the least common multiple of their denominators, so budgets,
@@ -50,13 +60,14 @@ floors and memo keys are ints and ``Fraction`` appears only at the
 boundary, in the ``OutcomeTriple`` of a witness. No float is ever involved.
 
 Searches are pure given their inputs. The optional ``cache`` argument is a
-plain dict. It holds search results keyed by id-free canonical position
-signatures (shared across instances), and the last position's arena with
-its per-bust memos (reused by every later call on that same ``Position``
-object, replaced by a call on any other). Share one across calls to speed
-up sweeps. Reuse is exact: a verdict and its witness are the same with or
-without the cache, and inserts are idempotent, so concurrent use only ever
-costs recomputation, never inconsistency.
+plain dict. It keeps the last position's arena (reused by every later call
+on that same ``Position`` object, replaced by a call on any other), and
+that arena's reachability search stores its results there too, keyed by
+id-free canonical position signatures so that they serve every later
+instance; the arena's own memo is consulted first. Share one across calls
+to speed up sweeps. Reuse is exact: a verdict and its witness are the same
+with or without the cache, and inserts are idempotent, so concurrent use
+only ever costs recomputation, never inconsistency.
 """
 
 from __future__ import annotations
@@ -64,7 +75,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .engine import (
     OutcomeTriple,
@@ -116,16 +127,15 @@ def enumerate_fixer_responses(p: Position, busted: frozenset[str], caps: Caps = 
 
     Order: by total weight, then lexicographically on the sorted id tuple.
 
-    Raises ``IllegalMoveError`` for an illegal bust, ``BusterWinsError``
-    when not even the full reserve reconnects, and ``CapExceededError``
-    when the enumeration exceeds ``caps.max_subsets``.
+    Raises, checked in this order, ``CapExceededError`` when the
+    enumeration exceeds ``caps.max_subsets``, ``IllegalMoveError`` for an
+    illegal bust and ``BusterWinsError`` when not even the full reserve
+    reconnects.
     """
-    arena = _Arena(p)
+    arena = _arena_for(p, caps, None)
     left = arena.left_after(frozenset(busted))
     if arena.unfixable(left, arena.reserve_mask):
         raise BusterWinsError("no response can reconnect; Buster wins this round")
-    if 1 << len(p.reserve) > caps.max_subsets:
-        raise CapExceededError(f"2^{len(p.reserve)} reserve subsets exceeds cap {caps.max_subsets}")
     return [frozenset(ids) for _, ids, _ in arena.ordered_responses(left)]
 
 
@@ -133,12 +143,14 @@ class _Arena(EdgeIndex):
     """The verifier's view of one position: its edge index plus the search memos.
 
     Everything is derived from the immutable position, so the arena carries
-    the memos shared by every verify call on it.
+    the memos shared by every verify call on it, and the optional
+    cross-instance ``cache`` its reachability search consults after them.
     """
 
-    def __init__(self, p: Position):
+    def __init__(self, p: Position, cache: dict | None = None):
         super().__init__(p.graph, p.reserve)
         self.position = p
+        self.cache = cache
         self._responses: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
         self._signature: dict[int, tuple] = {}
         self.dominance_memo: dict = {}
@@ -196,6 +208,72 @@ class _Arena(EdgeIndex):
         return cached
 
 
+    def dominated(
+        self, graph_mask: int, reserve_mask: int, bust_budget: int, spend_floor: int, target_win: bool
+    ) -> bool:
+        """Can Buster steer this line, against every Fixer, to a dominated end?
+
+        ``bust_budget`` is how much more may be busted here without exceeding
+        the target's bust total; ``spend_floor`` is how much more Fixer must be
+        made to spend (in the arena's scaled weights) to reach the target's
+        cost. Buster nodes take OR over moves and quitting; Fixer responses are
+        taken conjunctively. Results are memoized per arena first and then,
+        under the id-free signature key, in the shared ``cache``.
+        """
+        pool = (graph_mask | reserve_mask).bit_count()
+        if bust_budget < 0:
+            return False
+        if bust_budget > pool:
+            bust_budget = pool
+        if spend_floor > self.weight_of(reserve_mask):
+            return False
+        if spend_floor < 0:
+            spend_floor = 0
+        if target_win and spend_floor == 0:
+            return True  # Buster quits the alternative line right here
+        key = (graph_mask, reserve_mask, bust_budget, spend_floor, target_win)
+        memo = self.dominance_memo
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        cache = self.cache
+        if cache is not None:
+            ckey = (
+                self.n,
+                self.scale,
+                self.signature(graph_mask),
+                self.signature(reserve_mask),
+                bust_budget,
+                spend_floor,
+                target_win,
+            )
+            hit = cache.get(ckey)
+            if hit is not None:
+                memo[key] = hit
+                return hit
+        result = False
+        for bust in _nonempty_submasks(graph_mask):
+            size = bust.bit_count()
+            if size > bust_budget:
+                continue
+            left = graph_mask ^ bust
+            if not self.connected(left | reserve_mask):
+                if spend_floor == 0:
+                    result = True  # Buster wins this line within budget
+                    break
+                continue
+            if all(
+                self.dominated(left | fix, reserve_mask ^ fix, bust_budget - size, spend_floor - fix_weight, target_win)
+                for fix, fix_weight in self.responses(left, reserve_mask)
+            ):
+                result = True
+                break
+        memo[key] = result
+        if cache is not None:
+            cache[ckey] = result
+        return result
+
+
 def _nonempty_submasks(mask: int) -> Iterator[int]:
     sub = mask
     while sub:
@@ -203,144 +281,9 @@ def _nonempty_submasks(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
-def _dominated(
-    arena: _Arena,
-    graph_mask: int,
-    reserve_mask: int,
-    bust_budget: int,
-    spend_floor: int,
-    target_win: bool,
-    memo: dict,
-    cache: dict | None,
-) -> bool:
-    """Can Buster steer this line, against every Fixer, to a dominated end?
-
-    ``bust_budget`` is how much more may be busted here without exceeding
-    the target's bust total; ``spend_floor`` is how much more Fixer must be
-    made to spend (in the arena's scaled weights) to reach the target's
-    cost. Buster nodes take OR over moves and quitting; Fixer responses are
-    taken conjunctively.
-    """
-    pool = (graph_mask | reserve_mask).bit_count()
-    if bust_budget < 0:
-        return False
-    if bust_budget > pool:
-        bust_budget = pool
-    if spend_floor > arena.weight_of(reserve_mask):
-        return False
-    if spend_floor < 0:
-        spend_floor = 0
-    if target_win and spend_floor == 0:
-        return True  # Buster quits the alternative line right here
-    key = (graph_mask, reserve_mask, bust_budget, spend_floor, target_win)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if cache is not None:
-        ckey = (
-            arena.n,
-            arena.scale,
-            arena.signature(graph_mask),
-            arena.signature(reserve_mask),
-            bust_budget,
-            spend_floor,
-            target_win,
-        )
-        hit = cache.get(ckey)
-        if hit is not None:
-            memo[key] = hit
-            return hit
-    result = False
-    for bust in _nonempty_submasks(graph_mask):
-        size = bust.bit_count()
-        if size > bust_budget:
-            continue
-        left = graph_mask ^ bust
-        if not arena.connected(left | reserve_mask):
-            if spend_floor == 0:
-                result = True  # Buster wins this line within budget
-                break
-            continue
-        if all(
-            _dominated(
-                arena,
-                left | fix,
-                reserve_mask ^ fix,
-                bust_budget - size,
-                spend_floor - fix_weight,
-                target_win,
-                memo,
-                cache,
-            )
-            for fix, fix_weight in arena.responses(left, reserve_mask)
-        ):
-            result = True
-            break
-    memo[key] = result
-    if cache is not None:
-        cache[ckey] = result
-    return result
-
-
 # A failing check met by the survival search: (win, total busted, scaled
 # spend) of the target outcome, and the alternative it does not dominate.
 _Failure = tuple[bool, int, int, frozenset]
-
-
-def _survives(
-    arena: _Arena,
-    graph_mask: int,
-    reserve_mask: int,
-    busted_so_far: int,
-    spent_so_far: int,
-    check: Callable[[bool, int, int], frozenset | None],
-    memo: dict,
-) -> tuple[bool, _Failure | None]:
-    """Does some continuation strategy keep every reachable outcome passing?
-
-    Fixer nodes take OR over legal responses; Buster's moves and the quit
-    available at every surviving node are taken conjunctively, with
-    ``check`` applied to each completed outcome triple; it returns the
-    first alternative the outcome fails to dominate, or None.
-
-    Returns the verdict and the first failing check met in depth-first
-    order below this node (None when there is none). Both depend only on
-    the node and ``check``, so ``memo`` may be shared by every search that
-    uses the same ``check``, and the first failure of a root is the same
-    however much of its subtree was answered from the memo.
-    """
-    key = (graph_mask, reserve_mask, busted_so_far, spent_so_far)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    alt = check(True, busted_so_far, spent_so_far)  # Buster may quit here
-    if alt is not None:
-        result = (False, (True, busted_so_far, spent_so_far, alt))
-    else:
-        ok, first = True, None
-        for bust in _nonempty_submasks(graph_mask):
-            total = busted_so_far + bust.bit_count()
-            left = graph_mask ^ bust
-            if not arena.connected(left | reserve_mask):
-                alt = check(False, total, spent_so_far)
-                if alt is not None:
-                    ok = False
-                    first = first or (False, total, spent_so_far, alt)
-                    break
-                continue
-            for fix, fix_weight in arena.responses(left, reserve_mask):
-                survived, failure = _survives(
-                    arena, left | fix, reserve_mask ^ fix, total, spent_so_far + fix_weight, check, memo
-                )
-                first = first or failure
-                if survived:
-                    break
-            else:
-                ok = False
-                break
-        result = (ok, first)
-    memo[key] = result
-    return result
 
 
 class _Adjudication:
@@ -352,9 +295,9 @@ class _Adjudication:
     candidate verified against this bust.
     """
 
-    __slots__ = ("arena", "base_busted", "alt_lines", "check_memo", "survive_memo", "cache")
+    __slots__ = ("arena", "base_busted", "alt_lines", "check_memo", "survive_memo")
 
-    def __init__(self, arena: _Arena, left: int, bridge_only: bool, cache: dict | None):
+    def __init__(self, arena: _Arena, left: int, bridge_only: bool):
         self.arena = arena
         self.base_busted = (arena.graph_mask ^ left).bit_count()
         self.alt_lines = tuple(
@@ -363,7 +306,6 @@ class _Adjudication:
         )
         self.check_memo: dict[tuple[bool, int, int], frozenset | None] = {}
         self.survive_memo: dict = {}
-        self.cache = cache
 
     def check(self, win: bool, total_busted: int, spent: int) -> frozenset | None:
         """The first alternative whose every line escapes this outcome, or None."""
@@ -372,34 +314,80 @@ class _Adjudication:
         if key in memo:
             return memo[key]
         failing = None
+        budget = total_busted - self.base_busted
         for alt_ids, alt_graph, alt_reserve, alt_spend in self.alt_lines:
-            if not _dominated(
-                self.arena,
-                alt_graph,
-                alt_reserve,
-                total_busted - self.base_busted,
-                spent - alt_spend,
-                win,
-                self.arena.dominance_memo,
-                self.cache,
-            ):
+            if not self.arena.dominated(alt_graph, alt_reserve, budget, spent - alt_spend, win):
                 failing = alt_ids
                 break
         memo[key] = failing
         return failing
+
+    def survives(
+        self, graph_mask: int, reserve_mask: int, busted_so_far: int, spent_so_far: int
+    ) -> tuple[bool, _Failure | None]:
+        """Does some continuation strategy keep every reachable outcome passing?
+
+        Fixer nodes take OR over legal responses; Buster's moves and the quit
+        available at every surviving node are taken conjunctively, with
+        :meth:`check` applied to each completed outcome triple.
+
+        Returns the verdict and the first failing check met in depth-first
+        order below this node (None when there is none). Both depend only on
+        the node and the alternatives, so every candidate against this bust
+        shares ``survive_memo``, and the first failure of a root is the same
+        however much of its subtree was answered from the memo.
+        """
+        key = (graph_mask, reserve_mask, busted_so_far, spent_so_far)
+        memo = self.survive_memo
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        arena = self.arena
+        alt = self.check(True, busted_so_far, spent_so_far)  # Buster may quit here
+        if alt is not None:
+            result = (False, (True, busted_so_far, spent_so_far, alt))
+        else:
+            ok, first = True, None
+            for bust in _nonempty_submasks(graph_mask):
+                total = busted_so_far + bust.bit_count()
+                left = graph_mask ^ bust
+                if not arena.connected(left | reserve_mask):
+                    alt = self.check(False, total, spent_so_far)
+                    if alt is not None:
+                        ok = False
+                        first = first or (False, total, spent_so_far, alt)
+                        break
+                    continue
+                for fix, fix_weight in arena.responses(left, reserve_mask):
+                    survived, failure = self.survives(left | fix, reserve_mask ^ fix, total, spent_so_far + fix_weight)
+                    first = first or failure
+                    if survived:
+                        break
+                else:
+                    ok = False
+                    break
+            result = (ok, first)
+        memo[key] = result
+        return result
 
 
 # The key under which a shared ``cache`` keeps the last position's arena.
 _LAST_ARENA = object()
 
 
-def _arena_for(p: Position, cache: dict | None) -> _Arena:
-    """The arena for ``p``: the cached one when ``cache`` last saw this very object."""
+def _arena_for(p: Position, caps: Caps, cache: dict | None) -> _Arena:
+    """The arena for ``p``: the cached one when ``cache`` last saw this very object.
+
+    The one statement of the reserve-subset cap, checked on every call
+    before any response is enumerated.
+    """
+    if 1 << len(p.reserve) > caps.max_subsets:
+        raise CapExceededError(f"2^{len(p.reserve)} reserve subsets exceeds cap {caps.max_subsets}")
     if cache is None:
         return _Arena(p)
     arena = cache.get(_LAST_ARENA)
     if arena is None or arena.position is not p:
-        arena = cache[_LAST_ARENA] = _Arena(p)
+        arena = cache[_LAST_ARENA] = _Arena(p, cache)
     return arena
 
 
@@ -453,14 +441,14 @@ def verify_optimal_report(
     ``fix_cost`` is converted back to an exact ``Fraction``. With a shared
     ``cache``, consecutive calls on the same ``Position`` object reuse one
     arena, and calls on the same bust and ``bridge_only`` reuse its
-    alternatives and check and survival memos. The result, witness
-    included, is the same as with ``cache=None``.
+    ``_Adjudication``: alternatives, check memo and survival memo. The
+    arena's reachability search also shares its results with later
+    instances through ``cache``. The result, witness included, is the same
+    as with ``cache=None``.
     """
     if p.total_edges > caps.max_total_edges:
         raise CapExceededError(f"position has {p.total_edges} edges, cap is {caps.max_total_edges}")
-    if 1 << len(p.reserve) > caps.max_subsets:
-        raise CapExceededError(f"2^{len(p.reserve)} reserve subsets exceeds cap {caps.max_subsets}")
-    arena = _arena_for(p, cache)
+    arena = _arena_for(p, caps, cache)
     masks = _legal_round(arena, busted, candidate)
     if masks is None:
         # The round is already lost; the forced empty response is optimal.
@@ -468,15 +456,9 @@ def verify_optimal_report(
     left, cand_mask = masks
     job = arena.adjudications.get((left, bridge_only))
     if job is None:
-        job = arena.adjudications[left, bridge_only] = _Adjudication(arena, left, bridge_only, cache)
-    ok, failure = _survives(
-        arena,
-        left | cand_mask,
-        arena.reserve_mask ^ cand_mask,
-        job.base_busted,
-        arena.weight_of(cand_mask),
-        job.check,
-        job.survive_memo,
+        job = arena.adjudications[left, bridge_only] = _Adjudication(arena, left, bridge_only)
+    ok, failure = job.survives(
+        left | cand_mask, arena.reserve_mask ^ cand_mask, job.base_busted, arena.weight_of(cand_mask)
     )
     if ok:
         return VerifyResult(optimal=True, alternatives=len(job.alt_lines))
@@ -529,7 +511,7 @@ def verify_optimal_naive(
     """
     if p.total_edges > caps.naive_max_total_edges:
         raise CapExceededError(f"position has {p.total_edges} edges, naive cap is {caps.naive_max_total_edges}")
-    arena = _Arena(p)
+    arena = _arena_for(p, caps, None)
     masks = _legal_round(arena, busted, candidate)
     if masks is None:
         return True
@@ -577,8 +559,6 @@ def verify_optimal_naive(
     target_sets = shifted(
         strategies(left | cand_mask, arena.reserve_mask ^ cand_mask), arena.weight_of(cand_mask)
     )
-    if 1 << len(p.reserve) > caps.max_subsets:
-        raise CapExceededError(f"2^{len(p.reserve)} reserve subsets exceeds cap {caps.max_subsets}")
     alternative_sets = [
         shifted(strategies(left | alt_mask, arena.reserve_mask ^ alt_mask), alt_weight)
         for alt_weight, _, alt_mask in arena.ordered_responses(left)
@@ -652,7 +632,9 @@ def theorem_sweep(
     has minimum weight. With ``compare_prune``, each verdict is recomputed
     without the bridge restriction and any disagreement is recorded. A
     nonempty counterexample list is a build-failing event for the corpus
-    this library ships with. ``caps`` bounds every enumeration and search.
+    this library ships with. ``caps`` bounds every enumeration and search;
+    the reserve-subset cap is checked as each instance's arena is fetched,
+    before its Buster moves or converse list are enumerated.
 
     One ``cache`` is shared by every check: it holds cross-instance search
     results and the current instance's arena, so every move, response and
@@ -681,7 +663,7 @@ def theorem_sweep(
         report.instances += 1
         if len(p.graph) == 0:
             continue
-        arena = _arena_for(p, cache)
+        arena = _arena_for(p, caps, cache)
         for busted in enumerate_buster_moves(p, caps):
             report.moves += 1
             left = arena.left_after(busted)
@@ -719,21 +701,19 @@ def generate_instances(
     max_vertices: int = 3,
     max_total_edges: int = 5,
     reserve_weights: Iterable[int | Fraction] = (0, 1, 2),
-    graph_weight: int | Fraction = 1,
 ) -> Iterator[Position]:
     """Exhaustively enumerate small instances, one per canonical edge multiset.
 
     Graphs must be connected (initial positions always are); instances are
     deduplicated by their edge multisets — two assignments of ids to the
     same endpoint/weight/pool multiset are the same instance. Graph edges
-    carry a fixed weight: only reserve weights ever enter a spend, so
-    varying them would just repeat behaviorally identical instances.
+    all weigh 1: only reserve weights ever enter a spend, so varying them
+    would just repeat behaviorally identical instances.
     Loops are included (they are legal reserve edges and legal graph
     edges). Instances whose graph is empty are skipped, since Buster has
     no move to check there.
     """
     weights = tuple(Fraction(w) for w in reserve_weights)
-    gw = Fraction(graph_weight)
     for n in range(1, max_vertices + 1):
         pairs = [(u, v) for u in range(n) for v in range(u, n)]
         reserve_types = [(u, v, w) for (u, v) in pairs for w in weights]
@@ -747,10 +727,7 @@ def generate_instances(
                 joins = sum(1 for (u, v) in graph_combo if uf.union(u, v))
                 if joins != n - 1:
                     continue
-                graph = Multigraph(
-                    n,
-                    tuple(Edge(f"g{i}", u, v, gw) for i, (u, v) in enumerate(graph_combo)),
-                )
+                graph = Multigraph(n, tuple(Edge(f"g{i}", u, v, 1) for i, (u, v) in enumerate(graph_combo)))
                 for reserve_size in range(0, max_total_edges - graph_size + 1):
                     for reserve_combo in reserve_combos[reserve_size]:
                         reserve = Multigraph(

@@ -82,13 +82,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _caps(args: argparse.Namespace) -> adjudicator.Caps:
-    return adjudicator.Caps(
-        max_total_edges=args.max_total_edges,
-        naive_max_total_edges=args.naive_cap,
-    )
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args.scenario)
     initial = scenario.initial_position()
@@ -106,7 +99,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args.scenario)
     initial = scenario.initial_position()
-    caps = _caps(args)
+    caps = adjudicator.Caps(max_total_edges=args.max_total_edges, naive_max_total_edges=args.naive_cap)
     result = adjudicator.verify_optimal_report(
         initial, _ids(args.busted), _ids(args.candidate), caps, bridge_only=not args.no_bridge_prune
     )
@@ -147,7 +140,7 @@ def _cmd_theorem_sweep(args: argparse.Namespace) -> int:
     )
     report = adjudicator.theorem_sweep(
         instances,
-        _caps(args),
+        adjudicator.Caps(max_total_edges=args.max_total_edges),
         bridge_only=not args.no_bridge_prune,
         compare_prune=args.compare_prune,
     )
@@ -242,7 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     caps_parent = argparse.ArgumentParser(add_help=False)
     caps_parent.add_argument("--max-total-edges", type=int, default=adjudicator.DEFAULT_CAPS.max_total_edges)
-    caps_parent.add_argument("--naive-cap", type=int, default=adjudicator.DEFAULT_CAPS.naive_max_total_edges)
     caps_parent.add_argument("--no-bridge-prune", action="store_true")
 
     out_parent = argparse.ArgumentParser(add_help=False)
@@ -257,6 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario")
     p.add_argument("--busted", required=True, help="comma-separated ids Buster removes")
     p.add_argument("--candidate", required=True, help="comma-separated Fixer response ids")
+    p.add_argument("--naive-cap", type=int, default=adjudicator.DEFAULT_CAPS.naive_max_total_edges)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("theorem-sweep", parents=[caps_parent, out_parent],

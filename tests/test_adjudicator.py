@@ -33,7 +33,8 @@ from busterfixer import (
     verify_optimal_naive,
 )
 
-from busterfixer.adjudicator import _Arena, _dominated, verify_optimal_report
+from busterfixer.adjudicator import _Arena, verify_optimal_report
+from busterfixer.graph import EdgeIndex
 
 from conftest import random_instance, triangle_position
 from series_tables import ALL_SERIES, FAMILY_A, play_table_series
@@ -201,7 +202,7 @@ def test_enumerate_fixer_responses_buster_win_raises(triangle):
 def test_dominates_quit_immediately(triangle):
     # target (Fixer win, 2 busted, spent 1); alternative line busted 2, spent 2
     arena = _Arena(apply_round(triangle, frozenset({"e1", "e2"}), frozenset({"e5"})))
-    assert _dominated(arena, arena.graph_mask, arena.reserve_mask, 2 - 2, Fraction(1 - 2), True, {}, None)
+    assert arena.dominated(arena.graph_mask, arena.reserve_mask, 2 - 2, Fraction(1 - 2), True)
 
 
 def test_dominates_fails_when_bust_budget_exhausted():
@@ -213,13 +214,13 @@ def test_dominates_fails_when_bust_budget_exhausted():
     # target (Buster win, 0 busted, spent 0); nothing accumulated yet. Every
     # completion of the alternative busts at least one more edge, and a
     # loss cannot dominate the quit-now Fixer win
-    assert not _dominated(arena, arena.graph_mask, arena.reserve_mask, 0 - 0, Fraction(0 - 0), False, {}, None)
+    assert not arena.dominated(arena.graph_mask, arena.reserve_mask, 0 - 0, Fraction(0 - 0), False)
 
 
 def test_dominates_buster_win_within_budget(triangle):
     # target (Buster win, 4 busted, spent 1); alternative line busted 2, spent 3
     arena = _Arena(apply_round(triangle, frozenset({"e1", "e2"}), frozenset({"e4", "e5"})))
-    assert _dominated(arena, arena.graph_mask, arena.reserve_mask, 4 - 2, Fraction(1 - 3), False, {}, None)
+    assert arena.dominated(arena.graph_mask, arena.reserve_mask, 4 - 2, Fraction(1 - 3), False)
 
 
 def test_verify_optimal_worked_example(triangle):
@@ -286,6 +287,27 @@ def test_verify_optimal_report_caps_reserve_subsets():
     caps = Caps(max_total_edges=16)
     with pytest.raises(CapExceededError):
         verify_optimal_report(p, frozenset({"a"}), frozenset({"r00"}), caps, bridge_only=True)
+
+
+def test_theorem_sweep_caps_reserve_subsets_before_enumerating(monkeypatch):
+    # the same 13 parallel reserve edges: the sweep must raise the cap
+    # before it lists the 2**13 reserve submasks as its converse responses
+    p = Position(
+        graph=Multigraph(2, (Edge("a", 0, 1, Fraction(1)),)),
+        reserve=Multigraph(2, tuple(Edge(f"r{i:02}", 0, 1, Fraction(1)) for i in range(13))),
+    )
+    calls = 0
+    connected = EdgeIndex.connected
+
+    def counting(self, mask):
+        nonlocal calls
+        calls += 1
+        return connected(self, mask)
+
+    monkeypatch.setattr(EdgeIndex, "connected", counting)
+    with pytest.raises(CapExceededError, match="reserve subsets"):
+        theorem_sweep([p], Caps(max_total_edges=16))
+    assert calls < 100
 
 
 def test_verify_optimal_naive_agrees_on_worked_example(triangle):

@@ -170,6 +170,13 @@ def test_theorem_sweep_micro(capsys):
     assert "prune mismatches: 0" in out
 
 
+def test_theorem_sweep_rejects_naive_cap(capsys):
+    # the sweep never runs the naive oracle, so its cap is verify's flag only
+    code = cli_main(["theorem-sweep", "--max-vertices", "2", "--max-total-edges", "2", "--naive-cap", "3"])
+    assert code == 2
+    assert "--naive-cap" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_two(tmp_path, capsys):
     assert cli_main(["verify"]) == 2  # missing required flags
     capsys.readouterr()

@@ -5,9 +5,10 @@ built from their options and on small scenario and transcript files, some
 well formed and some mangled, and ``play`` on such scenarios with stdin
 lines of edge ids, ``quit``, blanks and junk, ending in end of file. It
 must return 0, 1 or 2 and its output must never hold a traceback.
-``theorem-sweep`` is left out because its legal arguments can run for
-minutes. Scenarios stay within 6 edges and the naive oracle's cap within
-5, so every example runs in milliseconds.
+``theorem-sweep`` runs with its size flags fixed first and drawn from at
+most 2 vertices and 3 edges, since its legal arguments can otherwise run
+for minutes. Scenarios stay within 6 edges and the naive oracle's cap
+within 5, so every example runs in milliseconds.
 """
 
 import contextlib
@@ -159,4 +160,42 @@ def test_play_never_raises_or_shows_a_traceback(session):
         with mock.patch("sys.stdin", stdin), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli_main(["play", str(scenario_path)])
     assert code in (0, 1, 2), (lines, code)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
+_SWEEP_EXTRA = st.one_of(
+    st.tuples(
+        st.just("--weights"),
+        st.one_of(_JUNK, st.lists(st.sampled_from(["0", "1", "2", "0.5", "1.25"]), max_size=3).map(",".join)),
+    ),
+    st.tuples(st.sampled_from(["--compare-prune", "--no-bridge-prune", "--help"])),
+    st.tuples(st.just("--naive-cap"), _INTS),
+    st.tuples(st.just("--out"), st.just("{dir}/o.txt")),
+)
+
+
+@st.composite
+def _sweep_argv(draw) -> list[str]:
+    """The two size flags, kept tiny, then up to three extras that cannot override them."""
+    argv = [
+        "theorem-sweep",
+        "--max-vertices",
+        draw(st.sampled_from(["x", "-1", "0", "1", "2"])),
+        "--max-total-edges",
+        draw(st.sampled_from(["x", "-1", "0", "1", "2", "3"])),
+    ]
+    for extra in draw(st.lists(_SWEEP_EXTRA, max_size=3)):
+        argv.extend(extra)
+    return argv
+
+
+@FUZZ
+@given(argv=_sweep_argv())
+def test_theorem_sweep_never_raises_or_shows_a_traceback(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [arg.replace("{dir}", tmp) for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main(argv)
+    assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in out.getvalue() + err.getvalue()
