@@ -74,7 +74,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 from typing import Iterable, Iterator
 
 from .engine import (
@@ -495,6 +495,18 @@ def verify_optimal(
     ).optimal
 
 
+def _distinct_unions(base: frozenset, option_lists: list[list[frozenset]]) -> list[frozenset]:
+    """The distinct sets ``base | s1 | ... | sk``, one ``si`` from each option list.
+
+    Folded one list at a time with each partial union deduplicated, so the
+    full product of the lists is never materialized.
+    """
+    partial = [base]
+    for options in option_lists:
+        partial = list(dict.fromkeys(acc | s for acc in partial for s in options))
+    return partial
+
+
 def verify_optimal_naive(
     p: Position,
     busted: frozenset[str],
@@ -508,6 +520,10 @@ def verify_optimal_naive(
     and the definition's quantifier chain is evaluated directly over those
     sets, with no bridge restriction and no budget reasoning. Exponentially
     expensive by design; the independent oracle for :func:`verify_optimal`.
+
+    A node's strategy sets are folded in move by move, each partial union
+    deduplicated, rather than built from the full product of the per-move
+    options; ``caps.max_subsets`` still bounds the number of distinct sets.
     """
     if p.total_edges > caps.naive_max_total_edges:
         raise CapExceededError(f"position has {p.total_edges} edges, naive cap is {caps.naive_max_total_edges}")
@@ -539,10 +555,7 @@ def verify_optimal_naive(
                         frozenset((w, b + size, c + fix_weight) for (w, b, c) in child)
                     )
             per_move.append(list(dict.fromkeys(options)))
-        results = []
-        for combo in product(*per_move):
-            results.append(frozenset({(True, 0, 0)}).union(*combo))
-        out = list(dict.fromkeys(results))
+        out = _distinct_unions(frozenset({(True, 0, 0)}), per_move)
         if len(out) > caps.max_subsets:
             raise CapExceededError(f"{len(out)} strategies exceeds cap {caps.max_subsets}")
         strategy_memo[key] = out

@@ -19,11 +19,17 @@ Exit codes: 0 success; 1 verification failure, sweep counterexample, or
 replay mismatch (including the no-spanning-tree answer from ``msts``);
 2 usage, parse, validation, illegal-move, or cap errors, and unreadable
 files. Diagnostics go to stderr; no input ends in a traceback.
+
+``cli_main`` may be called any number of times in one process. The argument
+parser is built once, on first use, and reused: parsing does not change it,
+and usage, help and error text are formatted against the current
+``sys.stdout``/``sys.stderr`` and terminal width when they are printed.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -99,12 +105,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args.scenario)
     initial = scenario.initial_position()
+    busted, candidate = _ids(args.busted), _ids(args.candidate)
     caps = adjudicator.Caps(max_total_edges=args.max_total_edges, naive_max_total_edges=args.naive_cap)
     result = adjudicator.verify_optimal_report(
-        initial, _ids(args.busted), _ids(args.candidate), caps, bridge_only=not args.no_bridge_prune
+        initial, busted, candidate, caps, bridge_only=not args.no_bridge_prune
     )
     if initial.total_edges <= caps.naive_max_total_edges:
-        naive = adjudicator.verify_optimal_naive(initial, _ids(args.busted), _ids(args.candidate), caps)
+        naive = adjudicator.verify_optimal_naive(initial, busted, candidate, caps)
         if naive != result.optimal:
             print(
                 f"ORACLE-MISMATCH: game search says {result.optimal}, naive says {naive}",
@@ -229,6 +236,7 @@ def _cmd_play(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="busterfixer", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -278,9 +286,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cli_main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

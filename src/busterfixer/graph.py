@@ -43,9 +43,8 @@ def parse_decimal_weight(text: str) -> Fraction:
     if m is None:
         raise ValueError(f"not a plain decimal weight: {text!r}")
     sign, whole, frac = m.groups()
-    value = Fraction(int(whole))
-    if frac:
-        value += Fraction(int(frac), 10 ** len(frac))
+    scale = 10 ** len(frac or "")
+    value = Fraction(int(whole) * scale + int(frac or 0), scale)
     if sign:
         raise ValueError(f"negative weight: {text!r}")
     return value

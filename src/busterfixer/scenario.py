@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from importlib import resources
 
 from .engine import QUIT, BusterAction, Position, _QuitToken
@@ -54,7 +55,15 @@ class ScenarioFile:
     script: tuple[BusterAction, ...]
 
     def initial_position(self) -> Position:
-        """Build the starting position, resolving names to dense indices."""
+        """The starting position, with names resolved to dense indices.
+
+        It is built once per scenario (``parse_scenario`` builds it to check
+        the G pool), and every call returns that same immutable object.
+        """
+        return self._initial_position
+
+    @cached_property
+    def _initial_position(self) -> Position:
         index = {name: i for i, name in enumerate(self.vertex_names)}
         pools: dict[str, list[Edge]] = {"G": [], "R": []}
         for decl in self.edges:

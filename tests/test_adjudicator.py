@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from busterfixer import (
     BusterWinsError,
@@ -33,7 +34,7 @@ from busterfixer import (
     verify_optimal_naive,
 )
 
-from busterfixer.adjudicator import _Arena, verify_optimal_report
+from busterfixer.adjudicator import _Arena, _distinct_unions, verify_optimal_report
 from busterfixer.graph import EdgeIndex
 
 from conftest import random_instance, triangle_position
@@ -316,6 +317,42 @@ def test_verify_optimal_naive_agrees_on_worked_example(triangle):
         assert verify_optimal_naive(triangle, busted, frozenset(candidate)) == verify_optimal(
             triangle, busted, frozenset(candidate)
         )
+
+
+_OPTION_SETS = st.frozensets(st.integers(0, 5), max_size=3)
+
+
+@PROPERTY
+@given(_OPTION_SETS, st.lists(st.lists(_OPTION_SETS, max_size=3), max_size=4))
+def test_distinct_unions_matches_the_product(base, option_lists):
+    folded = _distinct_unions(base, option_lists)
+    assert len(folded) == len(set(folded))
+    assert set(folded) == {base.union(*combo) for combo in product(*option_lists)}
+
+
+def test_oracle_agreement_six_edge_triangle():
+    # triangle a-b-c with a parallel reserve edge beside each side; with the
+    # naive cap raised to 6 both verifiers agree on every non-winning bust
+    # and every legal response
+    graph = Multigraph(
+        3, (Edge("a", 0, 1, Fraction(1)), Edge("b", 1, 2, Fraction(1)), Edge("c", 0, 2, Fraction(1)))
+    )
+    reserve = Multigraph(
+        3, (Edge("r0", 0, 1, Fraction(0)), Edge("r1", 1, 2, Fraction(1)), Edge("r2", 0, 2, Fraction(2)))
+    )
+    p = Position(graph=graph, reserve=reserve)
+    caps = Caps(naive_max_total_edges=6)
+    verdicts = []
+    for busted in enumerate_buster_moves(p):
+        if buster_wins(p, busted):
+            continue
+        for candidate in enumerate_fixer_responses(p, busted):
+            expected = verify_optimal_naive(p, busted, candidate, caps)
+            assert verify_optimal(p, busted, candidate, caps) == expected
+            assert verify_optimal(p, busted, candidate, caps, bridge_only=False) == expected
+            verdicts.append(expected)
+    assert len(verdicts) == 46
+    assert True in verdicts and False in verdicts
 
 
 def test_verify_optimal_rejects_illegal_candidate(triangle):

@@ -1,10 +1,12 @@
 import io
 import re
+from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from busterfixer import cli_main
+from busterfixer import cli, cli_main
 from busterfixer.scenario import load_bundled_scenario, render_scenario
 
 SCN = "paper_1_2.scn"
@@ -320,3 +322,58 @@ def test_replay_rows_after_buster_win_is_a_mismatch(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "REPLAY-MISMATCH" in err
     assert "Traceback" not in err
+
+
+# The parser is built once per process and reused by every cli_main call.
+
+_SUBCOMMANDS = ["simulate", "verify", "theorem-sweep", "msts", "replay", "play"]
+_SMALL_SWEEP = ["theorem-sweep", "--max-vertices", "2", "--max-total-edges", "3"]
+
+
+def test_parser_is_built_once_and_parses_like_a_fresh_one(tmp_path, capsys):
+    scenario = _scenario_path(tmp_path)
+    assert cli._build_parser() is cli._build_parser()
+    assert cli_main(["verify", scenario, "--busted", "e1,e2", "--candidate", "e4", "--no-bridge-prune"]) == 0
+    assert cli_main([*_SMALL_SWEEP, "--weights", "0.5"]) == 0
+    capsys.readouterr()
+    fresh = cli._build_parser.__wrapped__()
+    for argv in (["verify", scenario, "--busted", "e1,e2", "--candidate", "e4"], _SMALL_SWEEP):
+        assert vars(cli._build_parser().parse_args(argv)) == vars(fresh.parse_args(argv))
+
+
+def test_flags_and_defaults_do_not_leak_between_calls(tmp_path, capsys):
+    scenario = _scenario_path(tmp_path)
+    verify = ["verify", scenario, "--busted", "e1,e2", "--candidate", "e4"]
+    adjudicator = cli.adjudicator
+    with mock.patch.object(adjudicator, "verify_optimal_report", wraps=adjudicator.verify_optimal_report) as report:
+        assert cli_main([*verify, "--no-bridge-prune"]) == 0
+        assert cli_main(verify) == 0
+    assert [call.kwargs["bridge_only"] for call in report.call_args_list] == [False, True]
+    with mock.patch.object(adjudicator, "generate_instances", wraps=adjudicator.generate_instances) as gen:
+        assert cli_main([*_SMALL_SWEEP, "--weights", "0.5"]) == 0
+        assert cli_main(_SMALL_SWEEP) == 0
+    assert [call.kwargs["reserve_weights"] for call in gen.call_args_list] == [
+        [Fraction(1, 2)],
+        [Fraction(0), Fraction(1), Fraction(2)],
+    ]
+    capsys.readouterr()
+
+
+def test_usage_error_then_valid_call(tmp_path, capsys):
+    scenario = _scenario_path(tmp_path)
+    assert cli_main(["verify", scenario, "--busted", "e1,e2", "--candidate", "e4", "--naive-cap", "x"]) == 2
+    assert "invalid int value: 'x'" in capsys.readouterr().err
+    assert cli_main(["verify", scenario, "--busted", "e1,e2", "--candidate", "e4"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("OPTIMAL") and err == ""
+
+
+@pytest.mark.parametrize("command", [[], *([name] for name in _SUBCOMMANDS)])
+def test_help_matches_a_freshly_built_parser(command, capsys):
+    assert cli_main([*command, "--help"]) == 0
+    reused = capsys.readouterr()
+    with pytest.raises(SystemExit) as exited:
+        cli._build_parser.__wrapped__().parse_args([*command, "--help"])
+    assert exited.value.code == 0
+    assert reused == capsys.readouterr()
+    assert reused.out.startswith("usage: busterfixer")

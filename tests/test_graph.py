@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from busterfixer import (
     Edge,
@@ -16,6 +18,7 @@ from busterfixer import (
 )
 
 from conftest import random_multigraph, triangle_position
+from test_properties import PROPERTY
 
 
 def _graph(n, quads):
@@ -42,6 +45,16 @@ def test_parse_decimal_weight_rejects_nondecimal(bad):
 def test_parse_decimal_weight_rejects_negative():
     with pytest.raises(ValueError, match="negative"):
         parse_decimal_weight("-1")
+
+
+_DIGITS = st.text(alphabet="0123456789", min_size=1, max_size=30)
+
+
+@PROPERTY
+@given(_DIGITS, st.none() | _DIGITS)
+def test_parse_decimal_weight_equals_fraction_of_the_text(whole, frac):
+    text = whole if frac is None else f"{whole}.{frac}"
+    assert parse_decimal_weight(text) == Fraction(text)
 
 
 def test_format_weight():

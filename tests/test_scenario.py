@@ -37,6 +37,11 @@ def test_parse_basic():
     assert p.reserve.ids == {"r1"}
 
 
+def test_initial_position_is_built_once():
+    sc = parse_scenario(GOOD)
+    assert sc.initial_position() is sc.initial_position()
+
+
 def test_parse_accepts_bytes_and_order_independence():
     shuffled = "edge g1 a b 1 G\nvertex a\nvertex b\n"
     sc = parse_scenario(shuffled.encode())
