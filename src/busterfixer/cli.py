@@ -24,6 +24,8 @@ files. Diagnostics go to stderr; no input ends in a traceback.
 parser is built once, on first use, and reused: parsing does not change it,
 and usage, help and error text are formatted against the current
 ``sys.stdout``/``sys.stderr`` and terminal width when they are printed.
+Reuse saves work only for repeated calls; a one-off ``busterfixer`` run
+builds the parser once either way.
 """
 
 from __future__ import annotations

@@ -330,18 +330,8 @@ _SUBCOMMANDS = ["simulate", "verify", "theorem-sweep", "msts", "replay", "play"]
 _SMALL_SWEEP = ["theorem-sweep", "--max-vertices", "2", "--max-total-edges", "3"]
 
 
-def test_parser_is_built_once_and_parses_like_a_fresh_one(tmp_path, capsys):
-    scenario = _scenario_path(tmp_path)
-    assert cli._build_parser() is cli._build_parser()
-    assert cli_main(["verify", scenario, "--busted", "e1,e2", "--candidate", "e4", "--no-bridge-prune"]) == 0
-    assert cli_main([*_SMALL_SWEEP, "--weights", "0.5"]) == 0
-    capsys.readouterr()
-    fresh = cli._build_parser.__wrapped__()
-    for argv in (["verify", scenario, "--busted", "e1,e2", "--candidate", "e4"], _SMALL_SWEEP):
-        assert vars(cli._build_parser().parse_args(argv)) == vars(fresh.parse_args(argv))
-
-
 def test_flags_and_defaults_do_not_leak_between_calls(tmp_path, capsys):
+    assert cli._build_parser() is cli._build_parser()
     scenario = _scenario_path(tmp_path)
     verify = ["verify", scenario, "--busted", "e1,e2", "--candidate", "e4"]
     adjudicator = cli.adjudicator
