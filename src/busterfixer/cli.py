@@ -193,8 +193,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     return 0
 
 
-def _round_line(round_index: int, pos: engine.Position) -> str:
-    return f"round {round_index}: graph {_render_ids(pos.graph.ids)} reserve {_render_ids(pos.reserve.ids)}"
+def _round_line(round_index: int, graph_ids: frozenset[str], reserve_ids: frozenset[str]) -> str:
+    return f"round {round_index}: graph {_render_ids(graph_ids)} reserve {_render_ids(reserve_ids)}"
 
 
 def _cmd_play(args: argparse.Namespace) -> int:
@@ -202,7 +202,7 @@ def _cmd_play(args: argparse.Namespace) -> int:
 
     def buster(pos: engine.Position, history: tuple) -> engine.BusterAction:
         while True:
-            print(_round_line(len(history) + 1, pos))
+            print(_round_line(len(history) + 1, pos.graph.ids, pos.reserve.ids))
             entered = input("buster> ").strip()
             if entered == "quit":
                 if history:
@@ -230,10 +230,10 @@ def _cmd_play(args: argparse.Namespace) -> int:
         return 0
     if series.outcome is engine.Winner.BUSTER:
         print(f"busting {_render_ids(series.rounds[-1].busted)} cannot be fixed; Buster wins")
-    else:
-        end = engine.replay_positions(series)[-1]
-        if not end.graph:
-            print(_round_line(len(series.rounds) + 1, end))
+    else:  # the end graph is the initial graph plus every fix minus every bust
+        fixed = frozenset().union(*(r.fixed for r in series.rounds))
+        if not (series.initial.graph.ids | fixed) - frozenset().union(*(r.busted for r in series.rounds)):
+            print(_round_line(len(series.rounds) + 1, frozenset(), series.initial.reserve.ids - fixed))
             print("graph has no edges left to bust; Fixer wins")
     return 0
 

@@ -14,10 +14,11 @@ of the current reserve) is ``Position.check_fix``. A round only moves
 edge bits between the pools of one ``graph.EdgeIndex`` of the starting
 position: a bust clears graph bits, Buster wins when graph and whole
 reserve together are disconnected, and a fix moves bits from reserve to
-graph. Every function here plays or replays rounds through that one
-checked round step, on integer-scaled weights, and builds a ``Position``
-only where its caller receives one. An index lives for one walk; a
-finished ``Series`` keeps only its outcome triple.
+graph. One checked round step does this on integer-scaled weights; one
+series loop drives it, from policies in :func:`play_series` and from
+transcript rows in ``transcript.replay_transcript``, and keeps the checked
+outcome triple on the ``Series``. A ``Position`` is built only where a
+caller receives one. An index lives for one walk.
 
 Move sources and response policies are plain callables receiving the
 current position and the history of rounds played so far; the ones
@@ -34,12 +35,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import AbstractSet, Callable, Iterable, Sequence, Union
 
-from .errors import (
-    CapExceededError,
-    IdentityViolationError,
-    IllegalMoveError,
-    PolicyError,
-)
+from .errors import CapExceededError, IdentityViolationError, IllegalMoveError, PolicyError
 from .graph import DEFAULT_CAPS, Caps, EdgeIndex, Multigraph
 from .reconnect import greedy_fixer_move
 
@@ -48,21 +44,16 @@ from .reconnect import greedy_fixer_move
 QUIT_PROBABILITY = 0.15
 
 
-class _QuitToken:
-    """Buster's explicit decision to stop playing."""
+class _QuitToken(Enum):
+    """Buster's explicit decision to stop playing; its one member is :data:`QUIT`."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    QUIT = "QUIT"
 
     def __repr__(self) -> str:
         return "QUIT"
 
 
-QUIT = _QuitToken()
+QUIT = _QuitToken.QUIT
 
 BusterAction = Union[frozenset, _QuitToken]
 
@@ -139,8 +130,9 @@ class Series:
 
     @cached_property
     def _totals(self) -> OutcomeTriple:
-        """The checked outcome triple :func:`series_totals` returns, computed on first use."""
-        return _checked_totals(self)
+        """The checked triple :func:`series_totals` returns: kept by the series loop, else replayed once."""
+        index, masks = _replay(self)
+        return _checked_totals(index, self, *masks[-1])
 
 
 @dataclass(frozen=True)
@@ -248,6 +240,54 @@ def enumerate_buster_moves(p: Position, caps: Caps = DEFAULT_CAPS) -> list[froze
     return moves
 
 
+def _play(
+    initial: Position,
+    buster: Callable[[_Walk, list[RoundRecord]], BusterAction],
+    fixer: Callable[[frozenset[str], list[RoundRecord]], Iterable[str]],
+) -> tuple[Series, EdgeIndex, list[tuple[int, int]]]:
+    """The one series loop; returns the series (triple kept), its index and the masks of every position reached.
+
+    ``buster`` sees the walk at each round's entering position and the rounds so far; ``fixer`` is asked
+    only when Buster does not win. Errors are those of :func:`play_series`.
+    """
+    walk = _Walk(initial)
+    if not walk.connected(walk.graph):
+        raise IllegalMoveError("initial graph must be connected")
+    rounds: list[RoundRecord] = []
+    masks = [(walk.graph, walk.reserve)]
+    while True:
+        round_index = len(rounds) + 1
+        if not walk.graph:
+            outcome = Winner.FIXER  # Buster cannot move; forced quit
+            break
+        action = buster(walk, rounds)
+        if isinstance(action, _QuitToken):
+            if not rounds:
+                raise PolicyError("Buster may not quit before making any move", round_index)
+            outcome = Winner.FIXER
+            break
+        busted = frozenset(action)
+        edges, reserve_weight = (walk.graph | walk.reserve).bit_count(), walk.weight_of(walk.reserve)
+        try:
+            fixed, wins = walk.round(busted, lambda: fixer(busted, rounds), round_index)
+        except IllegalMoveError as exc:
+            raise PolicyError(str(exc), round_index) from None
+        rounds.append(RoundRecord(busted=busted, fixed=fixed))
+        masks.append((walk.graph, walk.reserve))
+        if wins:
+            outcome = Winner.BUSTER
+            break
+        if (walk.graph | walk.reserve).bit_count() != edges - len(busted):
+            raise IdentityViolationError("per-round edge conservation failed")
+        if reserve_weight - walk.weight_of(walk.reserve) != walk.weight_of(walk.mask_of(fixed)):
+            raise IdentityViolationError("per-round reserve weight conservation failed")
+        if len(rounds) > initial.total_edges:
+            raise IdentityViolationError("series exceeded its termination bound")
+    series = Series(initial=initial, rounds=tuple(rounds), outcome=outcome)
+    series.__dict__["_totals"] = _checked_totals(walk, series, walk.graph, walk.reserve)
+    return series, walk, masks
+
+
 def play_series(initial: Position, buster: BusterPolicy, fixer: FixerPolicy) -> Series:
     """Alternate Buster moves and Fixer responses until a win or a quit.
 
@@ -258,43 +298,18 @@ def play_series(initial: Position, buster: BusterPolicy, fixer: FixerPolicy) -> 
     illegal bust or fix carries the :meth:`Position.check_bust` or
     :meth:`Position.check_fix` message.
 
-    Per-round conservation of the combined pool is asserted; a violation
-    raises ``IdentityViolationError`` and indicates an engine bug.
+    Per-round conservation and both routes to the outcome triple are asserted;
+    a violation raises ``IdentityViolationError`` and indicates an engine bug.
     """
-    walk = _Walk(initial)
-    if not walk.connected(walk.graph):
-        raise IllegalMoveError("initial graph must be connected")
-    rounds: list[RoundRecord] = []
     pos = initial
-    while True:
-        round_index = len(rounds) + 1
-        if not walk.graph:
-            outcome = Winner.FIXER  # Buster cannot move; forced quit
-            break
-        action = buster(pos, tuple(rounds))
-        if isinstance(action, _QuitToken):
-            if not rounds:
-                raise PolicyError("Buster may not quit before making any move", round_index)
-            outcome = Winner.FIXER
-            break
-        busted = frozenset(action)
-        edges, reserve_weight = (walk.graph | walk.reserve).bit_count(), walk.weight_of(walk.reserve)
-        try:
-            fixed, wins = walk.round(busted, lambda: fixer(pos, busted, tuple(rounds)), round_index)
-        except IllegalMoveError as exc:
-            raise PolicyError(str(exc), round_index) from None
-        rounds.append(RoundRecord(busted=busted, fixed=fixed))
-        if wins:
-            outcome = Winner.BUSTER
-            break
-        if (walk.graph | walk.reserve).bit_count() != edges - len(busted):
-            raise IdentityViolationError("per-round edge conservation failed")
-        if reserve_weight - walk.weight_of(walk.reserve) != walk.weight_of(walk.mask_of(fixed)):
-            raise IdentityViolationError("per-round reserve weight conservation failed")
-        if len(rounds) > initial.total_edges:
-            raise IdentityViolationError("series exceeded its termination bound")
-        pos = walk.position()
-    return Series(initial=initial, rounds=tuple(rounds), outcome=outcome)
+
+    def move(walk: _Walk, rounds: list[RoundRecord]) -> BusterAction:
+        nonlocal pos
+        if rounds:
+            pos = walk.position()
+        return buster(pos, tuple(rounds))
+
+    return _play(initial, move, lambda busted, rounds: fixer(pos, busted, tuple(rounds)))[0]
 
 
 def _replay(s: Series) -> tuple[EdgeIndex, list[tuple[int, int]]]:
@@ -342,16 +357,17 @@ def series_totals(s: Series) -> OutcomeTriple:
     weight drop ``w(R1)-w(Rend)``. Disagreement raises
     ``IdentityViolationError`` (an engine bug, not a caller error); an
     illegal series raises ``IllegalMoveError``. The triple is computed once
-    per ``Series`` object and kept on it.
+    per ``Series`` object and kept on it: by the walk that played or
+    replayed it (:func:`play_series`, ``transcript.replay_transcript``), or
+    else by one replay on the first call.
     """
     return s._totals
 
 
-def _checked_totals(s: Series) -> OutcomeTriple:
-    index, masks = _replay(s)
+def _checked_totals(index: EdgeIndex, s: Series, end_graph: int, end_reserve: int) -> OutcomeTriple:
+    """``s``'s triple by the direct sums, checked against the identity on its end masks over ``index``."""
     direct_busted = sum(len(r.busted) for r in s.rounds)
     direct_cost = sum(index.weight_of(index.mask_of(r.fixed)) for r in s.rounds)
-    end_graph, end_reserve = masks[-1]
     identity_busted = s.initial.total_edges - (end_graph | end_reserve).bit_count()
     identity_cost = index.weight_of(index.reserve_mask) - index.weight_of(end_reserve)
     if direct_busted != identity_busted or direct_cost != identity_cost:

@@ -20,18 +20,9 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Sequence
 
-from .engine import (
-    QUIT,
-    Position,
-    Series,
-    Winner,
-    _replay,
-    play_series,
-    scripted_buster,
-    scripted_fixer,
-)
+from .engine import QUIT, Position, Series, Winner, _play, _replay
 from .errors import ScenarioParseError
-from .graph import format_weight
+from .graph import EdgeIndex, format_weight
 
 _COLUMNS = ("j", "G_j", "R_j", "B_j", "F_j", "sum|B|", "sum w(F)", "Winner")
 
@@ -79,13 +70,8 @@ class ParsedTranscript:
     winner: str
 
 
-def transcript_rows(s: Series) -> list[TranscriptRow]:
-    """The rows of ``s``'s transcript, built from one replay of the series on masks.
-
-    Raises ``IllegalMoveError`` when the series does not replay legally,
-    a zero-round series included.
-    """
-    index, masks = _replay(s)
+def transcript_rows(s: Series, index: EdgeIndex, masks: Sequence[tuple[int, int]]) -> list[TranscriptRow]:
+    """The one row builder: ``s``'s rows from the (graph, reserve) masks a walk of ``s`` over ``index`` entered."""
     rows = []
     busted_total = cost_total = 0
     for j, ((graph, reserve), record) in enumerate(zip(masks, s.rounds), start=1):
@@ -103,7 +89,7 @@ def render_transcript(s: Series, *, scenario: str = "scenario", policy: str = ""
     A zero-round series renders as the headers plus a winner line only.
     Raises ``IllegalMoveError`` when the series does not replay legally.
     """
-    return _format_rows(transcript_rows(s), s.outcome, scenario, policy)
+    return _format_rows(transcript_rows(s, *_replay(s)), s.outcome, scenario, policy)
 
 
 def _format_rows(rows: Sequence[TranscriptRow], outcome: Winner, scenario: str, policy: str) -> str:
@@ -177,21 +163,19 @@ def parse_transcript(text: str) -> ParsedTranscript:
 def replay_transcript(initial: Position, parsed: ParsedTranscript) -> Series:
     """Re-execute a transcript and re-assert every recorded column.
 
-    The busted/fixed columns drive scripted policies through the engine,
-    and every row :func:`transcript_rows` builds from the replayed series
-    must equal the parsed row, the final winner included. A different row
+    The busted/fixed columns drive the engine's series loop, and every row
+    built from that one walk must equal the parsed row, the final winner
+    included; illegal moves raise as in ``play_series``. A different row
     count or any differing cell raises ``ScenarioParseError`` naming the
-    first mismatching row.
+    first mismatching row. The returned series keeps its outcome triple.
     """
-    script = [row.busted for row in parsed.rows]
-    if parsed.winner == Winner.FIXER.value:
-        script.append(QUIT)
-    series = play_series(
+    script = parsed.rows
+    series, index, masks = _play(
         initial,
-        scripted_buster(script),
-        scripted_fixer([row.fixed for row in parsed.rows]),
+        lambda walk, done: script[len(done)].busted if len(done) < len(script) else QUIT,
+        lambda busted, done: script[len(done)].fixed,
     )
-    rows = transcript_rows(series)
+    rows = transcript_rows(series, index, masks)
     if len(rows) != len(parsed.rows):
         raise ScenarioParseError(f"transcript has {len(parsed.rows)} rows, replay has {len(rows)}")
     for built, row in zip(rows, parsed.rows):

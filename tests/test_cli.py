@@ -296,6 +296,22 @@ def test_play_session_quit_first_then_empty_graph(tmp_path, monkeypatch, capsys)
     )
 
 
+def test_play_emptied_graph_line_keeps_the_unspent_reserve(tmp_path, monkeypatch, capsys):
+    loops = tmp_path / "loops.scn"
+    loops.write_text("vertex a\nedge l a a 1 G\nedge m a a 1 G\nedge r a a 0 R\n", encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", io.StringIO("l\nm\n"))
+    assert cli_main(["play", str(loops)]) == 0
+    assert capsys.readouterr().out == (
+        "playing loops; enter Buster moves as comma-separated edge ids, or 'quit'\n"
+        "round 1: graph {l,m} reserve {r}\n"
+        "buster> fixer responds {} (cost 0)\n"
+        "round 2: graph {m} reserve {r}\n"
+        "buster> fixer responds {} (cost 0)\n"
+        "round 3: graph {} reserve {r}\n"
+        "graph has no edges left to bust; Fixer wins\n"
+    )
+
+
 def test_play_session_move_then_eof(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO("e1,e2\n"))
     assert cli_main(["play", SCN]) == 0

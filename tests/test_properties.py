@@ -1,6 +1,7 @@
 """Property tests over random instances, derandomized so every run is identical."""
 
 import string
+from dataclasses import fields, replace
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -9,9 +10,12 @@ from hypothesis import strategies as st
 from busterfixer import (
     QUIT,
     Edge,
+    GameError,
     Multigraph,
     Position,
     ScenarioFile,
+    ScenarioParseError,
+    Series,
     Winner,
     all_msts,
     buster_wins,
@@ -29,10 +33,15 @@ from busterfixer import (
     render_transcript,
     replay_positions,
     replay_transcript,
+    scripted_buster,
+    scripted_fixer,
+    series_totals,
     verify_optimal,
     verify_optimal_naive,
 )
 from busterfixer.scenario import EdgeDeclaration
+from busterfixer.engine import _replay
+from busterfixer.transcript import _COLUMNS, ParsedTranscript, TranscriptRow, transcript_rows
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=300)
 
@@ -147,3 +156,91 @@ def test_mask_round_step_matches_multigraph_reference(p, seed):
         assert positions[j + 1] == pos
         survived = series.outcome is Winner.FIXER or j < series.length - 1
         assert is_connected(pos.graph) == survived
+
+
+def _reference_replay(initial: Position, parsed: ParsedTranscript) -> Series:
+    """Transcript replay by scripted policies and a second walk for the rows, as it was before the shared loop."""
+    series = play_series(
+        initial,
+        scripted_buster([row.busted for row in parsed.rows] + [QUIT]),
+        scripted_fixer([row.fixed for row in parsed.rows]),
+    )
+    rows = transcript_rows(series, *_replay(series))
+    if len(rows) != len(parsed.rows):
+        raise ScenarioParseError(f"transcript has {len(parsed.rows)} rows, replay has {len(rows)}")
+    for built, row in zip(rows, parsed.rows):
+        mismatches = [
+            column
+            for column, field in zip(_COLUMNS, fields(TranscriptRow))
+            if getattr(built, field.name) != getattr(row, field.name)
+        ]
+        if mismatches:
+            raise ScenarioParseError(
+                f"round {built.round_index}: transcript disagrees with replay on {', '.join(mismatches)}"
+            )
+    return series
+
+
+def _result(replay, initial: Position, parsed: ParsedTranscript):
+    try:
+        return replay(initial, parsed)
+    except GameError as exc:
+        return type(exc), str(exc)
+
+
+def _tampered(parsed: ParsedTranscript) -> list[ParsedTranscript]:
+    """Copies of ``parsed`` with one defect each: a row dropped or appended, cells swapped, a bad fix or winner."""
+    rows = parsed.rows
+    copies = [rows[:j] + rows[j + 1:] for j in range(len(rows))]
+    copies.append(())
+    if rows:
+        last = rows[-1]
+        copies.append(rows + (replace(last, round_index=last.round_index + 1),))
+        copies.append(rows[:-1] + (replace(last, winner="Fixer" if last.winner == "Buster" else "Buster"),))
+    for j, row in enumerate(rows):
+        copies.append(rows[:j] + (replace(row, fixed=frozenset()),) + rows[j + 1:])
+        copies.append(rows[:j] + (replace(row, fixed=row.busted),) + rows[j + 1:])
+        copies.append(rows[:j] + (replace(row, busted=frozenset()),) + rows[j + 1:])
+        if j + 1 < len(rows):
+            after = rows[j + 1]
+            swapped = (
+                replace(row, busted=after.busted, fixed=after.fixed),
+                replace(after, busted=row.busted, fixed=row.fixed),
+            )
+            copies.append(rows[:j] + swapped + rows[j + 2:])
+    return [replace(parsed, rows=copy, winner=copy[-1].winner if copy else parsed.winner) for copy in copies]
+
+
+def assert_replays_like_reference(initial: Position, parsed: ParsedTranscript) -> None:
+    for copy in [parsed] + _tampered(parsed):
+        assert _result(replay_transcript, initial, copy) == _result(_reference_replay, initial, copy)
+
+
+@PROPERTY
+@given(instances(max_vertices=4, max_total_edges=7), st.integers(0, 10**6))
+def test_replay_transcript_matches_the_scripted_reference(p, seed):
+    """Equal series, or the same exception type and message, on rendered transcripts and tampered copies."""
+    parsed = parse_transcript(render_transcript(play_series(p, random_buster(seed), greedy_fixer())))
+    assert_replays_like_reference(p, parsed)
+    disconnected = Position(graph=Multigraph(p.graph.vertex_count, ()), reserve=p.graph)
+    assert_replays_like_reference(disconnected, parsed)
+
+
+def test_replay_transcript_matches_the_scripted_reference_on_an_emptied_graph():
+    # one vertex: busting both loops empties a connected graph, which forces a Fixer win
+    loops = tuple(Edge(i, 0, 0, Fraction(1)) for i in ("a", "b"))
+    p = Position(graph=Multigraph(1, loops), reserve=Multigraph(1, (Edge("r", 0, 0, Fraction(1, 2)),)))
+    series = play_series(p, scripted_buster([{"a"}, {"b"}]), greedy_fixer())
+    assert series.outcome is Winner.FIXER and len(series.rounds) == 2
+    assert_replays_like_reference(p, parse_transcript(render_transcript(series)))
+
+
+@PROPERTY
+@given(instances(max_vertices=4, max_total_edges=8), st.integers(0, 10**6))
+def test_kept_triple_matches_the_replay_route(p, seed):
+    played = play_series(p, random_buster(seed), greedy_fixer())
+    replayed = replay_transcript(p, parse_transcript(render_transcript(played)))
+    for s in (played, replayed):
+        kept = vars(s)["_totals"]  # kept by the walk that made the series, before any series_totals call
+        assert kept == series_totals(Series(s.initial, s.rounds, s.outcome))
+        assert series_totals(s) is kept

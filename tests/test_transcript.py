@@ -15,10 +15,13 @@ from busterfixer import (
     greedy_fixer,
     parse_transcript,
     play_series,
+    random_buster,
     render_transcript,
     replay_transcript,
     scripted_buster,
+    series_totals,
 )
+from busterfixer import engine
 
 from conftest import triangle_position
 from series_tables import ALL_FAMILIES, ALL_SERIES, play_table_series
@@ -174,3 +177,21 @@ def test_replay_rejects_rows_after_buster_win():
     )
     with pytest.raises(ScenarioParseError, match="3 rows, replay has 1"):
         replay_transcript(initial, parse_transcript(text))
+
+
+def test_play_totals_render_replay_walks_each_series_three_times(triangle, monkeypatch):
+    # one walk each for play, render and replay; totals are kept by the play and the replay
+    walked = []
+    walk_init = engine._Walk.__init__
+
+    def counting_init(self, p):
+        walked.append(p)
+        walk_init(self, p)
+
+    monkeypatch.setattr(engine._Walk, "__init__", counting_init)
+    series = play_series(triangle, random_buster(1), greedy_fixer())
+    totals = series_totals(series)
+    text = render_transcript(series, scenario="paper_1_2")
+    replayed = replay_transcript(triangle, parse_transcript(text))
+    assert series_totals(replayed) == totals
+    assert len(series.rounds) == 3 and walked == [triangle] * 3
