@@ -59,15 +59,12 @@ weights by the least common multiple of their denominators, so budgets,
 floors and memo keys are ints and ``Fraction`` appears only at the
 boundary, in the ``OutcomeTriple`` of a witness. No float is ever involved.
 
-Searches are pure given their inputs. The optional ``cache`` argument is a
-plain dict. It keeps the last position's arena (reused by every later call
-on that same ``Position`` object, replaced by a call on any other), and
-that arena's reachability search stores its results there too, keyed by
-id-free canonical position signatures so that they serve every later
-instance; the arena's own memo is consulted first. Share one across calls
-to speed up sweeps. Reuse is exact: a verdict and its witness are the same
-with or without the cache, and inserts are idempotent, so concurrent use
-only ever costs recomputation, never inconsistency.
+Searches are pure given their inputs, and every memo is per position,
+keyed only by what decides its answer. The optional ``cache`` argument is
+a plain dict that holds one entry, the last position's arena: every later
+call on that same ``Position`` object reuses it and its memos, and a call
+on any other replaces it. Share one across calls to speed up sweeps. Reuse
+is exact: a verdict and its witness are the same with or without the cache.
 """
 
 from __future__ import annotations
@@ -143,16 +140,13 @@ class _Arena(EdgeIndex):
     """The verifier's view of one position: its edge index plus the search memos.
 
     Everything is derived from the immutable position, so the arena carries
-    the memos shared by every verify call on it, and the optional
-    cross-instance ``cache`` its reachability search consults after them.
+    the memos shared by every verify call on it.
     """
 
-    def __init__(self, p: Position, cache: dict | None = None):
+    def __init__(self, p: Position):
         super().__init__(p.graph, p.reserve)
         self.position = p
-        self.cache = cache
         self._responses: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-        self._signature: dict[int, tuple] = {}
         self.dominance_memo: dict = {}
         self.adjudications: dict[tuple[int, bool], _Adjudication] = {}  # by (graph mask left, bridge_only)
 
@@ -193,21 +187,6 @@ class _Arena(EdgeIndex):
         ids = self.ids
         return sorted((weight, tuple(sorted(ids[i] for i in _bit_indices(mask))), mask) for mask, weight in responses)
 
-    def signature(self, mask: int) -> tuple:
-        """Id-free canonical key of a mask: sorted endpoint/weight triples."""
-        cached = self._signature.get(mask)
-        if cached is None:
-            triples = []
-            for i in _bit_indices(mask):
-                u, v = self.ends[i]
-                if u > v:
-                    u, v = v, u
-                triples.append((u, v, self.weights[i]))
-            cached = tuple(sorted(triples))
-            self._signature[mask] = cached
-        return cached
-
-
     def dominated(
         self, graph_mask: int, reserve_mask: int, bust_budget: int, spend_floor: int, target_win: bool
     ) -> bool:
@@ -217,8 +196,7 @@ class _Arena(EdgeIndex):
         the target's bust total; ``spend_floor`` is how much more Fixer must be
         made to spend (in the arena's scaled weights) to reach the target's
         cost. Buster nodes take OR over moves and quitting; Fixer responses are
-        taken conjunctively. Results are memoized per arena first and then,
-        under the id-free signature key, in the shared ``cache``.
+        taken conjunctively. Results are memoized in ``dominance_memo``.
         """
         pool = (graph_mask | reserve_mask).bit_count()
         if bust_budget < 0:
@@ -236,21 +214,6 @@ class _Arena(EdgeIndex):
         hit = memo.get(key)
         if hit is not None:
             return hit
-        cache = self.cache
-        if cache is not None:
-            ckey = (
-                self.n,
-                self.scale,
-                self.signature(graph_mask),
-                self.signature(reserve_mask),
-                bust_budget,
-                spend_floor,
-                target_win,
-            )
-            hit = cache.get(ckey)
-            if hit is not None:
-                memo[key] = hit
-                return hit
         result = False
         for bust in _nonempty_submasks(graph_mask):
             size = bust.bit_count()
@@ -269,8 +232,6 @@ class _Arena(EdgeIndex):
                 result = True
                 break
         memo[key] = result
-        if cache is not None:
-            cache[ckey] = result
         return result
 
 
@@ -322,14 +283,15 @@ class _Adjudication:
         memo[key] = failing
         return failing
 
-    def survives(
-        self, graph_mask: int, reserve_mask: int, busted_so_far: int, spent_so_far: int
-    ) -> tuple[bool, _Failure | None]:
+    def survives(self, graph_mask: int, reserve_mask: int) -> tuple[bool, _Failure | None]:
         """Does some continuation strategy keep every reachable outcome passing?
 
         Fixer nodes take OR over legal responses; Buster's moves and the quit
         available at every surviving node are taken conjunctively, with
-        :meth:`check` applied to each completed outcome triple.
+        :meth:`check` applied to each completed outcome triple. The outcome
+        so far follows from the two masks by the end-state identity: every
+        busted edge has left the pool, and every spent edge's weight has
+        left the reserve.
 
         Returns the verdict and the first failing check met in depth-first
         order below this node (None when there is none). Both depend only on
@@ -337,29 +299,31 @@ class _Adjudication:
         shares ``survive_memo``, and the first failure of a root is the same
         however much of its subtree was answered from the memo.
         """
-        key = (graph_mask, reserve_mask, busted_so_far, spent_so_far)
+        key = (graph_mask, reserve_mask)
         memo = self.survive_memo
         hit = memo.get(key)
         if hit is not None:
             return hit
         arena = self.arena
-        alt = self.check(True, busted_so_far, spent_so_far)  # Buster may quit here
+        busted = len(arena.edges) - (graph_mask | reserve_mask).bit_count()
+        spent = arena.weight_of(arena.reserve_mask) - arena.weight_of(reserve_mask)
+        alt = self.check(True, busted, spent)  # Buster may quit here
         if alt is not None:
-            result = (False, (True, busted_so_far, spent_so_far, alt))
+            result = (False, (True, busted, spent, alt))
         else:
             ok, first = True, None
             for bust in _nonempty_submasks(graph_mask):
-                total = busted_so_far + bust.bit_count()
                 left = graph_mask ^ bust
                 if not arena.connected(left | reserve_mask):
-                    alt = self.check(False, total, spent_so_far)
+                    total = busted + bust.bit_count()
+                    alt = self.check(False, total, spent)
                     if alt is not None:
                         ok = False
-                        first = first or (False, total, spent_so_far, alt)
+                        first = first or (False, total, spent, alt)
                         break
                     continue
-                for fix, fix_weight in arena.responses(left, reserve_mask):
-                    survived, failure = self.survives(left | fix, reserve_mask ^ fix, total, spent_so_far + fix_weight)
+                for fix, _ in arena.responses(left, reserve_mask):
+                    survived, failure = self.survives(left | fix, reserve_mask ^ fix)
                     first = first or failure
                     if survived:
                         break
@@ -387,7 +351,7 @@ def _arena_for(p: Position, caps: Caps, cache: dict | None) -> _Arena:
         return _Arena(p)
     arena = cache.get(_LAST_ARENA)
     if arena is None or arena.position is not p:
-        arena = cache[_LAST_ARENA] = _Arena(p, cache)
+        arena = cache[_LAST_ARENA] = _Arena(p)
     return arena
 
 
@@ -442,9 +406,8 @@ def verify_optimal_report(
     ``cache``, consecutive calls on the same ``Position`` object reuse one
     arena, and calls on the same bust and ``bridge_only`` reuse its
     ``_Adjudication``: alternatives, check memo and survival memo. The
-    arena's reachability search also shares its results with later
-    instances through ``cache``. The result, witness included, is the same
-    as with ``cache=None``.
+    cache holds that one arena and nothing else. The result, witness
+    included, is the same as with ``cache=None``.
     """
     if p.total_edges > caps.max_total_edges:
         raise CapExceededError(f"position has {p.total_edges} edges, cap is {caps.max_total_edges}")
@@ -457,9 +420,7 @@ def verify_optimal_report(
     job = arena.adjudications.get((left, bridge_only))
     if job is None:
         job = arena.adjudications[left, bridge_only] = _Adjudication(arena, left, bridge_only)
-    ok, failure = job.survives(
-        left | cand_mask, arena.reserve_mask ^ cand_mask, job.base_busted, arena.weight_of(cand_mask)
-    )
+    ok, failure = job.survives(left | cand_mask, arena.reserve_mask ^ cand_mask)
     if ok:
         return VerifyResult(optimal=True, alternatives=len(job.alt_lines))
     win, total_busted, spent, alt = failure
@@ -649,10 +610,10 @@ def theorem_sweep(
     the reserve-subset cap is checked as each instance's arena is fetched,
     before its Buster moves or converse list are enumerated.
 
-    One ``cache`` is shared by every check: it holds cross-instance search
-    results and the current instance's arena, so every move, response and
-    prune setting of an instance reuses one arena and its per-bust memos
-    on exact integer-scaled weights. Buster-wins is decided on that arena.
+    One ``cache`` is shared by every check: it holds the current instance's
+    arena, so every move, response and prune setting of an instance reuses
+    one arena and its per-bust memos on exact integer-scaled weights.
+    Buster-wins is decided on that arena.
     The greedy list comes from ``contract``/``all_msts``, independently of
     the arena; the converse list is the arena's ordered responses, the same
     enumeration the verifier compares against, which

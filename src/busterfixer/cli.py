@@ -83,6 +83,13 @@ def _weights(text: str) -> list:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _positive(text: str) -> int:
+    """A decimal integer of at least 1: a smaller size bound would admit no instance."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return int(text)
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -244,7 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     caps_parent = argparse.ArgumentParser(add_help=False)
-    caps_parent.add_argument("--max-total-edges", type=int, default=adjudicator.DEFAULT_CAPS.max_total_edges)
+    caps_parent.add_argument("--max-total-edges", type=_positive, default=adjudicator.DEFAULT_CAPS.max_total_edges)
     caps_parent.add_argument("--no-bridge-prune", action="store_true")
 
     out_parent = argparse.ArgumentParser(add_help=False)
@@ -264,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theorem-sweep", parents=[caps_parent, out_parent],
                        help="check greedy optimality over all instances within caps")
-    p.add_argument("--max-vertices", type=int, default=3)
+    p.add_argument("--max-vertices", type=_positive, default=3)
     p.add_argument("--weights", type=_weights, default="0,1,2", help="comma-separated decimal reserve weights")
     p.add_argument("--compare-prune", action="store_true",
                    help="also run every check without the bridge restriction and compare")

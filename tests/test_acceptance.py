@@ -107,6 +107,15 @@ def test_criterion_3_theorem_sweep(sweep_once):
     )
 
 
+def test_sweep_tallies_pinned(sweep_once):
+    # the default corpus's tallies, kept identical by every change that does
+    # not deliberately widen coverage
+    report, _ = sweep_once
+    tallies = (report.instances, report.moves, report.greedy_checked, report.responses_checked)
+    assert tallies == (10_015, 58_917, 61_012, 59_973)
+    assert (len(report.counterexamples), len(report.prune_mismatches)) == (0, 0)
+
+
 def _prim_equivalence_corpus(max_c=4, max_edges=6, weights=(1, 2, 3)):
     """All connected contracted multigraphs up to vertex relabeling.
 

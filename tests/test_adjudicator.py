@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -254,17 +255,29 @@ def _every_check(p):
 
 
 def _assert_shared_cache_changes_nothing(positions, cache):
+    """Check every shared-cache report against a fresh one; return the fresh reports' sha256."""
+    digest = hashlib.sha256()
     for p in positions:
         for busted, candidate, bridge_only in _every_check(p):
             shared = verify_optimal_report(p, busted, candidate, bridge_only=bridge_only, cache=cache)
             fresh = verify_optimal_report(p, busted, candidate, bridge_only=bridge_only)
             assert shared == fresh
+            assert len(cache) <= 1  # the current arena and nothing else
+            outcome, alt = fresh.failing_outcome, fresh.failing_alternative
+            digest.update(repr((
+                sorted(busted), sorted(candidate), bridge_only, fresh.optimal, fresh.alternatives,
+                outcome and (outcome.fixer_win, outcome.total_busted, str(outcome.fix_cost)),
+                alt if alt is None else sorted(alt),
+            )).encode())
+    return digest.hexdigest()
 
 
 def test_shared_cache_reports_equal_fresh_reports():
-    # one cache across the whole corpus: the cross-instance results and the
-    # per-instance arena and per-bust memos must not move a verdict or witness
-    _assert_shared_cache_changes_nothing(generate_instances(3, 4, (0, 1, 2)), {})
+    # one cache across the whole corpus: reusing each instance's arena and
+    # per-bust memos must not move a verdict or witness, and every fresh
+    # verdict and witness is pinned by hash
+    digest = _assert_shared_cache_changes_nothing(generate_instances(3, 4, (0, 1, 2)), {})
+    assert digest == "2ce540bdeebf3c34a27a45f2f96fe9f73a9475cb13d699b167776e24156e7ca0"
 
 
 _ACROSS_EXAMPLES: dict = {}
@@ -274,7 +287,7 @@ _ACROSS_EXAMPLES: dict = {}
 @given(instances(max_vertices=3, max_total_edges=5))
 def test_shared_cache_reports_equal_fresh_reports_fractional(p):
     # weights with denominators 2 and 3 give arenas of scale 2, 3 and 6; one
-    # cache across all examples mixes scales in its cross-instance entries
+    # cache across all examples replaces its arena with each new example
     _assert_shared_cache_changes_nothing([p], _ACROSS_EXAMPLES)
 
 

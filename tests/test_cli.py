@@ -202,6 +202,10 @@ def test_theorem_sweep_decimal_weights(capsys):
         ["theorem-sweep", "--weights", "a"],
         ["theorem-sweep", "--weights", "-1"],
         ["theorem-sweep", "--weights", "1/2"],
+        ["theorem-sweep", "--max-vertices", "0"],
+        ["theorem-sweep", "--max-vertices", "-1"],
+        ["theorem-sweep", "--max-total-edges", "0"],
+        ["theorem-sweep", "--max-total-edges", "-3"],
         ["replay", SCN, "{latin1}"],
         ["replay", SCN, "{dir}"],
         ["simulate", "{dir}"],
