@@ -35,12 +35,15 @@ Every list of legal responses and every round-legality check comes from
 one place, the per-instance bitmask arena. The arena is the engine's
 ``graph.EdgeIndex`` (edge bits, integer-scaled weights, memoized
 connectivity and weight per mask) plus the reachability search and its
-memo: ``_Arena.ordered_responses`` lists the responses cheapest first
-(``enumerate_fixer_responses`` is a thin wrapper over it),
-``_Arena.left_after`` checks a bust, the index's ``unfixable`` decides
-Buster-wins and ``_legal_round`` checks a candidate. Per bust and prune
-setting the arena keeps one ``_Adjudication``: the alternative lines, the
-check memo and the survival search with its memo.
+memos: ``_Arena.ordered_responses`` lists the responses cheapest first,
+sorted once per graph mask and setting (``enumerate_fixer_responses``
+wraps it), and ``_Arena.busts`` is the bust table both searches walk, in
+the depth-first order that fixes the first failure a search reports.
+``_legal_bust`` checks a bust and decides Buster-wins with the index's
+``unfixable``; ``_legal_candidate`` checks a candidate against it. Per
+bust and prune setting ``_Arena.adjudication`` keeps one
+``_Adjudication``: the alternative lines, the check memo and the survival
+search with its memo; ``theorem_sweep`` fetches it once per Buster move.
 By default the alternatives compared against are restricted to responses
 whose every edge is a bridge after the fix (equivalently, spanning trees
 of the contracted graph, the reconnecting sets of fewest edges); this
@@ -52,7 +55,7 @@ Every size limit comes from one :class:`Caps` object (defined in
 ``graph`` and re-exported here); exceeding it raises ``CapExceededError``.
 Every entry point gets its arena from ``_arena_for``, the one check of the
 reserve-subset cap, made before any response is enumerated. The total-edge
-caps are checked by ``verify_optimal_report`` and ``verify_optimal_naive``.
+caps are checked by the two verifiers and, per instance, the sweep.
 
 The searches run on exact integers: each arena's index scales its edge
 weights by the least common multiple of their denominators, so budgets,
@@ -63,8 +66,8 @@ Searches are pure given their inputs, and every memo is per position,
 keyed only by what decides its answer. The optional ``cache`` argument is
 a plain dict that holds one entry, the last position's arena: every later
 call on that same ``Position`` object reuses it and its memos, and a call
-on any other replaces it. Share one across calls to speed up sweeps. Reuse
-is exact: a verdict and its witness are the same with or without the cache.
+on any other replaces it. It serves only callers that pass it; the sweep
+does not. Reuse is exact: a verdict and witness are the same without it.
 """
 
 from __future__ import annotations
@@ -130,10 +133,13 @@ def enumerate_fixer_responses(p: Position, busted: frozenset[str], caps: Caps = 
     reconnects.
     """
     arena = _arena_for(p, caps, None)
-    left = arena.left_after(frozenset(busted))
-    if arena.unfixable(left, arena.reserve_mask):
+    left = _legal_bust(arena, busted)
+    if left is None:
         raise BusterWinsError("no response can reconnect; Buster wins this round")
     return [frozenset(ids) for _, ids, _ in arena.ordered_responses(left)]
+
+
+_Ordered = tuple[tuple[int, tuple[str, ...], int], ...]
 
 
 class _Arena(EdgeIndex):
@@ -147,6 +153,8 @@ class _Arena(EdgeIndex):
         super().__init__(p.graph, p.reserve)
         self.position = p
         self._responses: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+        self._ordered: dict[tuple[int, bool], _Ordered] = {}
+        self._busts: dict[int, tuple[tuple[int, int], ...]] = {}
         self.dominance_memo: dict = {}
         self.adjudications: dict[tuple[int, bool], _Adjudication] = {}  # by (graph mask left, bridge_only)
 
@@ -172,20 +180,44 @@ class _Arena(EdgeIndex):
             self._responses[key] = cached
         return cached
 
-    def ordered_responses(self, graph_mask: int, bridge_only: bool = False) -> list[tuple[int, tuple[str, ...], int]]:
+    def ordered_responses(self, graph_mask: int, bridge_only: bool = False) -> _Ordered:
         """Every response reconnecting ``graph_mask`` from the full reserve, cheapest first.
 
         Each is (scaled weight, sorted ids, reserve mask), ordered by weight
-        and then by ids. With ``bridge_only``, only the sets of fewest edges.
+        and then by ids, memoized per graph mask and setting. With
+        ``bridge_only``, only the sets of fewest edges, kept before sorting.
         """
-        responses = self.responses(graph_mask, self.reserve_mask)
-        if bridge_only:
-            # Every reconnecting set has at least components(graph_mask) - 1
-            # edges; those with exactly that many are the contracted spanning trees.
-            fewest = min(mask.bit_count() for mask, _ in responses)
-            responses = [r for r in responses if r[0].bit_count() == fewest]
-        ids = self.ids
-        return sorted((weight, tuple(sorted(ids[i] for i in _bit_indices(mask))), mask) for mask, weight in responses)
+        key = (graph_mask, bridge_only)
+        ordered = self._ordered.get(key)
+        if ordered is None:
+            ids, responses = self.ids, self.responses(graph_mask, self.reserve_mask)
+            if bridge_only:
+                # Every reconnecting set has at least components(graph_mask) - 1
+                # edges; those with exactly that many are the contracted spanning trees.
+                fewest = min(mask.bit_count() for mask, _ in responses)
+                responses = [r for r in responses if r[0].bit_count() == fewest]
+            ordered = self._ordered[key] = tuple(
+                sorted((w, tuple(sorted(ids[i] for i in _bit_indices(m))), m) for m, w in responses)
+            )
+        return ordered
+
+    def busts(self, graph_mask: int) -> tuple[tuple[int, int], ...]:
+        """Each nonempty bust of ``graph_mask`` as (size, mask left), largest submask first, memoized."""
+        table = self._busts.get(graph_mask)
+        if table is None:
+            table, bust = [], graph_mask
+            while bust:
+                table.append((bust.bit_count(), graph_mask ^ bust))
+                bust = (bust - 1) & graph_mask
+            table = self._busts[graph_mask] = tuple(table)
+        return table
+
+    def adjudication(self, left: int, bridge_only: bool) -> _Adjudication:
+        """The one ``_Adjudication`` of the bust leaving ``left`` under this prune setting."""
+        job = self.adjudications.get((left, bridge_only))
+        if job is None:
+            job = self.adjudications[left, bridge_only] = _Adjudication(self, left, bridge_only)
+        return job
 
     def dominated(
         self, graph_mask: int, reserve_mask: int, bust_budget: int, spend_floor: int, target_win: bool
@@ -215,11 +247,9 @@ class _Arena(EdgeIndex):
         if hit is not None:
             return hit
         result = False
-        for bust in _nonempty_submasks(graph_mask):
-            size = bust.bit_count()
+        for size, left in self.busts(graph_mask):
             if size > bust_budget:
                 continue
-            left = graph_mask ^ bust
             if not self.connected(left | reserve_mask):
                 if spend_floor == 0:
                     result = True  # Buster wins this line within budget
@@ -233,13 +263,6 @@ class _Arena(EdgeIndex):
                 break
         memo[key] = result
         return result
-
-
-def _nonempty_submasks(mask: int) -> Iterator[int]:
-    sub = mask
-    while sub:
-        yield sub
-        sub = (sub - 1) & mask
 
 
 # A failing check met by the survival search: (win, total busted, scaled
@@ -312,10 +335,9 @@ class _Adjudication:
             result = (False, (True, busted, spent, alt))
         else:
             ok, first = True, None
-            for bust in _nonempty_submasks(graph_mask):
-                left = graph_mask ^ bust
+            for size, left in arena.busts(graph_mask):
                 if not arena.connected(left | reserve_mask):
-                    total = busted + bust.bit_count()
+                    total = busted + size
                     alt = self.check(False, total, spent)
                     if alt is not None:
                         ok = False
@@ -370,24 +392,28 @@ class VerifyResult:
     failing_alternative: frozenset[str] | None = None
 
 
-def _legal_round(arena: _Arena, busted: Iterable[str], candidate: Iterable[str]) -> tuple[int, int] | None:
-    """The graph mask the bust leaves and the candidate mask, or None when Buster wins.
-
-    Raises ``IllegalMoveError`` for an illegal bust, for a nonempty
-    candidate when Buster wins, and for a candidate outside the reserve or
-    one that does not reconnect, checked in that order.
-    """
+def _legal_bust(arena: _Arena, busted: Iterable[str]) -> int | None:
+    """The graph mask a bust leaves, or None when Buster wins; an illegal bust raises ``IllegalMoveError``."""
     left = arena.left_after(frozenset(busted))
+    return None if arena.unfixable(left, arena.reserve_mask) else left
+
+
+def _legal_candidate(arena: _Arena, left: int | None, candidate: Iterable[str]) -> int:
+    """The candidate's mask after :func:`_legal_bust` gave ``left``.
+
+    Raises ``IllegalMoveError`` for a nonempty candidate when Buster wins,
+    for one outside the reserve and for one that does not reconnect.
+    """
     candidate = frozenset(candidate)
-    if arena.unfixable(left, arena.reserve_mask):
+    if left is None:
         if candidate:
             raise IllegalMoveError("only the empty response is legal when Buster wins")
-        return None
+        return 0
     arena.position.check_fix(candidate)
     cand_mask = arena.mask_of(candidate)
     if not arena.connected(left | cand_mask):
         raise IllegalMoveError("candidate does not reconnect the busted graph")
-    return left, cand_mask
+    return cand_mask
 
 
 def verify_optimal_report(
@@ -404,22 +430,17 @@ def verify_optimal_report(
     The search runs on the arena's integer-scaled weights; the witness's
     ``fix_cost`` is converted back to an exact ``Fraction``. With a shared
     ``cache``, consecutive calls on the same ``Position`` object reuse one
-    arena, and calls on the same bust and ``bridge_only`` reuse its
-    ``_Adjudication``: alternatives, check memo and survival memo. The
-    cache holds that one arena and nothing else. The result, witness
+    arena with its memos and ``_Adjudication``s; the result, witness
     included, is the same as with ``cache=None``.
     """
     if p.total_edges > caps.max_total_edges:
         raise CapExceededError(f"position has {p.total_edges} edges, cap is {caps.max_total_edges}")
     arena = _arena_for(p, caps, cache)
-    masks = _legal_round(arena, busted, candidate)
-    if masks is None:
-        # The round is already lost; the forced empty response is optimal.
+    left = _legal_bust(arena, busted)
+    cand_mask = _legal_candidate(arena, left, candidate)
+    if left is None:  # the round is already lost; the forced empty response is optimal
         return VerifyResult(optimal=True, alternatives=0)
-    left, cand_mask = masks
-    job = arena.adjudications.get((left, bridge_only))
-    if job is None:
-        job = arena.adjudications[left, bridge_only] = _Adjudication(arena, left, bridge_only)
+    job = arena.adjudication(left, bridge_only)
     ok, failure = job.survives(left | cand_mask, arena.reserve_mask ^ cand_mask)
     if ok:
         return VerifyResult(optimal=True, alternatives=len(job.alt_lines))
@@ -489,10 +510,10 @@ def verify_optimal_naive(
     if p.total_edges > caps.naive_max_total_edges:
         raise CapExceededError(f"position has {p.total_edges} edges, naive cap is {caps.naive_max_total_edges}")
     arena = _arena_for(p, caps, None)
-    masks = _legal_round(arena, busted, candidate)
-    if masks is None:
+    left = _legal_bust(arena, busted)
+    cand_mask = _legal_candidate(arena, left, candidate)
+    if left is None:
         return True
-    left, cand_mask = masks
     base_busted = (arena.graph_mask ^ left).bit_count()
     strategy_memo: dict[tuple[int, int], list[frozenset]] = {}
 
@@ -503,9 +524,7 @@ def verify_optimal_naive(
         if hit is not None:
             return hit
         per_move: list[list[frozenset]] = []
-        for bust in _nonempty_submasks(graph_mask):
-            size = bust.bit_count()
-            remaining = graph_mask ^ bust
+        for size, remaining in arena.busts(graph_mask):
             if not arena.connected(remaining | reserve_mask):
                 per_move.append([frozenset({(False, size, 0)})])
                 continue
@@ -610,64 +629,60 @@ def theorem_sweep(
     the reserve-subset cap is checked as each instance's arena is fetched,
     before its Buster moves or converse list are enumerated.
 
-    One ``cache`` is shared by every check: it holds the current instance's
-    arena, so every move, response and prune setting of an instance reuses
-    one arena and its per-bust memos on exact integer-scaled weights.
-    Buster-wins is decided on that arena.
+    Each Buster move is adjudicated once, on one arena per instance and
+    with no ``cache``: its bust is checked once, each response (greedy ones
+    included) is checked legal, and the move's ``_Adjudication`` per prune
+    setting gives each verdict. The total-edge cap is checked first.
     The greedy list comes from ``contract``/``all_msts``, independently of
     the arena; the converse list is the arena's ordered responses, the same
     enumeration the verifier compares against, which
     ``enumerate_fixer_responses`` exposes and the tests check against a
-    brute force over reserve subsets. Reuse changes no verdict.
+    brute force over reserve subsets.
     """
     report = SweepReport()
-    cache: dict = {}
 
-    def adjudicate(p: Position, busted: frozenset[str], response: frozenset[str]) -> bool:
-        verdict = verify_optimal(p, busted, response, caps, bridge_only=bridge_only, cache=cache)
-        if compare_prune:
-            other = verify_optimal(p, busted, response, caps, bridge_only=not bridge_only, cache=cache)
-            if other != verdict:
-                report.prune_mismatches.append(
-                    Counterexample("prune-mismatch", p, busted, response, f"pruned={verdict} full={other}")
-                )
+    def adjudicate(arena: _Arena, busted: frozenset[str], left: int, jobs: list, response: frozenset[str]) -> bool:
+        cand_mask = _legal_candidate(arena, left, response)
+        graph_mask, reserve_mask = left | cand_mask, arena.reserve_mask ^ cand_mask
+        verdict = jobs[0].survives(graph_mask, reserve_mask)[0]
+        if compare_prune and jobs[1].survives(graph_mask, reserve_mask)[0] != verdict:
+            report.prune_mismatches.append(Counterexample(
+                "prune-mismatch", arena.position, busted, response, f"pruned={verdict} full={not verdict}"
+            ))
         return verdict
 
+    settings = (bridge_only, not bridge_only) if compare_prune else (bridge_only,)
     for p in instances:
         report.instances += 1
         if len(p.graph) == 0:
             continue
-        arena = _arena_for(p, caps, cache)
+        if p.total_edges > caps.max_total_edges:
+            raise CapExceededError(f"position has {p.total_edges} edges, cap is {caps.max_total_edges}")
+        arena = _arena_for(p, caps, None)
         for busted in enumerate_buster_moves(p, caps):
             report.moves += 1
-            left = arena.left_after(busted)
-            if not arena.unfixable(left, arena.reserve_mask):
-                msts = all_msts(contract(p.graph.without(busted), p.reserve.edges), caps)
-                minimum = msts[0].total_weight
-                greedy = sorted({t.edge_ids for t in msts}, key=lambda s: tuple(sorted(s)))
-                others = [frozenset(ids) for _, ids, _ in arena.ordered_responses(left)]
-            else:  # Buster wins the round: the forced empty response is the only one
-                minimum, greedy, others = Fraction(0), [frozenset()], []
+            left = _legal_bust(arena, busted)
+            if left is None:  # Buster wins the round: the forced empty response is optimal
+                report.greedy_checked += 1
+                continue
+            jobs = [arena.adjudication(left, setting) for setting in settings]
+            msts = all_msts(contract(p.graph.without(busted), p.reserve.edges), caps)
+            minimum = msts[0].total_weight
+            greedy = sorted({t.edge_ids for t in msts}, key=lambda s: tuple(sorted(s)))
             for response in greedy:
                 report.greedy_checked += 1
-                if not adjudicate(p, busted, response):
+                if not adjudicate(arena, busted, left, jobs, response):
                     report.counterexamples.append(
                         Counterexample("greedy-not-optimal", p, busted, response, f"weight {minimum}")
                     )
-            for response in others:
+            for _, ids, _ in arena.ordered_responses(left):
+                response = frozenset(ids)
                 if response in greedy:
                     continue
                 report.responses_checked += 1
-                if adjudicate(p, busted, response) and p.reserve.weight(response) != minimum:
-                    report.counterexamples.append(
-                        Counterexample(
-                            "non-minimum-optimal",
-                            p,
-                            busted,
-                            response,
-                            f"weight {p.reserve.weight(response)} > minimum {minimum}",
-                        )
-                    )
+                if adjudicate(arena, busted, left, jobs, response) and p.reserve.weight(response) != minimum:
+                    detail = f"weight {p.reserve.weight(response)} > minimum {minimum}"
+                    report.counterexamples.append(Counterexample("non-minimum-optimal", p, busted, response, detail))
     return report
 
 

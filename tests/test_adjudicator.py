@@ -2,6 +2,7 @@ import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -35,6 +36,7 @@ from busterfixer import (
     verify_optimal_naive,
 )
 
+from busterfixer import adjudicator
 from busterfixer.adjudicator import _Arena, _distinct_unions, verify_optimal_report
 from busterfixer.graph import EdgeIndex
 
@@ -322,6 +324,99 @@ def test_theorem_sweep_caps_reserve_subsets_before_enumerating(monkeypatch):
     with pytest.raises(CapExceededError, match="reserve subsets"):
         theorem_sweep([p], Caps(max_total_edges=16))
     assert calls < 100
+
+
+def test_theorem_sweep_caps_total_edges_before_enumerating(monkeypatch):
+    # a path with no reserve: every Buster move wins the round, so no
+    # verifier call would ever see the position; the cap must still raise
+    # before any move is enumerated
+    p = Position(
+        graph=Multigraph(4, tuple(Edge(f"g{i}", i, i + 1, Fraction(1)) for i in range(3))),
+        reserve=Multigraph(4, ()),
+    )
+
+    def never(*args):
+        raise AssertionError("moves enumerated before the total-edge cap")
+
+    monkeypatch.setattr(adjudicator, "enumerate_buster_moves", never)
+    with pytest.raises(CapExceededError, match="3 edges, cap is 2"):
+        theorem_sweep([p], Caps(max_total_edges=2))
+
+
+def test_theorem_sweep_checks_greedy_responses_legal(triangle, monkeypatch):
+    # a greedy list that does not reconnect must be refused by the round's
+    # candidate check, not adjudicated
+    fake = [SimpleNamespace(edge_ids=frozenset(), total_weight=Fraction(0))]
+    monkeypatch.setattr(adjudicator, "all_msts", lambda *args: fake)
+    with pytest.raises(IllegalMoveError, match="^candidate does not reconnect the busted graph$"):
+        theorem_sweep([triangle])
+
+
+def test_theorem_sweep_records_a_prune_mismatch_per_check(monkeypatch):
+    # flip every unpruned root verdict: compare_prune must record exactly one
+    # mismatch per adjudicated check, and the pruned verdicts stay clean
+    corpus = list(generate_instances(max_vertices=2, max_total_edges=4, reserve_weights=(0, 1)))
+    adjudication = _Arena.adjudication
+    roots = 0
+
+    class Flipped:
+        def __init__(self, job):
+            self.job = job
+
+        def survives(self, graph_mask, reserve_mask):
+            nonlocal roots
+            roots += 1
+            ok, failure = self.job.survives(graph_mask, reserve_mask)
+            return not ok, failure
+
+    def flipping(self, left, bridge_only):
+        job = adjudication(self, left, bridge_only)
+        return job if bridge_only else Flipped(job)
+
+    monkeypatch.setattr(_Arena, "adjudication", flipping)
+    report = theorem_sweep(corpus, compare_prune=True)
+    lost_rounds = sum(buster_wins(p, b) for p in corpus for b in enumerate_buster_moves(p))
+    checks = report.greedy_checked + report.responses_checked - lost_rounds
+    assert report.counterexamples == []
+    assert len(report.prune_mismatches) == roots == checks > 0
+    assert {ce.kind for ce in report.prune_mismatches} == {"prune-mismatch"}
+
+
+def _nonempty_submasks(mask):
+    # the searches' depth-first bust order: every nonempty submask, largest first
+    sub = mask
+    while sub:
+        yield sub
+        sub = (sub - 1) & mask
+
+
+def test_arena_bust_table_matches_the_submask_order():
+    for p in generate_instances(3, 4, (0, 1, 2)):
+        arena = _Arena(p)
+        for m in (arena.graph_mask, *_nonempty_submasks(arena.graph_mask)):
+            expected = [(b.bit_count(), m ^ b) for b in _nonempty_submasks(m)]
+            assert list(arena.busts(m)) == expected
+            assert arena.busts(m) is arena.busts(m)
+
+
+def test_arena_ordered_responses_memo_equals_a_fresh_arena():
+    checked = 0
+    for p in generate_instances(3, 4, (0, 1, 2)):
+        arena = _Arena(p)
+        for busted in enumerate_buster_moves(p):
+            left = arena.left_after(busted)
+            if arena.unfixable(left, arena.reserve_mask):
+                continue
+            for bridge_only in (False, True, False, True):
+                cached = arena.ordered_responses(left, bridge_only)
+                assert cached == _Arena(p).ordered_responses(left, bridge_only)
+                assert list(cached) == sorted(cached)
+                checked += 1
+            # the bridge-only list is the full list's fewest-edge responses, in its order
+            full = arena.ordered_responses(left)
+            fewest = min(mask.bit_count() for _, _, mask in full)
+            assert arena.ordered_responses(left, True) == tuple(r for r in full if r[2].bit_count() == fewest)
+    assert checked > 1000
 
 
 def test_verify_optimal_naive_agrees_on_worked_example(triangle):
