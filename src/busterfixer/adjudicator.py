@@ -37,13 +37,14 @@ one place, the per-instance bitmask arena. The arena is the engine's
 connectivity and weight per mask) plus the reachability search and its
 memos: ``_Arena.ordered_responses`` lists the responses cheapest first,
 sorted once per graph mask and setting (``enumerate_fixer_responses``
-wraps it), and ``_Arena.busts`` is the bust table both searches walk, in
+wraps it). Both searches walk the busts in ``_nonempty_submasks`` order,
 the depth-first order that fixes the first failure a search reports.
 ``_legal_bust`` checks a bust and decides Buster-wins with the index's
-``unfixable``; ``_legal_candidate`` checks a candidate against it. Per
-bust and prune setting ``_Arena.adjudication`` keeps one
-``_Adjudication``: the alternative lines, the check memo and the survival
-search with its memo; ``theorem_sweep`` fetches it once per Buster move.
+``unfixable``; ``_legal_candidate`` checks a candidate against it. An
+``_Adjudication`` holds what every candidate against one bust and prune
+setting shares: the alternative lines, the check memo and the survival
+search with its memo. A verifier call builds one; ``theorem_sweep``
+builds one per Buster move and setting and checks every response with it.
 By default the alternatives compared against are restricted to responses
 whose every edge is a bridge after the fix (equivalently, spanning trees
 of the contracted graph, the reconnecting sets of fewest edges); this
@@ -63,11 +64,9 @@ floors and memo keys are ints and ``Fraction`` appears only at the
 boundary, in the ``OutcomeTriple`` of a witness. No float is ever involved.
 
 Searches are pure given their inputs, and every memo is per position,
-keyed only by what decides its answer. The optional ``cache`` argument is
-a plain dict that holds one entry, the last position's arena: every later
-call on that same ``Position`` object reuses it and its memos, and a call
-on any other replaces it. It serves only callers that pass it; the sweep
-does not. Reuse is exact: a verdict and witness are the same without it.
+keyed only by what decides its answer. Each verifier call builds a fresh
+arena; the sweep keeps one arena per instance for all its moves, which
+changes no verdict or witness.
 """
 
 from __future__ import annotations
@@ -132,7 +131,7 @@ def enumerate_fixer_responses(p: Position, busted: frozenset[str], caps: Caps = 
     illegal bust and ``BusterWinsError`` when not even the full reserve
     reconnects.
     """
-    arena = _arena_for(p, caps, None)
+    arena = _arena_for(p, caps)
     left = _legal_bust(arena, busted)
     if left is None:
         raise BusterWinsError("no response can reconnect; Buster wins this round")
@@ -146,7 +145,9 @@ class _Arena(EdgeIndex):
     """The verifier's view of one position: its edge index plus the search memos.
 
     Everything is derived from the immutable position, so the arena carries
-    the memos shared by every verify call on it.
+    the memos shared by every check on it. It holds no reference to the
+    ``_Adjudication``s that use it, so a finished arena is freed at once by
+    reference counting rather than left to the cycle collector.
     """
 
     def __init__(self, p: Position):
@@ -154,9 +155,7 @@ class _Arena(EdgeIndex):
         self.position = p
         self._responses: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
         self._ordered: dict[tuple[int, bool], _Ordered] = {}
-        self._busts: dict[int, tuple[tuple[int, int], ...]] = {}
         self.dominance_memo: dict = {}
-        self.adjudications: dict[tuple[int, bool], _Adjudication] = {}  # by (graph mask left, bridge_only)
 
     def left_after(self, busted: frozenset[str]) -> int:
         """The graph mask a legal bust leaves; raises ``IllegalMoveError`` otherwise."""
@@ -201,24 +200,6 @@ class _Arena(EdgeIndex):
             )
         return ordered
 
-    def busts(self, graph_mask: int) -> tuple[tuple[int, int], ...]:
-        """Each nonempty bust of ``graph_mask`` as (size, mask left), largest submask first, memoized."""
-        table = self._busts.get(graph_mask)
-        if table is None:
-            table, bust = [], graph_mask
-            while bust:
-                table.append((bust.bit_count(), graph_mask ^ bust))
-                bust = (bust - 1) & graph_mask
-            table = self._busts[graph_mask] = tuple(table)
-        return table
-
-    def adjudication(self, left: int, bridge_only: bool) -> _Adjudication:
-        """The one ``_Adjudication`` of the bust leaving ``left`` under this prune setting."""
-        job = self.adjudications.get((left, bridge_only))
-        if job is None:
-            job = self.adjudications[left, bridge_only] = _Adjudication(self, left, bridge_only)
-        return job
-
     def dominated(
         self, graph_mask: int, reserve_mask: int, bust_budget: int, spend_floor: int, target_win: bool
     ) -> bool:
@@ -247,9 +228,11 @@ class _Arena(EdgeIndex):
         if hit is not None:
             return hit
         result = False
-        for size, left in self.busts(graph_mask):
+        for bust in _nonempty_submasks(graph_mask):
+            size = bust.bit_count()
             if size > bust_budget:
                 continue
+            left = graph_mask ^ bust
             if not self.connected(left | reserve_mask):
                 if spend_floor == 0:
                     result = True  # Buster wins this line within budget
@@ -263,6 +246,13 @@ class _Arena(EdgeIndex):
                 break
         memo[key] = result
         return result
+
+
+def _nonempty_submasks(mask: int) -> Iterator[int]:
+    sub = mask
+    while sub:
+        yield sub
+        sub = (sub - 1) & mask
 
 
 # A failing check met by the survival search: (win, total busted, scaled
@@ -335,9 +325,10 @@ class _Adjudication:
             result = (False, (True, busted, spent, alt))
         else:
             ok, first = True, None
-            for size, left in arena.busts(graph_mask):
+            for bust in _nonempty_submasks(graph_mask):
+                left = graph_mask ^ bust
                 if not arena.connected(left | reserve_mask):
-                    total = busted + size
+                    total = busted + bust.bit_count()
                     alt = self.check(False, total, spent)
                     if alt is not None:
                         ok = False
@@ -357,24 +348,14 @@ class _Adjudication:
         return result
 
 
-# The key under which a shared ``cache`` keeps the last position's arena.
-_LAST_ARENA = object()
+def _arena_for(p: Position, caps: Caps) -> _Arena:
+    """A fresh arena for ``p``, after the one check of the reserve-subset cap.
 
-
-def _arena_for(p: Position, caps: Caps, cache: dict | None) -> _Arena:
-    """The arena for ``p``: the cached one when ``cache`` last saw this very object.
-
-    The one statement of the reserve-subset cap, checked on every call
-    before any response is enumerated.
+    Every entry point fetches its arena here, before any response is enumerated.
     """
     if 1 << len(p.reserve) > caps.max_subsets:
         raise CapExceededError(f"2^{len(p.reserve)} reserve subsets exceeds cap {caps.max_subsets}")
-    if cache is None:
-        return _Arena(p)
-    arena = cache.get(_LAST_ARENA)
-    if arena is None or arena.position is not p:
-        arena = cache[_LAST_ARENA] = _Arena(p)
-    return arena
+    return _Arena(p)
 
 
 @dataclass(frozen=True)
@@ -423,24 +404,20 @@ def verify_optimal_report(
     caps: Caps = DEFAULT_CAPS,
     *,
     bridge_only: bool = True,
-    cache: dict | None = None,
 ) -> VerifyResult:
     """Like :func:`verify_optimal`, returning a witness alongside the verdict.
 
-    The search runs on the arena's integer-scaled weights; the witness's
-    ``fix_cost`` is converted back to an exact ``Fraction``. With a shared
-    ``cache``, consecutive calls on the same ``Position`` object reuse one
-    arena with its memos and ``_Adjudication``s; the result, witness
-    included, is the same as with ``cache=None``.
+    The search runs on a fresh arena's integer-scaled weights; the
+    witness's ``fix_cost`` is converted back to an exact ``Fraction``.
     """
     if p.total_edges > caps.max_total_edges:
         raise CapExceededError(f"position has {p.total_edges} edges, cap is {caps.max_total_edges}")
-    arena = _arena_for(p, caps, cache)
+    arena = _arena_for(p, caps)
     left = _legal_bust(arena, busted)
     cand_mask = _legal_candidate(arena, left, candidate)
     if left is None:  # the round is already lost; the forced empty response is optimal
         return VerifyResult(optimal=True, alternatives=0)
-    job = arena.adjudication(left, bridge_only)
+    job = _Adjudication(arena, left, bridge_only)
     ok, failure = job.survives(left | cand_mask, arena.reserve_mask ^ cand_mask)
     if ok:
         return VerifyResult(optimal=True, alternatives=len(job.alt_lines))
@@ -460,7 +437,6 @@ def verify_optimal(
     caps: Caps = DEFAULT_CAPS,
     *,
     bridge_only: bool = True,
-    cache: dict | None = None,
 ) -> bool:
     """Is ``candidate`` an optimal response to ``busted`` at position ``p``?
 
@@ -472,9 +448,7 @@ def verify_optimal(
     Raises ``IllegalMoveError`` when the candidate is not a legal response
     and ``CapExceededError`` when the instance exceeds ``caps``.
     """
-    return verify_optimal_report(
-        p, busted, candidate, caps, bridge_only=bridge_only, cache=cache
-    ).optimal
+    return verify_optimal_report(p, busted, candidate, caps, bridge_only=bridge_only).optimal
 
 
 def _distinct_unions(base: frozenset, option_lists: list[list[frozenset]]) -> list[frozenset]:
@@ -509,7 +483,7 @@ def verify_optimal_naive(
     """
     if p.total_edges > caps.naive_max_total_edges:
         raise CapExceededError(f"position has {p.total_edges} edges, naive cap is {caps.naive_max_total_edges}")
-    arena = _arena_for(p, caps, None)
+    arena = _arena_for(p, caps)
     left = _legal_bust(arena, busted)
     cand_mask = _legal_candidate(arena, left, candidate)
     if left is None:
@@ -524,7 +498,10 @@ def verify_optimal_naive(
         if hit is not None:
             return hit
         per_move: list[list[frozenset]] = []
-        for size, remaining in arena.busts(graph_mask):
+        bust = graph_mask
+        while bust:  # its own submask loop, so a fault in the searches' _nonempty_submasks cannot hide here
+            size, remaining = bust.bit_count(), graph_mask ^ bust
+            bust = (bust - 1) & graph_mask
             if not arena.connected(remaining | reserve_mask):
                 per_move.append([frozenset({(False, size, 0)})])
                 continue
@@ -556,6 +533,7 @@ def verify_optimal_naive(
         shifted(strategies(left | alt_mask, arena.reserve_mask ^ alt_mask), alt_weight)
         for alt_weight, _, alt_mask in arena.ordered_responses(left)
     ]
+    del strategies  # the recursive closure refers to itself; break the cycle so its memo is freed now
     return any(
         all(
             any(superior(t, other) for other in alt_outcomes)
@@ -629,10 +607,10 @@ def theorem_sweep(
     the reserve-subset cap is checked as each instance's arena is fetched,
     before its Buster moves or converse list are enumerated.
 
-    Each Buster move is adjudicated once, on one arena per instance and
-    with no ``cache``: its bust is checked once, each response (greedy ones
-    included) is checked legal, and the move's ``_Adjudication`` per prune
-    setting gives each verdict. The total-edge cap is checked first.
+    Each Buster move is adjudicated once, on one arena per instance: its
+    bust is checked once, each response (greedy ones included) is checked
+    legal, and the move's ``_Adjudication`` per prune setting gives each
+    verdict. The total-edge cap is checked first.
     The greedy list comes from ``contract``/``all_msts``, independently of
     the arena; the converse list is the arena's ordered responses, the same
     enumeration the verifier compares against, which
@@ -658,14 +636,14 @@ def theorem_sweep(
             continue
         if p.total_edges > caps.max_total_edges:
             raise CapExceededError(f"position has {p.total_edges} edges, cap is {caps.max_total_edges}")
-        arena = _arena_for(p, caps, None)
+        arena = _arena_for(p, caps)
         for busted in enumerate_buster_moves(p, caps):
             report.moves += 1
             left = _legal_bust(arena, busted)
             if left is None:  # Buster wins the round: the forced empty response is optimal
                 report.greedy_checked += 1
                 continue
-            jobs = [arena.adjudication(left, setting) for setting in settings]
+            jobs = [_Adjudication(arena, left, setting) for setting in settings]
             msts = all_msts(contract(p.graph.without(busted), p.reserve.edges), caps)
             minimum = msts[0].total_weight
             greedy = sorted({t.edge_ids for t in msts}, key=lambda s: tuple(sorted(s)))

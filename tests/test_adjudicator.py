@@ -37,7 +37,7 @@ from busterfixer import (
 )
 
 from busterfixer import adjudicator
-from busterfixer.adjudicator import _Arena, _distinct_unions, verify_optimal_report
+from busterfixer.adjudicator import _Adjudication, _Arena, _distinct_unions, _legal_bust, _legal_candidate, verify_optimal_report
 from busterfixer.graph import EdgeIndex
 
 from conftest import random_instance, triangle_position
@@ -237,14 +237,12 @@ def test_verify_optimal_worked_example(triangle):
 @pytest.mark.parametrize("bridge_only", [True, False])
 def test_verify_optimal_report_worked_example_witnesses(triangle, bridge_only):
     busted = frozenset({"e1", "e2"})
-    cache = {}
-    for share in (None, cache, cache):
-        report = lambda c: verify_optimal_report(triangle, busted, frozenset(c), bridge_only=bridge_only, cache=share)
-        assert report({"e4"}).optimal
-        assert report({"e5"}).failing_outcome == OutcomeTriple(True, 2, Fraction(2))
-        assert report({"e5"}).failing_alternative == frozenset({"e4"})
-        assert report({"e4", "e5"}).failing_outcome == OutcomeTriple(True, 2, Fraction(3))
-        assert report({"e4", "e5"}).failing_alternative == frozenset({"e4"})
+    report = lambda c: verify_optimal_report(triangle, busted, frozenset(c), bridge_only=bridge_only)
+    assert report({"e4"}).optimal
+    assert report({"e5"}).failing_outcome == OutcomeTriple(True, 2, Fraction(2))
+    assert report({"e5"}).failing_alternative == frozenset({"e4"})
+    assert report({"e4", "e5"}).failing_outcome == OutcomeTriple(True, 2, Fraction(3))
+    assert report({"e4", "e5"}).failing_alternative == frozenset({"e4"})
 
 
 def _every_check(p):
@@ -256,15 +254,30 @@ def _every_check(p):
                 yield busted, candidate, bridge_only
 
 
-def _assert_shared_cache_changes_nothing(positions, cache):
-    """Check every shared-cache report against a fresh one; return the fresh reports' sha256."""
+def _assert_shared_arena_changes_nothing(positions):
+    """Check every verdict and witness on one arena per position against a fresh report.
+
+    The shared arena is used the way the sweep uses it: the arena's memos
+    serve every check on the position, and one ``_Adjudication`` per bust
+    and prune setting serves every candidate against that bust. Returns
+    the fresh reports' sha256.
+    """
     digest = hashlib.sha256()
     for p in positions:
+        arena, jobs = _Arena(p), {}
         for busted, candidate, bridge_only in _every_check(p):
-            shared = verify_optimal_report(p, busted, candidate, bridge_only=bridge_only, cache=cache)
             fresh = verify_optimal_report(p, busted, candidate, bridge_only=bridge_only)
-            assert shared == fresh
-            assert len(cache) <= 1  # the current arena and nothing else
+            left = _legal_bust(arena, busted)
+            cand_mask = _legal_candidate(arena, left, candidate)
+            if (left, bridge_only) not in jobs:
+                jobs[left, bridge_only] = _Adjudication(arena, left, bridge_only)
+            job = jobs[left, bridge_only]
+            ok, failure = job.survives(left | cand_mask, arena.reserve_mask ^ cand_mask)
+            assert (ok, len(job.alt_lines)) == (fresh.optimal, fresh.alternatives)
+            if not ok:
+                win, total_busted, spent, alt = failure
+                assert OutcomeTriple(win, total_busted, Fraction(spent, arena.scale)) == fresh.failing_outcome
+                assert alt == fresh.failing_alternative
             outcome, alt = fresh.failing_outcome, fresh.failing_alternative
             digest.update(repr((
                 sorted(busted), sorted(candidate), bridge_only, fresh.optimal, fresh.alternatives,
@@ -275,22 +288,18 @@ def _assert_shared_cache_changes_nothing(positions, cache):
 
 
 def test_shared_cache_reports_equal_fresh_reports():
-    # one cache across the whole corpus: reusing each instance's arena and
-    # per-bust memos must not move a verdict or witness, and every fresh
-    # verdict and witness is pinned by hash
-    digest = _assert_shared_cache_changes_nothing(generate_instances(3, 4, (0, 1, 2)), {})
+    # one arena per instance, shared by all its checks: reusing its memos
+    # and each bust's adjudication must not move a verdict or witness, and
+    # every fresh verdict and witness is pinned by hash
+    digest = _assert_shared_arena_changes_nothing(generate_instances(3, 4, (0, 1, 2)))
     assert digest == "2ce540bdeebf3c34a27a45f2f96fe9f73a9475cb13d699b167776e24156e7ca0"
-
-
-_ACROSS_EXAMPLES: dict = {}
 
 
 @PROPERTY
 @given(instances(max_vertices=3, max_total_edges=5))
 def test_shared_cache_reports_equal_fresh_reports_fractional(p):
-    # weights with denominators 2 and 3 give arenas of scale 2, 3 and 6; one
-    # cache across all examples replaces its arena with each new example
-    _assert_shared_cache_changes_nothing([p], _ACROSS_EXAMPLES)
+    # weights with denominators 2 and 3 give arenas of scale 2, 3 and 6
+    _assert_shared_arena_changes_nothing([p])
 
 
 def test_verify_optimal_report_caps_reserve_subsets():
@@ -356,7 +365,7 @@ def test_theorem_sweep_records_a_prune_mismatch_per_check(monkeypatch):
     # flip every unpruned root verdict: compare_prune must record exactly one
     # mismatch per adjudicated check, and the pruned verdicts stay clean
     corpus = list(generate_instances(max_vertices=2, max_total_edges=4, reserve_weights=(0, 1)))
-    adjudication = _Arena.adjudication
+    adjudication = adjudicator._Adjudication
     roots = 0
 
     class Flipped:
@@ -369,34 +378,17 @@ def test_theorem_sweep_records_a_prune_mismatch_per_check(monkeypatch):
             ok, failure = self.job.survives(graph_mask, reserve_mask)
             return not ok, failure
 
-    def flipping(self, left, bridge_only):
-        job = adjudication(self, left, bridge_only)
+    def flipping(arena, left, bridge_only):
+        job = adjudication(arena, left, bridge_only)
         return job if bridge_only else Flipped(job)
 
-    monkeypatch.setattr(_Arena, "adjudication", flipping)
+    monkeypatch.setattr(adjudicator, "_Adjudication", flipping)
     report = theorem_sweep(corpus, compare_prune=True)
     lost_rounds = sum(buster_wins(p, b) for p in corpus for b in enumerate_buster_moves(p))
     checks = report.greedy_checked + report.responses_checked - lost_rounds
     assert report.counterexamples == []
     assert len(report.prune_mismatches) == roots == checks > 0
     assert {ce.kind for ce in report.prune_mismatches} == {"prune-mismatch"}
-
-
-def _nonempty_submasks(mask):
-    # the searches' depth-first bust order: every nonempty submask, largest first
-    sub = mask
-    while sub:
-        yield sub
-        sub = (sub - 1) & mask
-
-
-def test_arena_bust_table_matches_the_submask_order():
-    for p in generate_instances(3, 4, (0, 1, 2)):
-        arena = _Arena(p)
-        for m in (arena.graph_mask, *_nonempty_submasks(arena.graph_mask)):
-            expected = [(b.bit_count(), m ^ b) for b in _nonempty_submasks(m)]
-            assert list(arena.busts(m)) == expected
-            assert arena.busts(m) is arena.busts(m)
 
 
 def test_arena_ordered_responses_memo_equals_a_fresh_arena():
@@ -538,7 +530,6 @@ def test_oracle_agreement_exhaustive_tiny():
 def test_oracle_agreement_sampled_three_vertices():
     rng = random.Random(31)
     pool = [p for p in generate_instances(max_vertices=3, max_total_edges=5) if len(p.graph)]
-    cache = {}
     checked = 0
     for p in rng.sample(pool, 60):
         for busted in enumerate_buster_moves(p):
@@ -546,7 +537,7 @@ def test_oracle_agreement_sampled_three_vertices():
                 continue
             for candidate in enumerate_fixer_responses(p, busted):
                 naive = verify_optimal_naive(p, busted, candidate)
-                assert verify_optimal(p, busted, candidate, cache=cache) == naive
+                assert verify_optimal(p, busted, candidate) == naive
                 checked += 1
     assert checked > 100
 
