@@ -37,8 +37,8 @@ one place, the per-instance bitmask arena. The arena is the engine's
 connectivity and weight per mask) plus the reachability search and its
 memos: ``_Arena.ordered_responses`` lists the responses cheapest first,
 sorted once per graph mask and setting (``enumerate_fixer_responses``
-wraps it). Both searches walk the busts in ``_nonempty_submasks`` order,
-the depth-first order that fixes the first failure a search reports.
+wraps it). Both searches walk the nonempty bust submasks in descending
+``(bust - 1) & graph_mask`` order, which fixes the first failure reported.
 ``_legal_bust`` checks a bust and decides Buster-wins with the index's
 ``unfixable``; ``_legal_candidate`` checks a candidate against it. An
 ``_Adjudication`` holds what every candidate against one bust and prune
@@ -85,7 +85,7 @@ from .engine import (
     series_totals,
 )
 from .errors import BusterWinsError, CapExceededError, IllegalMoveError
-from .graph import DEFAULT_CAPS, Caps, Edge, EdgeIndex, Multigraph, _bit_indices, _UnionFind, contract
+from .graph import DEFAULT_CAPS, Caps, Edge, EdgeIndex, Multigraph, _bit_indices, _UnionFind, components, contract
 from .reconnect import all_msts
 
 
@@ -211,48 +211,41 @@ class _Arena(EdgeIndex):
         cost. Buster nodes take OR over moves and quitting; Fixer responses are
         taken conjunctively. Results are memoized in ``dominance_memo``.
         """
-        pool = (graph_mask | reserve_mask).bit_count()
-        if bust_budget < 0:
+        if bust_budget < 0 or spend_floor > self.weight_of(reserve_mask):
             return False
+        pool = (graph_mask | reserve_mask).bit_count()
         if bust_budget > pool:
             bust_budget = pool
-        if spend_floor > self.weight_of(reserve_mask):
-            return False
         if spend_floor < 0:
             spend_floor = 0
         if target_win and spend_floor == 0:
             return True  # Buster quits the alternative line right here
+        if bust_budget == 0:
+            return False  # every bust is nonempty, so none fits the budget
         key = (graph_mask, reserve_mask, bust_budget, spend_floor, target_win)
         memo = self.dominance_memo
         hit = memo.get(key)
         if hit is not None:
             return hit
-        result = False
-        for bust in _nonempty_submasks(graph_mask):
-            size = bust.bit_count()
-            if size > bust_budget:
-                continue
-            left = graph_mask ^ bust
-            if not self.connected(left | reserve_mask):
-                if spend_floor == 0:
+        connected, responses, dominated = self.connected, self.responses, self.dominated
+        result, bust = False, graph_mask
+        while bust:  # every nonempty submask, in descending order
+            budget = bust_budget - bust.bit_count()
+            if budget >= 0:
+                left = graph_mask ^ bust
+                if connected(left | reserve_mask):
+                    for fix, fix_weight in responses(left, reserve_mask):
+                        if not dominated(left | fix, reserve_mask ^ fix, budget, spend_floor - fix_weight, target_win):
+                            break
+                    else:
+                        result = True
+                        break
+                elif spend_floor == 0:
                     result = True  # Buster wins this line within budget
                     break
-                continue
-            if all(
-                self.dominated(left | fix, reserve_mask ^ fix, bust_budget - size, spend_floor - fix_weight, target_win)
-                for fix, fix_weight in self.responses(left, reserve_mask)
-            ):
-                result = True
-                break
+            bust = (bust - 1) & graph_mask
         memo[key] = result
         return result
-
-
-def _nonempty_submasks(mask: int) -> Iterator[int]:
-    sub = mask
-    while sub:
-        yield sub
-        sub = (sub - 1) & mask
 
 
 # A failing check met by the survival search: (win, total busted, scaled
@@ -269,11 +262,12 @@ class _Adjudication:
     candidate verified against this bust.
     """
 
-    __slots__ = ("arena", "base_busted", "alt_lines", "check_memo", "survive_memo")
+    __slots__ = ("arena", "base_busted", "edge_count", "reserve_weight", "alt_lines", "check_memo", "survive_memo")
 
     def __init__(self, arena: _Arena, left: int, bridge_only: bool):
         self.arena = arena
         self.base_busted = (arena.graph_mask ^ left).bit_count()
+        self.edge_count, self.reserve_weight = len(arena.edges), arena.weight_of(arena.reserve_mask)
         self.alt_lines = tuple(
             (frozenset(ids), left | mask, arena.reserve_mask ^ mask, weight)
             for weight, ids, mask in arena.ordered_responses(left, bridge_only)
@@ -317,32 +311,33 @@ class _Adjudication:
         hit = memo.get(key)
         if hit is not None:
             return hit
-        arena = self.arena
-        busted = len(arena.edges) - (graph_mask | reserve_mask).bit_count()
-        spent = arena.weight_of(arena.reserve_mask) - arena.weight_of(reserve_mask)
-        alt = self.check(True, busted, spent)  # Buster may quit here
+        arena, check = self.arena, self.check
+        busted = self.edge_count - (graph_mask | reserve_mask).bit_count()
+        spent = self.reserve_weight - arena.weight_of(reserve_mask)
+        alt = check(True, busted, spent)  # Buster may quit here
         if alt is not None:
             result = (False, (True, busted, spent, alt))
         else:
-            ok, first = True, None
-            for bust in _nonempty_submasks(graph_mask):
+            connected, responses, survives = arena.connected, arena.responses, self.survives
+            ok, first, bust = True, None, graph_mask
+            while bust:  # every nonempty submask, in descending order
                 left = graph_mask ^ bust
-                if not arena.connected(left | reserve_mask):
+                if not connected(left | reserve_mask):
                     total = busted + bust.bit_count()
-                    alt = self.check(False, total, spent)
+                    alt = check(False, total, spent)
                     if alt is not None:
-                        ok = False
-                        first = first or (False, total, spent, alt)
-                        break
-                    continue
-                for fix, _ in arena.responses(left, reserve_mask):
-                    survived, failure = self.survives(left | fix, reserve_mask ^ fix)
-                    first = first or failure
-                    if survived:
+                        ok, first = False, first or (False, total, spent, alt)
                         break
                 else:
-                    ok = False
-                    break
+                    for fix, _ in responses(left, reserve_mask):
+                        survived, failure = survives(left | fix, reserve_mask ^ fix)
+                        first = first or failure
+                        if survived:
+                            break
+                    else:
+                        ok = False
+                        break
+                bust = (bust - 1) & graph_mask
             result = (ok, first)
         memo[key] = result
         return result
@@ -499,7 +494,7 @@ def verify_optimal_naive(
             return hit
         per_move: list[list[frozenset]] = []
         bust = graph_mask
-        while bust:  # its own submask loop, so a fault in the searches' _nonempty_submasks cannot hide here
+        while bust:  # its own submask loop, so a fault in the searches' loops cannot hide here
             size, remaining = bust.bit_count(), graph_mask ^ bust
             bust = (bust - 1) & graph_mask
             if not arena.connected(remaining | reserve_mask):
@@ -612,10 +607,11 @@ def theorem_sweep(
     legal, and the move's ``_Adjudication`` per prune setting gives each
     verdict. The total-edge cap is checked first.
     The greedy list comes from ``contract``/``all_msts``, independently of
-    the arena; the converse list is the arena's ordered responses, the same
-    enumeration the verifier compares against, which
-    ``enumerate_fixer_responses`` exposes and the tests check against a
-    brute force over reserve subsets.
+    the arena, once per component labelling of the busted graph (which with
+    the reserve fixes the contracted graph); the converse list is the
+    arena's ordered responses, the same enumeration the verifier compares
+    against, which ``enumerate_fixer_responses`` exposes and the tests
+    check against a brute force over reserve subsets.
     """
     report = SweepReport()
 
@@ -636,7 +632,7 @@ def theorem_sweep(
             continue
         if p.total_edges > caps.max_total_edges:
             raise CapExceededError(f"position has {p.total_edges} edges, cap is {caps.max_total_edges}")
-        arena = _arena_for(p, caps)
+        arena, greedy_by_partition = _arena_for(p, caps), {}
         for busted in enumerate_buster_moves(p, caps):
             report.moves += 1
             left = _legal_bust(arena, busted)
@@ -644,9 +640,13 @@ def theorem_sweep(
                 report.greedy_checked += 1
                 continue
             jobs = [_Adjudication(arena, left, setting) for setting in settings]
-            msts = all_msts(contract(p.graph.without(busted), p.reserve.edges), caps)
-            minimum = msts[0].total_weight
-            greedy = sorted({t.edge_ids for t in msts}, key=lambda s: tuple(sorted(s)))
+            base = p.graph.without(busted)
+            labels = components(base)
+            if labels not in greedy_by_partition:
+                msts = all_msts(contract(base, p.reserve.edges), caps)
+                greedy = dict.fromkeys(sorted({t.edge_ids for t in msts}, key=sorted))  # an ordered set
+                greedy_by_partition[labels] = (greedy, msts[0].total_weight)
+            greedy, minimum = greedy_by_partition[labels]
             for response in greedy:
                 report.greedy_checked += 1
                 if not adjudicate(arena, busted, left, jobs, response):

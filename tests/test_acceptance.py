@@ -6,6 +6,7 @@ stated wall-clock ceilings, asserted here.
 """
 
 import functools
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -126,17 +127,16 @@ def _prim_equivalence_corpus(max_c=4, max_edges=6, weights=(1, 2, 3)):
     for c in range(1, max_c + 1):
         pairs = [(u, v) for u in range(c) for v in range(u + 1, c)]
         types = [(u, v, w) for (u, v) in pairs for w in weights]
-        perms = list(permutations(range(c)))
+        relabelings = list(permutations(range(c)))[1:]
         for size in range(c - 1, max_edges + 1):
-            seen = set()
+            # combos come sorted and in increasing order, so the first of each
+            # class is its least member: skip any combo a relabeling shrinks
             for combo in combinations_with_replacement(types, size):
-                signature = min(
-                    tuple(sorted((min(p[u], p[v]), max(p[u], p[v]), w) for (u, v, w) in combo))
-                    for p in perms
-                )
-                if signature in seen:
+                if any(
+                    tuple(sorted((min(p[u], p[v]), max(p[u], p[v]), w) for (u, v, w) in combo)) < combo
+                    for p in relabelings
+                ):
                     continue
-                seen.add(signature)
                 yield c, combo
                 if size < max_edges:
                     yield c, combo + ((0, 0, 1),)
@@ -148,7 +148,10 @@ def _prim_equivalence_corpus(max_c=4, max_edges=6, weights=(1, 2, 3)):
 def test_criterion_4_prim_equivalence():
     start = time.perf_counter()
     graphs = trees_checked = 0
-    for c, combo in _prim_equivalence_corpus():
+    corpus = list(_prim_equivalence_corpus())
+    digest = hashlib.sha256(repr(corpus).encode()).hexdigest()
+    assert (len(corpus), digest) == (12_230, "b317dba5ad61b6407828513d55e7a0d3bb4373103037d5919b27718ea38de318")
+    for c, combo in corpus:
         m = contract(
             Multigraph(c, ()),
             [Edge(f"e{i}", u, v, Fraction(w)) for i, (u, v, w) in enumerate(combo)],

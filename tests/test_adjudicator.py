@@ -38,7 +38,8 @@ from busterfixer import (
 
 from busterfixer import adjudicator
 from busterfixer.adjudicator import _Adjudication, _Arena, _distinct_unions, _legal_bust, _legal_candidate, verify_optimal_report
-from busterfixer.graph import EdgeIndex
+from busterfixer.graph import EdgeIndex, components, contract
+from busterfixer.reconnect import all_msts
 
 from conftest import random_instance, triangle_position
 from series_tables import ALL_SERIES, FAMILY_A, play_table_series
@@ -227,6 +228,77 @@ def test_dominates_buster_win_within_budget(triangle):
     assert arena.dominated(arena.graph_mask, arena.reserve_mask, 4 - 2, Fraction(1 - 3), False)
 
 
+def _nonempty_submasks(mask):
+    sub = mask
+    while sub:
+        yield sub
+        sub = (sub - 1) & mask
+
+
+def _reference_dominated(arena, graph_mask, reserve_mask, bust_budget, spend_floor, target_win):
+    """The budgeted reachability game as a generator loop with ``all``, and no memo."""
+    pool = (graph_mask | reserve_mask).bit_count()
+    if bust_budget < 0:
+        return False
+    if bust_budget > pool:
+        bust_budget = pool
+    if spend_floor > arena.weight_of(reserve_mask):
+        return False
+    if spend_floor < 0:
+        spend_floor = 0
+    if target_win and spend_floor == 0:
+        return True
+    for bust in _nonempty_submasks(graph_mask):
+        size = bust.bit_count()
+        if size > bust_budget:
+            continue
+        left = graph_mask ^ bust
+        if not arena.connected(left | reserve_mask):
+            if spend_floor == 0:
+                return True
+            continue
+        if all(
+            _reference_dominated(arena, left | fix, reserve_mask ^ fix, bust_budget - size, spend_floor - w, target_win)
+            for fix, w in arena.responses(left, reserve_mask)
+        ):
+            return True
+    return False
+
+
+def _submasks(mask):
+    return [sub for sub in range(mask + 1) if sub & mask == sub]
+
+
+def test_dominated_equals_a_memo_free_reference():
+    # every instance of the (3, 4) corpus; every (graph, reserve) pair the
+    # game can pass to dominated: a reserve mask inside the reserve and a
+    # disjoint graph mask spanning the vertices (alternative lines and every
+    # recursive call reconnect); budgets -1..pool+1 (0 included), floors
+    # -1..w(R)+1 and both target_win values. Fraction floors enter a fresh
+    # arena at the initial position, and its searches carry them down.
+    queries = fractional = 0
+    for p in generate_instances(3, 4, (0, 1, 2)):
+        arena, exact = _Arena(p), _Arena(p)
+        every_edge = (1 << len(arena.edges)) - 1
+        grid = [
+            (graph_mask, reserve_mask, budget, floor, win)
+            for reserve_mask in reversed(_submasks(arena.reserve_mask))
+            for graph_mask in reversed(_submasks(every_edge ^ reserve_mask))
+            if arena.connected(graph_mask)
+            for budget in range(-1, (graph_mask | reserve_mask).bit_count() + 2)
+            for floor in range(-1, arena.weight_of(reserve_mask) + 2)
+            for win in (False, True)
+        ]
+        expected = [_reference_dominated(arena, *query) for query in grid]
+        assert [arena.dominated(*query) for query in grid] == expected
+        initial = [i for i, query in enumerate(grid) if query[:2] == (arena.graph_mask, arena.reserve_mask)]
+        assert [exact.dominated(g, r, b, Fraction(f), w) for g, r, b, f, w in map(grid.__getitem__, initial)] == [
+            expected[i] for i in initial
+        ]
+        queries, fractional = queries + len(grid), fractional + len(initial)
+    assert queries > 900_000 and fractional > 90_000
+
+
 def test_verify_optimal_worked_example(triangle):
     busted = frozenset({"e1", "e2"})
     assert verify_optimal(triangle, busted, frozenset({"e4"}))
@@ -359,6 +431,34 @@ def test_theorem_sweep_checks_greedy_responses_legal(triangle, monkeypatch):
     monkeypatch.setattr(adjudicator, "all_msts", lambda *args: fake)
     with pytest.raises(IllegalMoveError, match="^candidate does not reconnect the busted graph$"):
         theorem_sweep([triangle])
+
+
+def test_theorem_sweep_builds_one_greedy_list_per_partition(monkeypatch):
+    # all_msts runs once per instance and component labelling of the busted
+    # graph, and the greedy tally equals one fresh greedy list per move
+    corpus = list(generate_instances(3, 4, (0, 1, 2)))
+    partitions, greedy_checked, moves, adjudicated = set(), 0, 0, 0
+    for index, p in enumerate(corpus):
+        for busted in enumerate_buster_moves(p):
+            moves += 1
+            if buster_wins(p, busted):
+                greedy_checked += 1
+                continue
+            adjudicated += 1
+            remaining = p.graph.without(busted)
+            partitions.add((index, components(remaining)))
+            greedy_checked += len({t.edge_ids for t in all_msts(contract(remaining, p.reserve.edges))})
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return all_msts(*args)
+
+    monkeypatch.setattr(adjudicator, "all_msts", counting)
+    report = theorem_sweep(corpus)
+    assert report.ok and (report.moves, report.greedy_checked) == (moves, greedy_checked)
+    assert calls == len(partitions) < adjudicated
 
 
 def test_theorem_sweep_records_a_prune_mismatch_per_check(monkeypatch):
