@@ -85,7 +85,7 @@ from .engine import (
     series_totals,
 )
 from .errors import BusterWinsError, CapExceededError, IllegalMoveError
-from .graph import DEFAULT_CAPS, Caps, Edge, EdgeIndex, Multigraph, _bit_indices, _UnionFind, components, contract
+from .graph import DEFAULT_CAPS, Caps, Edge, EdgeIndex, Multigraph, _bit_indices, _UnionFind, contract
 from .reconnect import all_msts
 
 
@@ -607,11 +607,12 @@ def theorem_sweep(
     legal, and the move's ``_Adjudication`` per prune setting gives each
     verdict. The total-edge cap is checked first.
     The greedy list comes from ``contract``/``all_msts``, independently of
-    the arena, once per component labelling of the busted graph (which with
-    the reserve fixes the contracted graph); the converse list is the
-    arena's ordered responses, the same enumeration the verifier compares
-    against, which ``enumerate_fixer_responses`` exposes and the tests
-    check against a brute force over reserve subsets.
+    the arena, once per component partition of the busted graph (which with
+    the reserve fixes the contracted graph), read off the arena's masks so
+    that a busted ``Multigraph`` is built only for a new partition; the
+    converse list is the arena's ordered responses, the same enumeration
+    the verifier compares against, which ``enumerate_fixer_responses``
+    exposes and the tests check against a brute force over reserve subsets.
     """
     report = SweepReport()
 
@@ -640,10 +641,12 @@ def theorem_sweep(
                 report.greedy_checked += 1
                 continue
             jobs = [_Adjudication(arena, left, setting) for setting in settings]
-            base = p.graph.without(busted)
-            labels = components(base)
+            uf = _UnionFind(arena.n)
+            for i in _bit_indices(left):
+                uf.union(*arena.ends[i])
+            labels = tuple(uf.find(v) for v in range(arena.n))  # each root is its component's least vertex
             if labels not in greedy_by_partition:
-                msts = all_msts(contract(base, p.reserve.edges), caps)
+                msts = all_msts(contract(p.graph.without(busted), p.reserve.edges), caps)
                 greedy = dict.fromkeys(sorted({t.edge_ids for t in msts}, key=sorted))  # an ordered set
                 greedy_by_partition[labels] = (greedy, msts[0].total_weight)
             greedy, minimum = greedy_by_partition[labels]

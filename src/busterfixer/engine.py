@@ -18,7 +18,9 @@ graph. One checked round step does this on integer-scaled weights; one
 series loop drives it, from policies in :func:`play_series` and from
 transcript rows in ``transcript.replay_transcript``, and keeps the checked
 outcome triple on the ``Series``. A ``Position`` is built only where a
-caller receives one. An index lives for one walk.
+caller receives one. A walk holds only its two masks and takes the index
+from a one-slot cache keyed by the starting ``Position`` object, so play,
+render and replay of one position build one index and share its memos.
 
 Move sources and response policies are plain callables receiving the
 current position and the history of rounds played so far; the ones
@@ -154,30 +156,44 @@ BusterPolicy = Callable[[Position, tuple[RoundRecord, ...]], BusterAction]
 FixerPolicy = Callable[[Position, frozenset, tuple[RoundRecord, ...]], frozenset]
 
 
-class _Walk(EdgeIndex):
-    """A position's edge index plus the (graph mask, reserve mask) pair a walk has reached.
+# The last walked position and its index; replaced whole, by one assignment.
+_slot: tuple[Position | None, EdgeIndex | None] = (None, None)
+
+
+def _index_of(p: Position) -> EdgeIndex:
+    """``p``'s edge index: the slot's while ``p`` is the last walked ``Position`` object, else a new one."""
+    global _slot
+    held, index = _slot
+    if held is not p:
+        index = EdgeIndex(p.graph, p.reserve)
+        _slot = (p, index)
+    return index
+
+
+class _Walk:
+    """A position's shared edge index plus the (graph mask, reserve mask) pair a walk has reached.
 
     :meth:`round` is the one checked round step; a bust clears graph bits
     and a fix moves bits from the reserve to the graph.
     """
 
     def __init__(self, p: Position):
-        super().__init__(p.graph, p.reserve)
-        self.graph, self.reserve = self.graph_mask, self.reserve_mask
+        self.index = _index_of(p)
+        self.graph, self.reserve = self.index.graph_mask, self.index.reserve_mask
 
     def position(self) -> Position:
-        return Position(graph=self.multigraph(self.graph), reserve=self.multigraph(self.reserve))
+        return Position(graph=self.index.multigraph(self.graph), reserve=self.index.multigraph(self.reserve))
 
     def bust(self, busted: frozenset[str]) -> bool:
         """Clear a legal bust from the graph; True iff not even the whole reserve reconnects it."""
-        _check_bust(busted, self.ids_of(self.graph))
-        self.graph ^= self.mask_of(busted)
-        return self.unfixable(self.graph, self.reserve)
+        _check_bust(busted, self.index.ids_of(self.graph))
+        self.graph ^= self.index.mask_of(busted)
+        return self.index.unfixable(self.graph, self.reserve)
 
     def fix(self, fixed: frozenset[str]) -> None:
         """Move a legal fix from the reserve into the graph; connectivity is not checked."""
-        _check_fix(fixed, self.ids_of(self.reserve))
-        mask = self.mask_of(fixed)
+        _check_fix(fixed, self.index.ids_of(self.reserve))
+        mask = self.index.mask_of(fixed)
         self.graph |= mask
         self.reserve ^= mask
 
@@ -194,7 +210,7 @@ class _Walk(EdgeIndex):
             return frozenset(), True
         fixed = frozenset(respond())
         self.fix(fixed)
-        if not self.connected(self.graph):
+        if not self.index.connected(self.graph):
             raise PolicyError("fix does not reconnect the graph", round_index)
         return fixed, False
 
@@ -251,7 +267,8 @@ def _play(
     only when Buster does not win. Errors are those of :func:`play_series`.
     """
     walk = _Walk(initial)
-    if not walk.connected(walk.graph):
+    index = walk.index
+    if not index.connected(walk.graph):
         raise IllegalMoveError("initial graph must be connected")
     rounds: list[RoundRecord] = []
     masks = [(walk.graph, walk.reserve)]
@@ -267,7 +284,7 @@ def _play(
             outcome = Winner.FIXER
             break
         busted = frozenset(action)
-        edges, reserve_weight = (walk.graph | walk.reserve).bit_count(), walk.weight_of(walk.reserve)
+        edges, reserve_weight = (walk.graph | walk.reserve).bit_count(), index.weight_of(walk.reserve)
         try:
             fixed, wins = walk.round(busted, lambda: fixer(busted, rounds), round_index)
         except IllegalMoveError as exc:
@@ -279,13 +296,13 @@ def _play(
             break
         if (walk.graph | walk.reserve).bit_count() != edges - len(busted):
             raise IdentityViolationError("per-round edge conservation failed")
-        if reserve_weight - walk.weight_of(walk.reserve) != walk.weight_of(walk.mask_of(fixed)):
+        if reserve_weight - index.weight_of(walk.reserve) != index.weight_of(index.mask_of(fixed)):
             raise IdentityViolationError("per-round reserve weight conservation failed")
         if len(rounds) > initial.total_edges:
             raise IdentityViolationError("series exceeded its termination bound")
     series = Series(initial=initial, rounds=tuple(rounds), outcome=outcome)
-    series.__dict__["_totals"] = _checked_totals(walk, series, walk.graph, walk.reserve)
-    return series, walk, masks
+    series.__dict__["_totals"] = _checked_totals(index, series, walk.graph, walk.reserve)
+    return series, index, masks
 
 
 def play_series(initial: Position, buster: BusterPolicy, fixer: FixerPolicy) -> Series:
@@ -332,7 +349,7 @@ def _replay(s: Series) -> tuple[EdgeIndex, list[tuple[int, int]]]:
             raise IllegalMoveError("Buster win requires at least one round")
         if not wins:
             raise IllegalMoveError("final round is reconnectable but outcome says Buster won")
-    return walk, masks
+    return walk.index, masks
 
 
 def replay_positions(s: Series) -> list[Position]:

@@ -12,8 +12,10 @@ function, so graphs can be shared freely between threads. The size limits
 of every exponential enumeration in the package live here, in :class:`Caps`.
 
 :class:`EdgeIndex` is the bitmask form of a position that the engine and
-the verifier share: edge bits, integer-scaled weights, and connectivity
-and weight memoized per mask for the life of the index.
+the verifier share: edge bits, integer-scaled weights, and connectivity,
+weight and id set memoized per mask for the life of the index. Memo
+writes are idempotent, so walks of one position may share one index,
+from several threads too.
 """
 
 from __future__ import annotations
@@ -296,8 +298,8 @@ class EdgeIndex:
     the reserve's, each in id order. Weights are exact integers: the edge
     weights times ``scale``, the least common multiple of their
     denominators. Connectivity always spans the full vertex set, so
-    isolated vertices disconnect. Connectivity and weight are memoized per
-    mask for the life of the index.
+    isolated vertices disconnect. Connectivity, weight and id set are
+    memoized per mask for the life of the index, for every walk sharing it.
     """
 
     def __init__(self, graph: Multigraph, reserve: Multigraph):
@@ -314,6 +316,7 @@ class EdgeIndex:
         self.reserve_mask = ((1 << len(edges)) - 1) ^ self.graph_mask
         self._connected: dict[int, bool] = {}
         self._weight: dict[int, int] = {0: 0}
+        self._ids: dict[int, frozenset[str]] = {}
 
     def mask_of(self, ids: Iterable[str]) -> int:
         mask = 0
@@ -322,7 +325,10 @@ class EdgeIndex:
         return mask
 
     def ids_of(self, mask: int) -> frozenset[str]:
-        return frozenset(self.ids[i] for i in _bit_indices(mask))
+        cached = self._ids.get(mask)
+        if cached is None:
+            cached = self._ids[mask] = frozenset(self.ids[i] for i in _bit_indices(mask))
+        return cached
 
     def multigraph(self, mask: int) -> Multigraph:
         """The edges of ``mask`` as a :class:`Multigraph` over the index's vertices."""

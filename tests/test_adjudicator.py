@@ -448,17 +448,26 @@ def test_theorem_sweep_builds_one_greedy_list_per_partition(monkeypatch):
             remaining = p.graph.without(busted)
             partitions.add((index, components(remaining)))
             greedy_checked += len({t.edge_ids for t in all_msts(contract(remaining, p.reserve.edges))})
-    calls = 0
+    calls = built = 0
 
     def counting(*args):
         nonlocal calls
         calls += 1
         return all_msts(*args)
 
+    def counting_post_init(self):
+        nonlocal built
+        built += 1
+        post_init(self)
+
+    post_init = Multigraph.__post_init__
     monkeypatch.setattr(adjudicator, "all_msts", counting)
+    monkeypatch.setattr(Multigraph, "__post_init__", counting_post_init)
     report = theorem_sweep(corpus)
     assert report.ok and (report.moves, report.greedy_checked) == (moves, greedy_checked)
     assert calls == len(partitions) < adjudicated
+    # the partition comes from the arena's masks: a busted graph is built only for a new one
+    assert built == calls
 
 
 def test_theorem_sweep_records_a_prune_mismatch_per_check(monkeypatch):

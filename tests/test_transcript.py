@@ -1,4 +1,7 @@
 import hashlib
+import random
+import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,8 +25,9 @@ from busterfixer import (
     series_totals,
 )
 from busterfixer import engine
+from busterfixer.graph import EdgeIndex
 
-from conftest import triangle_position
+from conftest import random_instance, triangle_position
 from series_tables import ALL_FAMILIES, ALL_SERIES, play_table_series
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -195,3 +199,83 @@ def test_play_totals_render_replay_walks_each_series_three_times(triangle, monke
     replayed = replay_transcript(triangle, parse_transcript(text))
     assert series_totals(replayed) == totals
     assert len(series.rounds) == 3 and walked == [triangle] * 3
+
+
+def _chain(p: Position, seed: int) -> str:
+    """play -> series_totals -> render -> parse -> replay of ``p``; returns the rendered text."""
+    series = play_series(p, random_buster(seed), greedy_fixer())
+    totals = series_totals(series)
+    text = render_transcript(series, scenario="chain")
+    replayed = replay_transcript(p, parse_transcript(text))
+    assert series_totals(replayed) == totals and replayed == series
+    return text
+
+
+def _twin(p: Position) -> Position:
+    """An equal but distinct ``Position``, so no walk of ``p`` shares its index."""
+    return Position(graph=p.graph, reserve=p.reserve)
+
+
+def test_play_totals_render_replay_builds_one_edge_index(triangle, monkeypatch):
+    # the three walks of the chain share the position's index and its memos
+    built = []
+    index_init = EdgeIndex.__init__
+
+    def counting_init(self, graph, reserve):
+        built.append((graph, reserve))
+        index_init(self, graph, reserve)
+
+    monkeypatch.setattr(EdgeIndex, "__init__", counting_init)
+    _chain(triangle, 1)
+    assert built == [(triangle.graph, triangle.reserve)]
+
+
+def test_interleaved_walks_of_two_positions_read_as_fresh_runs():
+    # A, B, A at every step of the chain: each walk whose position left the
+    # slot builds a new index, and every transcript equals a fresh run's
+    rng = random.Random(7)
+    a, b = random_instance(rng), random_instance(rng)
+    played = [play_series(p, random_buster(3), greedy_fixer()) for p in (a, b, a)]
+    assert all(s.rounds for s in played)
+    texts = [render_transcript(s, scenario="chain") for s in played]
+    replayed = [replay_transcript(p, parse_transcript(t)) for p, t in zip((a, b, a), texts)]
+    assert replayed == played
+    assert texts == [_chain(_twin(p), 3) for p in (a, b, a)]
+
+
+def test_equal_positions_get_their_own_index(triangle):
+    # the slot is keyed by identity, not ==
+    twin = _twin(triangle)
+    assert twin == triangle and twin is not triangle
+    index = engine._index_of(triangle)
+    assert engine._index_of(triangle) is index
+    assert engine._index_of(twin) is not index
+    assert engine._index_of(triangle) is not index
+    assert _chain(triangle, 1) == _chain(twin, 1)
+
+
+def test_two_threads_play_and_replay_as_one_thread_does():
+    # two threads keep swapping the slot; each must still walk its own position's index
+    rng = random.Random(9)
+    positions = [random_instance(rng) for _ in range(2)]
+    seeds = range(150)
+    expected = [[_chain(_twin(p), seed) for seed in seeds] for p in positions]
+    got: list = [None, None]
+    start = threading.Barrier(2, timeout=60)
+
+    def run(k):
+        start.wait()
+        got[k] = [_chain(positions[k], seed) for seed in seeds]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == expected
