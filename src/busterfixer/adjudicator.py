@@ -65,8 +65,8 @@ boundary, in the ``OutcomeTriple`` of a witness. No float is ever involved.
 
 Searches are pure given their inputs, and every memo is per position,
 keyed only by what decides its answer. Each verifier call builds a fresh
-arena; the sweep keeps one arena per instance for all its moves, which
-changes no verdict or witness.
+arena; the sweep builds one arena per isomorphism class, which changes no
+tally, since every verdict is invariant under relabelling and renaming.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ from .engine import (
     series_totals,
 )
 from .errors import BusterWinsError, CapExceededError, IllegalMoveError
-from .graph import DEFAULT_CAPS, Caps, Edge, EdgeIndex, Multigraph, _bit_indices, _UnionFind, contract
+from .graph import DEFAULT_CAPS, Caps, Edge, EdgeIndex, Multigraph, _bit_indices, _UnionFind, canonical_form, contract
 from .reconnect import all_msts
 
 
@@ -602,10 +602,11 @@ def theorem_sweep(
     the reserve-subset cap is checked as each instance's arena is fetched,
     before its Buster moves or converse list are enumerated.
 
-    Each Buster move is adjudicated once, on one arena per instance: its
-    bust is checked once, each response (greedy ones included) is checked
-    legal, and the move's ``_Adjudication`` per prune setting gives each
-    verdict. The total-edge cap is checked first.
+    Only the first instance of each isomorphism class (``canonical_form``)
+    is adjudicated, on one arena; later members get its tallies unless it
+    recorded a failure. Each Buster move is adjudicated once: its bust is
+    checked once, each response (greedy ones included) is checked legal,
+    and the move's ``_Adjudication`` per prune setting gives each verdict.
     The greedy list comes from ``contract``/``all_msts``, independently of
     the arena, once per component partition of the busted graph (which with
     the reserve fixes the contracted graph), read off the arena's masks so
@@ -627,12 +628,25 @@ def theorem_sweep(
         return verdict
 
     settings = (bridge_only, not bridge_only) if compare_prune else (bridge_only,)
+    shared: dict[tuple, tuple[int, int, int]] = {}  # class key -> its first clean instance's tallies
     for p in instances:
         report.instances += 1
         if len(p.graph) == 0:
             continue
         if p.total_edges > caps.max_total_edges:
             raise CapExceededError(f"position has {p.total_edges} edges, cap is {caps.max_total_edges}")
+        # exact weights as integer pairs, which sort and hash in C, unlike Fractions
+        triples = [(0, e.u, e.v, e.weight.as_integer_ratio()) for e in p.graph]
+        triples += [(1, e.u, e.v, e.weight.as_integer_ratio()) for e in p.reserve]
+        try:
+            key = p.graph.vertex_count, canonical_form(p.graph.vertex_count, triples, caps)
+        except CapExceededError:  # too many relabellings to key: adjudicate it alone
+            key = None
+        before = report.moves, report.greedy_checked, report.responses_checked
+        if key in shared:
+            report.moves, report.greedy_checked, report.responses_checked = map(sum, zip(before, shared[key]))
+            continue
+        failures = len(report.counterexamples) + len(report.prune_mismatches)
         arena, greedy_by_partition = _arena_for(p, caps), {}
         for busted in enumerate_buster_moves(p, caps):
             report.moves += 1
@@ -664,6 +678,9 @@ def theorem_sweep(
                 if adjudicate(arena, busted, left, jobs, response) and p.reserve.weight(response) != minimum:
                     detail = f"weight {p.reserve.weight(response)} > minimum {minimum}"
                     report.counterexamples.append(Counterexample("non-minimum-optimal", p, busted, response, detail))
+        if key is not None and len(report.counterexamples) + len(report.prune_mismatches) == failures:
+            after = report.moves, report.greedy_checked, report.responses_checked
+            shared[key] = tuple(a - b for a, b in zip(after, before))
     return report
 
 

@@ -24,10 +24,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from itertools import permutations
+from math import factorial, lcm
 from typing import Iterable, Iterator
 
-from .errors import IllegalMoveError
+from .errors import CapExceededError, IllegalMoveError
 
 _DECIMAL_RE = re.compile(r"(-?)(\d+)(?:\.(\d+))?")
 
@@ -131,11 +132,6 @@ class Edge:
     def is_loop(self) -> bool:
         return self.u == self.v
 
-    def key(self) -> tuple[int, int, Fraction]:
-        """Endpoint-sorted structural key ``(min, max, weight)``."""
-        a, b = sorted((self.u, self.v))
-        return (a, b, self.weight)
-
 
 @dataclass(frozen=True)
 class Multigraph:
@@ -196,10 +192,6 @@ class Multigraph:
     def with_edges(self, new_edges: Iterable[Edge]) -> Multigraph:
         """Multigraph plus the given edges; ids must not collide."""
         return Multigraph(self.vertex_count, self.edges + tuple(new_edges))
-
-    def signature(self) -> tuple[tuple[int, int, Fraction], ...]:
-        """Canonical id-free structural key: sorted endpoint/weight triples."""
-        return tuple(sorted(e.key() for e in self.edges))
 
 
 @dataclass(frozen=True)
@@ -282,6 +274,27 @@ def contract(base: Multigraph, reserve: Iterable[Edge]) -> ContractedGraph:
     for e in sorted(reserve, key=lambda e: e.id):
         contracted.append(Edge(e.id, labels[e.u], labels[e.v], e.weight))
     return ContractedGraph(component_count=max(labels) + 1, edges=tuple(contracted))
+
+
+def canonical_form(vertex_count: int, triples: Iterable[tuple], caps: Caps = DEFAULT_CAPS) -> tuple:
+    """The least sorted tuple of ``(pool, min endpoint, max endpoint, weight)`` over vertex relabellings.
+
+    ``triples`` holds one ``(pool, u, v, weight)`` per edge; ``pool`` tells
+    apart edge sets described together, such as graph and reserve. Brute
+    force; raises ``CapExceededError`` when ``vertex_count!`` exceeds ``caps.max_subsets``.
+    """
+    if factorial(vertex_count) > caps.max_subsets:
+        raise CapExceededError(f"{vertex_count}! relabellings exceeds cap {caps.max_subsets}")
+    triples, best = tuple(triples), None
+    for perm in permutations(range(vertex_count)):
+        form = []
+        for pool, u, v, weight in triples:
+            u, v = perm[u], perm[v]
+            form.append((pool, u, v, weight) if u <= v else (pool, v, u, weight))
+        form.sort()
+        if best is None or form < best:
+            best = form
+    return tuple(best)
 
 
 def _bit_indices(mask: int) -> Iterator[int]:

@@ -27,7 +27,7 @@ from .graph import EdgeIndex, format_weight
 _COLUMNS = ("j", "G_j", "R_j", "B_j", "F_j", "sum|B|", "sum w(F)", "Winner")
 
 # The only cost forms render_transcript writes: ``3`` or ``7/2``.
-_COST_RE = re.compile(r"[0-9]+(?:/[1-9][0-9]*)?")
+_COST_RE = re.compile(r"([0-9]+)(?:/([1-9][0-9]*))?")
 
 
 def _render_ids(ids: frozenset[str]) -> str:
@@ -43,9 +43,10 @@ def _parse_ids(text: str) -> frozenset[str]:
 
 
 def _parse_cost(text: str) -> Fraction:
-    if _COST_RE.fullmatch(text) is None:
+    m = _COST_RE.fullmatch(text)
+    if m is None:
         raise ValueError(f"expected a cost like 3 or 7/2, got {text!r}")
-    return Fraction(text)
+    return Fraction(int(m[1]), int(m[2] or 1))
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from busterfixer import (
 
 from busterfixer import adjudicator
 from busterfixer.adjudicator import _Adjudication, _Arena, _distinct_unions, _legal_bust, _legal_candidate, verify_optimal_report
-from busterfixer.graph import EdgeIndex, components, contract
+from busterfixer.graph import EdgeIndex, canonical_form, components, contract
 from busterfixer.reconnect import all_msts
 
 from conftest import random_instance, triangle_position
@@ -433,21 +433,31 @@ def test_theorem_sweep_checks_greedy_responses_legal(triangle, monkeypatch):
         theorem_sweep([triangle])
 
 
+def _class_of(p):
+    triples = [(0, e.u, e.v, e.weight) for e in p.graph] + [(1, e.u, e.v, e.weight) for e in p.reserve]
+    return p.graph.vertex_count, canonical_form(p.graph.vertex_count, triples)
+
+
 def test_theorem_sweep_builds_one_greedy_list_per_partition(monkeypatch):
-    # all_msts runs once per instance and component labelling of the busted
-    # graph, and the greedy tally equals one fresh greedy list per move
+    # all_msts runs once per class representative and component labelling of
+    # its busted graph, and the greedy tally equals one fresh greedy list per move
     corpus = list(generate_instances(3, 4, (0, 1, 2)))
+    first = {}
+    for p in corpus:
+        first.setdefault(_class_of(p), p)
     partitions, greedy_checked, moves, adjudicated = set(), 0, 0, 0
     for index, p in enumerate(corpus):
+        representative = first[_class_of(p)] is p
         for busted in enumerate_buster_moves(p):
             moves += 1
             if buster_wins(p, busted):
                 greedy_checked += 1
                 continue
-            adjudicated += 1
             remaining = p.graph.without(busted)
-            partitions.add((index, components(remaining)))
             greedy_checked += len({t.edge_ids for t in all_msts(contract(remaining, p.reserve.edges))})
+            if representative:
+                adjudicated += 1
+                partitions.add((index, components(remaining)))
     calls = built = 0
 
     def counting(*args):
@@ -468,6 +478,56 @@ def test_theorem_sweep_builds_one_greedy_list_per_partition(monkeypatch):
     assert calls == len(partitions) < adjudicated
     # the partition comes from the arena's masks: a busted graph is built only for a new one
     assert built == calls
+
+
+def _tallies(report):
+    return (
+        report.instances,
+        report.moves,
+        report.greedy_checked,
+        report.responses_checked,
+        len(report.counterexamples),
+        len(report.prune_mismatches),
+    )
+
+
+def _counting_arenas(monkeypatch):
+    """Wrap ``_arena_for``; the returned list gets each position an arena is built for."""
+    built, arena_for = [], adjudicator._arena_for
+
+    def counting(p, caps):
+        built.append(p)
+        return arena_for(p, caps)
+
+    monkeypatch.setattr(adjudicator, "_arena_for", counting)
+    return built
+
+
+def test_theorem_sweep_adjudicates_one_instance_per_class(monkeypatch):
+    # later members of a class are credited with the first member's tallies
+    # and build no arena; the report is the sum of one-instance sweeps
+    corpus = list(generate_instances(3, 4, (0, 1, 2)))
+    singles = [_tallies(theorem_sweep([p], compare_prune=True)) for p in corpus]
+    arenas = _counting_arenas(monkeypatch)
+    report = theorem_sweep(corpus, compare_prune=True)
+    first = {}
+    for p in corpus:
+        first.setdefault(_class_of(p), p)
+    assert (len(corpus), len(first)) == (1_415, 471)
+    assert all(a is b for a, b in zip(arenas, first.values(), strict=True))  # each class's first member
+    assert _tallies(report) == tuple(map(sum, zip(*singles)))
+
+
+def test_theorem_sweep_adjudicates_each_copy_past_the_relabelling_cap(monkeypatch):
+    # 8! relabellings exceed the default cap: the tree is swept, never shared, never refused
+    tree = Position(
+        graph=Multigraph(8, tuple(Edge(f"g{v}", v, v + 1, 1) for v in range(7))),
+        reserve=Multigraph(8, ()),
+    )
+    arenas = _counting_arenas(monkeypatch)
+    report = theorem_sweep([tree, tree])
+    assert len(arenas) == 2
+    assert _tallies(report) == (2, 2 * 127, 2 * 127, 0, 0, 0)
 
 
 def test_theorem_sweep_records_a_prune_mismatch_per_check(monkeypatch):
@@ -670,8 +730,46 @@ def test_generate_instances_counts_and_shape():
 
         assert is_connected(p.graph)
         assert p.total_edges <= 3
-    signatures = {(p.graph.signature(), p.reserve.signature(), p.graph.vertex_count) for p in instances}
-    assert len(signatures) == len(instances)  # canonical dedup
+    labelled = {
+        (p.graph.vertex_count, *(tuple(sorted((min(e.u, e.v), max(e.u, e.v), e.weight) for e in g)) for g in (p.graph, p.reserve)))
+        for p in instances
+    }
+    assert len(labelled) == len(instances)  # one instance per labelled edge multiset
+
+
+def _relabelled(p, rng):
+    """``p`` under a random vertex permutation, with each pool's id order reversed."""
+    perm = list(range(p.graph.vertex_count))
+    rng.shuffle(perm)
+    rename = {}
+    for pool in (p.graph, p.reserve):
+        ids = [e.id for e in pool]
+        rename.update(zip(ids, reversed(ids)))
+
+    def moved(pool):
+        return Multigraph(pool.vertex_count, tuple(Edge(rename[e.id], perm[e.u], perm[e.v], e.weight) for e in pool))
+
+    return Position(graph=moved(p.graph), reserve=moved(p.reserve)), rename
+
+
+def test_verdicts_are_invariant_under_relabelling():
+    # a vertex permutation plus reversed ids flips every id tie-break; the
+    # verdict and the alternative count must not move (witnesses follow ids)
+    rng = random.Random(43)
+    checks = 0
+    for p in generate_instances(3, 4, (0, 1, 2)):
+        q, rename = _relabelled(p, rng)
+        for busted in enumerate_buster_moves(p):
+            responses = [frozenset()] if buster_wins(p, busted) else enumerate_fixer_responses(p, busted)
+            for response in responses:
+                for bridge_only in (True, False):
+                    mine = verify_optimal_report(p, busted, response, bridge_only=bridge_only)
+                    theirs = verify_optimal_report(
+                        q, frozenset(map(rename.get, busted)), frozenset(map(rename.get, response)), bridge_only=bridge_only
+                    )
+                    assert (theirs.optimal, theirs.alternatives) == (mine.optimal, mine.alternatives)
+                    checks += 1
+    assert checks == 10_896 + 6_468  # reconnectable rounds, then lost rounds' empty responses
 
 
 def test_quit_token_repr():

@@ -6,6 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from busterfixer import (
+    CapExceededError,
+    Caps,
     Edge,
     IllegalMoveError,
     Multigraph,
@@ -13,9 +15,11 @@ from busterfixer import (
     components,
     contract,
     format_weight,
+    generate_instances,
     is_connected,
     parse_decimal_weight,
 )
+from busterfixer.graph import canonical_form
 
 from conftest import random_multigraph, triangle_position
 from test_properties import PROPERTY
@@ -161,3 +165,45 @@ def test_contract_preserves_ids_weights_cardinality():
         for e in m.edges:
             original = next(r for r in reserve if r.id == e.id)
             assert e.is_loop == (labels[original.u] == labels[original.v])
+
+
+def _pooled_triples(p):
+    return [(0, e.u, e.v, e.weight) for e in p.graph] + [(1, e.u, e.v, e.weight) for e in p.reserve]
+
+
+def test_canonical_form_is_equal_across_relabellings():
+    rng = random.Random(41)
+    for p in generate_instances(3, 4, (0, 1, 2)):
+        n, triples = p.graph.vertex_count, _pooled_triples(p)
+        form = canonical_form(n, triples)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        moved = [(pool, perm[u], perm[v], w) for pool, u, v, w in triples]
+        rng.shuffle(moved)
+        assert canonical_form(n, moved) == form
+        assert form == tuple(sorted(form))
+        assert all(u <= v for _, u, v, _ in form)
+
+
+def test_canonical_form_separates_a_path_by_its_middle_vertex():
+    # the path 0-1-2 and the path 1-0-2 are relabellings; a heavier leaf edge is not
+    path = [(0, 0, 1, Fraction(1)), (0, 1, 2, Fraction(2))]
+    assert canonical_form(3, path) == canonical_form(3, [(0, 1, 0, Fraction(1)), (0, 0, 2, Fraction(2))])
+    assert canonical_form(3, path) != canonical_form(3, [(0, 0, 1, Fraction(2)), (0, 1, 2, Fraction(2))])
+    assert canonical_form(3, path) != canonical_form(3, [(0, 0, 1, Fraction(1)), (1, 1, 2, Fraction(2))])
+
+
+@pytest.mark.parametrize("corpus, classes", [((3, 4), 471), ((3, 5), 2_523)])
+def test_canonical_form_counts_the_corpus_classes(corpus, classes):
+    instances = list(generate_instances(*corpus, (0, 1, 2)))
+    forms = {(p.graph.vertex_count, canonical_form(p.graph.vertex_count, _pooled_triples(p))) for p in instances}
+    assert len(forms) == classes < len(instances)
+
+
+def test_canonical_form_raises_past_the_relabelling_cap():
+    path = [(0, v, v + 1, Fraction(1)) for v in range(7)]
+    with pytest.raises(CapExceededError):
+        canonical_form(8, path)  # 8! = 40,320 relabellings, over the default 4,096
+    with pytest.raises(CapExceededError):
+        canonical_form(3, path[:2], Caps(max_subsets=5))
+    assert canonical_form(3, path[:2], Caps(max_subsets=6)) == ((0, 0, 1, 1), (0, 0, 2, 1))  # centre at 0
