@@ -44,7 +44,8 @@ wraps it). Both searches walk the nonempty bust submasks in descending
 ``_Adjudication`` holds what every candidate against one bust and prune
 setting shares: the alternative lines, the check memo and the survival
 search with its memo. A verifier call builds one; ``theorem_sweep``
-builds one per Buster move and setting and checks every response with it.
+builds one per orbit of Buster moves and setting and checks every
+response with it.
 By default the alternatives compared against are restricted to responses
 whose every edge is a bridge after the fix (equivalently, spanning trees
 of the contracted graph, the reconnecting sets of fewest edges); this
@@ -65,8 +66,10 @@ boundary, in the ``OutcomeTriple`` of a witness. No float is ever involved.
 
 Searches are pure given their inputs, and every memo is per position,
 keyed only by what decides its answer. Each verifier call builds a fresh
-arena; the sweep builds one arena per isomorphism class, which changes no
-tally, since every verdict is invariant under relabelling and renaming.
+arena; the sweep builds one arena per isomorphism class and one
+``_Adjudication`` pair per orbit of Buster moves under the class's
+automorphisms, which changes no tally, since every verdict is invariant
+under relabelling and renaming.
 """
 
 from __future__ import annotations
@@ -195,8 +198,10 @@ class _Arena(EdgeIndex):
                 # edges; those with exactly that many are the contracted spanning trees.
                 fewest = min(mask.bit_count() for mask, _ in responses)
                 responses = [r for r in responses if r[0].bit_count() == fewest]
+            # A response's bits all lie in the reserve range, which the index lays
+            # out in id order, so its ids come out of ascending bits already sorted.
             ordered = self._ordered[key] = tuple(
-                sorted((w, tuple(sorted(ids[i] for i in _bit_indices(m))), m) for m, w in responses)
+                sorted((w, tuple(ids[i] for i in _bit_indices(m)), m) for m, w in responses)
             )
         return ordered
 
@@ -604,7 +609,12 @@ def theorem_sweep(
 
     Only the first instance of each isomorphism class (``canonical_form``)
     is adjudicated, on one arena; later members get its tallies unless it
-    recorded a failure. Each Buster move is adjudicated once: its bust is
+    recorded a failure. Within it, only the first non-winning Buster move of
+    each orbit is adjudicated: busts that an automorphism (a relabelling
+    that ``canonical_form`` returns, with swaps of identical edges) maps
+    onto each other share a key, the least relabelled sorted tuple of
+    their edges, and later busts get the first one's tallies unless it
+    recorded a failure. Each adjudicated move is adjudicated once: its bust is
     checked once, each response (greedy ones included) is checked legal,
     and the move's ``_Adjudication`` per prune setting gives each verdict.
     The greedy list comes from ``contract``/``all_msts``, independently of
@@ -639,7 +649,8 @@ def theorem_sweep(
         triples = [(0, e.u, e.v, e.weight.as_integer_ratio()) for e in p.graph]
         triples += [(1, e.u, e.v, e.weight.as_integer_ratio()) for e in p.reserve]
         try:
-            key = p.graph.vertex_count, canonical_form(p.graph.vertex_count, triples, caps)
+            form, relabellings = canonical_form(p.graph.vertex_count, triples, caps)
+            key = p.graph.vertex_count, form
         except CapExceededError:  # too many relabellings to key: adjudicate it alone
             key = None
         before = report.moves, report.greedy_checked, report.responses_checked
@@ -647,13 +658,24 @@ def theorem_sweep(
             report.moves, report.greedy_checked, report.responses_checked = map(sum, zip(before, shared[key]))
             continue
         failures = len(report.counterexamples) + len(report.prune_mismatches)
-        arena, greedy_by_partition = _arena_for(p, caps), {}
+        arena, greedy_by_partition, by_orbit = _arena_for(p, caps), {}, {}
         for busted in enumerate_buster_moves(p, caps):
             report.moves += 1
             left = _legal_bust(arena, busted)
             if left is None:  # Buster wins the round: the forced empty response is optimal
                 report.greedy_checked += 1
                 continue
+            orbit = None
+            if key is not None:  # two busts' keys are equal just when an automorphism maps one onto the other
+                bust = [(*arena.ends[i], arena.weights[i]) for i in _bit_indices(arena.graph_mask ^ left)]
+                orbit = tuple(min(
+                    sorted((min(perm[u], perm[v]), max(perm[u], perm[v]), w) for u, v, w in bust) for perm in relabellings
+                ))
+            move_before = report.greedy_checked, report.responses_checked
+            if orbit in by_orbit:
+                report.greedy_checked, report.responses_checked = map(sum, zip(move_before, by_orbit[orbit]))
+                continue
+            move_failures = len(report.counterexamples) + len(report.prune_mismatches)
             jobs = [_Adjudication(arena, left, setting) for setting in settings]
             uf = _UnionFind(arena.n)
             for i in _bit_indices(left):
@@ -678,6 +700,9 @@ def theorem_sweep(
                 if adjudicate(arena, busted, left, jobs, response) and p.reserve.weight(response) != minimum:
                     detail = f"weight {p.reserve.weight(response)} > minimum {minimum}"
                     report.counterexamples.append(Counterexample("non-minimum-optimal", p, busted, response, detail))
+            if orbit is not None and len(report.counterexamples) + len(report.prune_mismatches) == move_failures:
+                after = report.greedy_checked, report.responses_checked
+                by_orbit[orbit] = tuple(a - b for a, b in zip(after, move_before))
         if key is not None and len(report.counterexamples) + len(report.prune_mismatches) == failures:
             after = report.moves, report.greedy_checked, report.responses_checked
             shared[key] = tuple(a - b for a, b in zip(after, before))

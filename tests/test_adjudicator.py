@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 from types import SimpleNamespace
+from unittest.mock import Mock
 
 import pytest
 from hypothesis import given
@@ -433,21 +434,31 @@ def test_theorem_sweep_checks_greedy_responses_legal(triangle, monkeypatch):
         theorem_sweep([triangle])
 
 
-def _class_of(p):
-    triples = [(0, e.u, e.v, e.weight) for e in p.graph] + [(1, e.u, e.v, e.weight) for e in p.reserve]
-    return p.graph.vertex_count, canonical_form(p.graph.vertex_count, triples)
+def _class_of(p, busted=frozenset()):
+    """The class of ``p``; with ``busted``, of ``p`` with the bust as its own pool, which names the bust's orbit."""
+    triples = [(2 if e.id in busted else 0, e.u, e.v, e.weight) for e in p.graph]
+    triples += [(1, e.u, e.v, e.weight) for e in p.reserve]
+    return p.graph.vertex_count, canonical_form(p.graph.vertex_count, triples)[0]
+
+
+def _orbit_representatives(corpus):
+    """(index, bust) of the first non-winning move of each orbit in each class's first instance."""
+    first, orbits = {}, {}
+    for index, p in enumerate(corpus):
+        if first.setdefault(_class_of(p), p) is p:
+            for busted in enumerate_buster_moves(p):
+                if not buster_wins(p, busted):
+                    orbits.setdefault((index, _class_of(p, busted)), (index, busted))
+    return list(orbits.values())
 
 
 def test_theorem_sweep_builds_one_greedy_list_per_partition(monkeypatch):
     # all_msts runs once per class representative and component labelling of
-    # its busted graph, and the greedy tally equals one fresh greedy list per move
+    # the busted graphs of its orbit representatives, and the greedy tally
+    # equals one fresh greedy list per move
     corpus = list(generate_instances(3, 4, (0, 1, 2)))
-    first = {}
+    greedy_checked, moves = 0, 0
     for p in corpus:
-        first.setdefault(_class_of(p), p)
-    partitions, greedy_checked, moves, adjudicated = set(), 0, 0, 0
-    for index, p in enumerate(corpus):
-        representative = first[_class_of(p)] is p
         for busted in enumerate_buster_moves(p):
             moves += 1
             if buster_wins(p, busted):
@@ -455,9 +466,8 @@ def test_theorem_sweep_builds_one_greedy_list_per_partition(monkeypatch):
                 continue
             remaining = p.graph.without(busted)
             greedy_checked += len({t.edge_ids for t in all_msts(contract(remaining, p.reserve.edges))})
-            if representative:
-                adjudicated += 1
-                partitions.add((index, components(remaining)))
+    adjudicated = _orbit_representatives(corpus)
+    partitions = {(index, components(corpus[index].graph.without(busted))) for index, busted in adjudicated}
     calls = built = 0
 
     def counting(*args):
@@ -475,7 +485,7 @@ def test_theorem_sweep_builds_one_greedy_list_per_partition(monkeypatch):
     monkeypatch.setattr(Multigraph, "__post_init__", counting_post_init)
     report = theorem_sweep(corpus)
     assert report.ok and (report.moves, report.greedy_checked) == (moves, greedy_checked)
-    assert calls == len(partitions) < adjudicated
+    assert calls == len(partitions) < len(adjudicated)
     # the partition comes from the arena's masks: a busted graph is built only for a new one
     assert built == calls
 
@@ -530,34 +540,80 @@ def test_theorem_sweep_adjudicates_each_copy_past_the_relabelling_cap(monkeypatc
     assert _tallies(report) == (2, 2 * 127, 2 * 127, 0, 0, 0)
 
 
-def test_theorem_sweep_records_a_prune_mismatch_per_check(monkeypatch):
-    # flip every unpruned root verdict: compare_prune must record exactly one
-    # mismatch per adjudicated check, and the pruned verdicts stay clean
-    corpus = list(generate_instances(max_vertices=2, max_total_edges=4, reserve_weights=(0, 1)))
-    adjudication = adjudicator._Adjudication
-    roots = 0
+def _flip_verdicts(monkeypatch, settings):
+    """Flip every root verdict of the ``bridge_only`` settings given.
+
+    Returns a dict that counts the ``_Adjudication``s built (``"jobs"``) and
+    the flipped root verdicts (``"roots"``).
+    """
+    adjudication, counts = adjudicator._Adjudication, {"jobs": 0, "roots": 0}
 
     class Flipped:
         def __init__(self, job):
             self.job = job
 
         def survives(self, graph_mask, reserve_mask):
-            nonlocal roots
-            roots += 1
+            counts["roots"] += 1
             ok, failure = self.job.survives(graph_mask, reserve_mask)
             return not ok, failure
 
     def flipping(arena, left, bridge_only):
+        counts["jobs"] += 1
         job = adjudication(arena, left, bridge_only)
-        return job if bridge_only else Flipped(job)
+        return Flipped(job) if bridge_only in settings else job
 
     monkeypatch.setattr(adjudicator, "_Adjudication", flipping)
+    return counts
+
+
+def test_theorem_sweep_records_a_prune_mismatch_per_check(monkeypatch):
+    # flip every unpruned root verdict: compare_prune must record exactly one
+    # mismatch per adjudicated check, and the pruned verdicts stay clean
+    corpus = list(generate_instances(max_vertices=2, max_total_edges=4, reserve_weights=(0, 1)))
+    counts = _flip_verdicts(monkeypatch, {False})
     report = theorem_sweep(corpus, compare_prune=True)
     lost_rounds = sum(buster_wins(p, b) for p in corpus for b in enumerate_buster_moves(p))
     checks = report.greedy_checked + report.responses_checked - lost_rounds
     assert report.counterexamples == []
-    assert len(report.prune_mismatches) == roots == checks > 0
+    assert len(report.prune_mismatches) == counts["roots"] == checks > 0
     assert {ce.kind for ce in report.prune_mismatches} == {"prune-mismatch"}
+
+
+def test_theorem_sweep_adjudicates_one_move_per_orbit(monkeypatch):
+    # in each class's first instance, a non-winning bust that an automorphism
+    # maps onto an earlier clean one is credited with its tallies and builds
+    # no _Adjudication; the report is the sum of one-instance sweeps
+    corpus = list(generate_instances(3, 4, (0, 1, 2)))
+    singles = [_tallies(theorem_sweep([p], compare_prune=True)) for p in corpus]
+    orbits = _orbit_representatives(corpus)
+    counts = _flip_verdicts(monkeypatch, set())
+    report = theorem_sweep(corpus, compare_prune=True)
+    non_winning = sum(not buster_wins(p, b) for p in corpus for b in enumerate_buster_moves(p))
+    assert counts["jobs"] == 2 * len(orbits) < non_winning
+    assert _tallies(report) == tuple(map(sum, zip(*singles)))
+    # with every verdict flipped each move fails, so none is shared, and the
+    # failures are listed as a sweep that shares nothing lists them
+    monkeypatch.undo()
+    counts = _flip_verdicts(monkeypatch, {False, True})
+    flipped = theorem_sweep(corpus, compare_prune=True)
+    assert counts["jobs"] == 2 * non_winning
+    monkeypatch.setattr(adjudicator, "canonical_form", Mock(side_effect=CapExceededError("unkeyed")))
+    unshared = theorem_sweep(corpus, compare_prune=True)
+    assert flipped.counterexamples == unshared.counterexamples and len(flipped.counterexamples) > non_winning
+    assert flipped.prune_mismatches == unshared.prune_mismatches == []
+
+
+def test_theorem_sweep_keeps_busts_of_unequal_parallel_edges_apart(monkeypatch):
+    # parallel graph edges of weights 1/2 and 1/3 are not identical, so no
+    # automorphism swaps them: the busts {a}, {b} and {a, b} are three orbits
+    p = Position(
+        graph=Multigraph(2, (Edge("a", 0, 1, Fraction(1, 2)), Edge("b", 0, 1, Fraction(1, 3)))),
+        reserve=Multigraph(2, (Edge("r", 0, 1, Fraction(1)),)),
+    )
+    counts = _flip_verdicts(monkeypatch, set())
+    report = theorem_sweep([p], compare_prune=True)
+    assert counts["jobs"] == 2 * len(_orbit_representatives([p])) == 2 * 3
+    assert report.ok and report.moves == 3
 
 
 def test_arena_ordered_responses_memo_equals_a_fresh_arena():

@@ -1,5 +1,8 @@
 import io
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -387,3 +390,12 @@ def test_help_matches_a_freshly_built_parser(command, capsys):
     assert exited.value.code == 0
     assert reused == capsys.readouterr()
     assert reused.out.startswith("usage: busterfixer")
+
+
+def test_python_dash_m_busterfixer_runs_the_cli():
+    # the package's __main__ runs the same CLI, with nothing on stderr
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    argv = [sys.executable, "-m", "busterfixer", "theorem-sweep", "--max-vertices", "2", "--max-total-edges", "3"]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert "counterexamples: 0" in done.stdout.splitlines()

@@ -36,6 +36,7 @@ from busterfixer import (
     scripted_buster,
     scripted_fixer,
     series_totals,
+    theorem_sweep,
     verify_optimal,
     verify_optimal_naive,
 )
@@ -87,6 +88,24 @@ def test_greedy_fixer_move_is_a_minimum_spanning_tree(p):
             continue
         m = contract(p.graph.without(busted), p.reserve.edges)
         assert greedy_fixer_move(p, busted) in {t.edge_ids for t in all_msts(m)}
+
+
+@PROPERTY
+@given(instances(max_vertices=3, max_total_edges=5))
+def test_theorem_sweep_tallies_equal_a_count_made_without_search(p):
+    """Orbit sharing, keyed on scaled fractional weights and identical parallel edges, credits exact tallies."""
+    moves = greedy_checked = responses_checked = 0
+    for busted in enumerate_buster_moves(p):
+        moves += 1
+        if buster_wins(p, busted):
+            greedy_checked += 1
+            continue
+        greedy = {t.edge_ids for t in all_msts(contract(p.graph.without(busted), p.reserve.edges))}
+        greedy_checked += len(greedy)
+        responses_checked += sum(r not in greedy for r in enumerate_fixer_responses(p, busted))
+    report = theorem_sweep([p], compare_prune=True)
+    assert report.ok
+    assert (report.moves, report.greedy_checked, report.responses_checked) == (moves, greedy_checked, responses_checked)
 
 
 # Scenario names and edge ids: printable non-space ASCII without the
