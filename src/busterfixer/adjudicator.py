@@ -44,7 +44,7 @@ wraps it). Both searches walk the nonempty bust submasks in descending
 ``_Adjudication`` holds what every candidate against one bust and prune
 setting shares: the alternative lines, the check memo and the survival
 search with its memo. A verifier call builds one; ``theorem_sweep``
-builds one per orbit of Buster moves and setting and checks every
+builds one per class of post-bust position and setting and checks every
 response with it.
 By default the alternatives compared against are restricted to responses
 whose every edge is a bridge after the fix (equivalently, spanning trees
@@ -67,9 +67,10 @@ boundary, in the ``OutcomeTriple`` of a witness. No float is ever involved.
 Searches are pure given their inputs, and every memo is per position,
 keyed only by what decides its answer. Each verifier call builds a fresh
 arena; the sweep builds one arena per isomorphism class and one
-``_Adjudication`` pair per orbit of Buster moves under the class's
-automorphisms, which changes no tally, since every verdict is invariant
-under relabelling and renaming.
+``_Adjudication`` pair per isomorphism class of the position a Buster move
+leaves, over the whole sweep, which changes no tally, since every verdict
+depends only on that position and is invariant under relabelling and
+renaming.
 """
 
 from __future__ import annotations
@@ -609,11 +610,12 @@ def theorem_sweep(
 
     Only the first instance of each isomorphism class (``canonical_form``)
     is adjudicated, on one arena; later members get its tallies unless it
-    recorded a failure. Within it, only the first non-winning Buster move of
-    each orbit is adjudicated: busts that an automorphism (a relabelling
-    that ``canonical_form`` returns, with swaps of identical edges) maps
-    onto each other share a key, the least relabelled sorted tuple of
-    their edges, and later busts get the first one's tallies unless it
+    recorded a failure. A non-winning Buster move's verdicts and tallies
+    depend only on the position it leaves (the busted graph and the whole
+    reserve), so across the whole call only the first move to leave each
+    class of position is adjudicated, keyed by the vertex count and the
+    ``canonical_form`` of that position on exact weight ratios; later moves
+    that leave the class, in any instance, get its tallies unless it
     recorded a failure. Each adjudicated move is adjudicated once: its bust is
     checked once, each response (greedy ones included) is checked legal,
     and the move's ``_Adjudication`` per prune setting gives each verdict.
@@ -639,18 +641,20 @@ def theorem_sweep(
 
     settings = (bridge_only, not bridge_only) if compare_prune else (bridge_only,)
     shared: dict[tuple, tuple[int, int, int]] = {}  # class key -> its first clean instance's tallies
+    by_class: dict[tuple, tuple[int, int]] = {}  # class of the position a move leaves -> its first clean move's tallies
     for p in instances:
         report.instances += 1
         if len(p.graph) == 0:
             continue
         if p.total_edges > caps.max_total_edges:
             raise CapExceededError(f"position has {p.total_edges} edges, cap is {caps.max_total_edges}")
-        # exact weights as integer pairs, which sort and hash in C, unlike Fractions
+        # exact weights as integer pairs, which sort and hash in C, unlike Fractions (or
+        # arena-scaled ints, whose scale differs between instances); entry i is arena bit i
+        n = p.graph.vertex_count
         triples = [(0, e.u, e.v, e.weight.as_integer_ratio()) for e in p.graph]
-        triples += [(1, e.u, e.v, e.weight.as_integer_ratio()) for e in p.reserve]
+        reserve = [(1, e.u, e.v, e.weight.as_integer_ratio()) for e in p.reserve]
         try:
-            form, relabellings = canonical_form(p.graph.vertex_count, triples, caps)
-            key = p.graph.vertex_count, form
+            key = n, canonical_form(n, triples + reserve, caps)
         except CapExceededError:  # too many relabellings to key: adjudicate it alone
             key = None
         before = report.moves, report.greedy_checked, report.responses_checked
@@ -658,22 +662,19 @@ def theorem_sweep(
             report.moves, report.greedy_checked, report.responses_checked = map(sum, zip(before, shared[key]))
             continue
         failures = len(report.counterexamples) + len(report.prune_mismatches)
-        arena, greedy_by_partition, by_orbit = _arena_for(p, caps), {}, {}
+        arena, greedy_by_partition = _arena_for(p, caps), {}
         for busted in enumerate_buster_moves(p, caps):
             report.moves += 1
             left = _legal_bust(arena, busted)
             if left is None:  # Buster wins the round: the forced empty response is optimal
                 report.greedy_checked += 1
                 continue
-            orbit = None
-            if key is not None:  # two busts' keys are equal just when an automorphism maps one onto the other
-                bust = [(*arena.ends[i], arena.weights[i]) for i in _bit_indices(arena.graph_mask ^ left)]
-                orbit = tuple(min(
-                    sorted((min(perm[u], perm[v]), max(perm[u], perm[v]), w) for u, v, w in bust) for perm in relabellings
-                ))
+            post = None  # the class of the position the move leaves: the graph edges of left, and the reserve
+            if key is not None:
+                post = n, canonical_form(n, [triples[i] for i in _bit_indices(left)] + reserve, caps)
             move_before = report.greedy_checked, report.responses_checked
-            if orbit in by_orbit:
-                report.greedy_checked, report.responses_checked = map(sum, zip(move_before, by_orbit[orbit]))
+            if post in by_class:
+                report.greedy_checked, report.responses_checked = map(sum, zip(move_before, by_class[post]))
                 continue
             move_failures = len(report.counterexamples) + len(report.prune_mismatches)
             jobs = [_Adjudication(arena, left, setting) for setting in settings]
@@ -700,9 +701,9 @@ def theorem_sweep(
                 if adjudicate(arena, busted, left, jobs, response) and p.reserve.weight(response) != minimum:
                     detail = f"weight {p.reserve.weight(response)} > minimum {minimum}"
                     report.counterexamples.append(Counterexample("non-minimum-optimal", p, busted, response, detail))
-            if orbit is not None and len(report.counterexamples) + len(report.prune_mismatches) == move_failures:
+            if post is not None and len(report.counterexamples) + len(report.prune_mismatches) == move_failures:
                 after = report.greedy_checked, report.responses_checked
-                by_orbit[orbit] = tuple(a - b for a, b in zip(after, move_before))
+                by_class[post] = tuple(a - b for a, b in zip(after, move_before))
         if key is not None and len(report.counterexamples) + len(report.prune_mismatches) == failures:
             after = report.moves, report.greedy_checked, report.responses_checked
             shared[key] = tuple(a - b for a, b in zip(after, before))

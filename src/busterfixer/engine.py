@@ -96,11 +96,11 @@ class Position:
         return len(self.graph) + len(self.reserve)
 
     def check_bust(self, busted: frozenset[str]) -> None:
-        """Buster's one rule: raise ``IllegalMoveError`` unless ``busted`` is a nonempty subset of the graph."""
+        """Buster's rule, :func:`_check_bust`, against this position's graph."""
         _check_bust(busted, self.graph.ids)
 
     def check_fix(self, fixed: frozenset[str]) -> None:
-        """Fixer's one rule: raise ``IllegalMoveError`` unless ``fixed`` is a subset of the reserve."""
+        """Fixer's rule, :func:`_check_fix`, against this position's reserve."""
         _check_fix(fixed, self.reserve.ids)
 
 

@@ -276,21 +276,18 @@ def contract(base: Multigraph, reserve: Iterable[Edge]) -> ContractedGraph:
     return ContractedGraph(component_count=max(labels) + 1, edges=tuple(contracted))
 
 
-def canonical_form(
-    vertex_count: int, triples: Iterable[tuple], caps: Caps = DEFAULT_CAPS
-) -> tuple[tuple, list[tuple[int, ...]]]:
+def canonical_form(vertex_count: int, triples: Iterable[tuple], caps: Caps = DEFAULT_CAPS) -> tuple:
     """The least sorted tuple of ``(pool, min endpoint, max endpoint, weight)`` over vertex relabellings.
 
     ``triples`` holds one ``(pool, u, v, weight)`` per edge; ``pool`` tells
-    apart edge sets described together, such as graph and reserve. Returns
-    the form and every relabelling (``perm[v]`` is ``v``'s new label) that
-    reaches it: the automorphisms of the edge multiset, each followed by
-    one fixed relabelling that reaches it. Brute force; raises
+    apart edge sets described together, such as graph and reserve. Two edge
+    multisets over the same vertex count get equal forms exactly when a
+    relabelling maps one onto the other. Brute force; raises
     ``CapExceededError`` when ``vertex_count!`` exceeds ``caps.max_subsets``.
     """
     if factorial(vertex_count) > caps.max_subsets:
         raise CapExceededError(f"{vertex_count}! relabellings exceeds cap {caps.max_subsets}")
-    triples, best, reaching = tuple(triples), None, []
+    triples, best = tuple(triples), None
     for perm in permutations(range(vertex_count)):
         form = []
         for pool, u, v, weight in triples:
@@ -298,10 +295,8 @@ def canonical_form(
             form.append((pool, u, v, weight) if u <= v else (pool, v, u, weight))
         form.sort()
         if best is None or form < best:
-            best, reaching = form, [perm]
-        elif form == best:
-            reaching.append(perm)
-    return tuple(best), reaching
+            best = form
+    return tuple(best)
 
 
 def _bit_indices(mask: int) -> Iterator[int]:

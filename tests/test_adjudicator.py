@@ -434,31 +434,33 @@ def test_theorem_sweep_checks_greedy_responses_legal(triangle, monkeypatch):
         theorem_sweep([triangle])
 
 
-def _class_of(p, busted=frozenset()):
-    """The class of ``p``; with ``busted``, of ``p`` with the bust as its own pool, which names the bust's orbit."""
-    triples = [(2 if e.id in busted else 0, e.u, e.v, e.weight) for e in p.graph]
-    triples += [(1, e.u, e.v, e.weight) for e in p.reserve]
-    return p.graph.vertex_count, canonical_form(p.graph.vertex_count, triples)[0]
+def _class_of(p):
+    """The isomorphism class of ``p``: its vertex count and canonical form."""
+    triples = [(0, e.u, e.v, e.weight) for e in p.graph] + [(1, e.u, e.v, e.weight) for e in p.reserve]
+    return p.graph.vertex_count, canonical_form(p.graph.vertex_count, triples)
 
 
-def _orbit_representatives(corpus):
-    """(index, bust) of the first non-winning move of each orbit in each class's first instance."""
-    first, orbits = {}, {}
+def _post_bust_representatives(corpus):
+    """(index, bust) of the first non-winning move of the class representatives to leave each class of position."""
+    first, leaves = {}, {}
     for index, p in enumerate(corpus):
         if first.setdefault(_class_of(p), p) is p:
             for busted in enumerate_buster_moves(p):
                 if not buster_wins(p, busted):
-                    orbits.setdefault((index, _class_of(p, busted)), (index, busted))
-    return list(orbits.values())
+                    left = Position(graph=p.graph.without(busted), reserve=p.reserve)
+                    leaves.setdefault(_class_of(left), (index, busted))
+    return list(leaves.values())
 
 
 def test_theorem_sweep_builds_one_greedy_list_per_partition(monkeypatch):
     # all_msts runs once per class representative and component labelling of
-    # the busted graphs of its orbit representatives, and the greedy tally
-    # equals one fresh greedy list per move
-    corpus = list(generate_instances(3, 4, (0, 1, 2)))
+    # the busted graphs of its adjudicated moves, and the greedy tally equals
+    # one fresh greedy list per move; in generation order every adjudicated
+    # move of (3, 4) has a partition of its own, and reversed, larger
+    # instances come first and share partitions between their moves
+    forward = list(generate_instances(3, 4, (0, 1, 2)))
     greedy_checked, moves = 0, 0
-    for p in corpus:
+    for p in forward:
         for busted in enumerate_buster_moves(p):
             moves += 1
             if buster_wins(p, busted):
@@ -466,8 +468,6 @@ def test_theorem_sweep_builds_one_greedy_list_per_partition(monkeypatch):
                 continue
             remaining = p.graph.without(busted)
             greedy_checked += len({t.edge_ids for t in all_msts(contract(remaining, p.reserve.edges))})
-    adjudicated = _orbit_representatives(corpus)
-    partitions = {(index, components(corpus[index].graph.without(busted))) for index, busted in adjudicated}
     calls = built = 0
 
     def counting(*args):
@@ -483,11 +483,15 @@ def test_theorem_sweep_builds_one_greedy_list_per_partition(monkeypatch):
     post_init = Multigraph.__post_init__
     monkeypatch.setattr(adjudicator, "all_msts", counting)
     monkeypatch.setattr(Multigraph, "__post_init__", counting_post_init)
-    report = theorem_sweep(corpus)
-    assert report.ok and (report.moves, report.greedy_checked) == (moves, greedy_checked)
-    assert calls == len(partitions) < len(adjudicated)
-    # the partition comes from the arena's masks: a busted graph is built only for a new one
-    assert built == calls
+    for corpus, shared in ((forward, 0), (forward[::-1], 49)):
+        adjudicated = _post_bust_representatives(corpus)
+        partitions = {(index, components(corpus[index].graph.without(busted))) for index, busted in adjudicated}
+        calls = built = 0
+        report = theorem_sweep(corpus)
+        assert report.ok and (report.moves, report.greedy_checked) == (moves, greedy_checked)
+        assert calls == len(partitions) == len(adjudicated) - shared
+        # the partition comes from the arena's masks: a busted graph is built only for a new one
+        assert built == calls
 
 
 def _tallies(report):
@@ -579,17 +583,18 @@ def test_theorem_sweep_records_a_prune_mismatch_per_check(monkeypatch):
     assert {ce.kind for ce in report.prune_mismatches} == {"prune-mismatch"}
 
 
-def test_theorem_sweep_adjudicates_one_move_per_orbit(monkeypatch):
-    # in each class's first instance, a non-winning bust that an automorphism
-    # maps onto an earlier clean one is credited with its tallies and builds
-    # no _Adjudication; the report is the sum of one-instance sweeps
+def test_theorem_sweep_adjudicates_one_move_per_post_bust_class(monkeypatch):
+    # across the class representatives, a non-winning bust that leaves a
+    # position isomorphic to one an earlier clean move left is credited with
+    # its tallies and builds no _Adjudication; the report is the sum of
+    # one-instance sweeps
     corpus = list(generate_instances(3, 4, (0, 1, 2)))
     singles = [_tallies(theorem_sweep([p], compare_prune=True)) for p in corpus]
-    orbits = _orbit_representatives(corpus)
+    classes = _post_bust_representatives(corpus)
     counts = _flip_verdicts(monkeypatch, set())
     report = theorem_sweep(corpus, compare_prune=True)
     non_winning = sum(not buster_wins(p, b) for p in corpus for b in enumerate_buster_moves(p))
-    assert counts["jobs"] == 2 * len(orbits) < non_winning
+    assert counts["jobs"] == 2 * len(classes) == 2 * 291 < non_winning
     assert _tallies(report) == tuple(map(sum, zip(*singles)))
     # with every verdict flipped each move fails, so none is shared, and the
     # failures are listed as a sweep that shares nothing lists them
@@ -603,16 +608,57 @@ def test_theorem_sweep_adjudicates_one_move_per_orbit(monkeypatch):
     assert flipped.prune_mismatches == unshared.prune_mismatches == []
 
 
+def _parallel(n_graph, weights=(), reserve_weight=1):
+    """``n_graph`` parallel graph edges between vertices 0 and 1, the first ones of the given weights, and one reserve edge."""
+    weights = (*weights, *[1] * (n_graph - len(weights)))
+    return Position(
+        graph=Multigraph(2, tuple(Edge(f"g{i}", 0, 1, Fraction(w)) for i, w in enumerate(weights))),
+        reserve=Multigraph(2, (Edge("r", 0, 1, Fraction(reserve_weight)),)),
+    )
+
+
+def test_theorem_sweep_shares_a_post_bust_class_across_instances(monkeypatch):
+    # two and three parallel edges are not isomorphic, but busting two of
+    # the three leaves what busting one of the two leaves, and busting all
+    # leaves the reserve alone in both: the second instance adjudicates only
+    # its single busts, which leave two parallel edges
+    two, three = _parallel(2), _parallel(3)
+    assert _class_of(two) != _class_of(three)
+    singles = [_tallies(theorem_sweep([p], compare_prune=True)) for p in (two, three)]
+    counts = _flip_verdicts(monkeypatch, set())
+    report = theorem_sweep([two, three], compare_prune=True)
+    assert counts["jobs"] == 2 * (2 + 1)
+    assert report.ok and _tallies(report) == tuple(map(sum, zip(*singles)))
+    # a different reserve weight makes a different position: nothing is shared
+    counts["jobs"] = 0
+    report = theorem_sweep([two, _parallel(3, reserve_weight=2)], compare_prune=True)
+    assert counts["jobs"] == 2 * (2 + 3)
+
+
+def test_theorem_sweep_keys_post_bust_classes_on_exact_weights(monkeypatch):
+    # a graph edge of weight 1/3 makes the second arena's scale 3, so its
+    # other edges weigh 3 there against 1 in the first arena; busting the
+    # 1/3 edge still leaves the class that busting one of two unit edges
+    # leaves, and busting the unit edge leaves a new class
+    two, third = _parallel(2), _parallel(2, (Fraction(1, 3),))
+    assert _Arena(two).scale == 1 and _Arena(third).scale == 3
+    singles = [_tallies(theorem_sweep([p], compare_prune=True)) for p in (two, third)]
+    counts = _flip_verdicts(monkeypatch, set())
+    report = theorem_sweep([two, third], compare_prune=True)
+    assert counts["jobs"] == 2 * (2 + 1)
+    assert report.ok and _tallies(report) == tuple(map(sum, zip(*singles)))
+
+
 def test_theorem_sweep_keeps_busts_of_unequal_parallel_edges_apart(monkeypatch):
-    # parallel graph edges of weights 1/2 and 1/3 are not identical, so no
-    # automorphism swaps them: the busts {a}, {b} and {a, b} are three orbits
+    # parallel graph edges of weights 1/2 and 1/3 are not identical, so the
+    # busts {a}, {b} and {a, b} leave three classes of position
     p = Position(
         graph=Multigraph(2, (Edge("a", 0, 1, Fraction(1, 2)), Edge("b", 0, 1, Fraction(1, 3)))),
         reserve=Multigraph(2, (Edge("r", 0, 1, Fraction(1)),)),
     )
     counts = _flip_verdicts(monkeypatch, set())
     report = theorem_sweep([p], compare_prune=True)
-    assert counts["jobs"] == 2 * len(_orbit_representatives([p])) == 2 * 3
+    assert counts["jobs"] == 2 * len(_post_bust_representatives([p])) == 2 * 3
     assert report.ok and report.moves == 3
 
 

@@ -175,34 +175,28 @@ def test_canonical_form_is_equal_across_relabellings():
     rng = random.Random(41)
     for p in generate_instances(3, 4, (0, 1, 2)):
         n, triples = p.graph.vertex_count, _pooled_triples(p)
-        form, reaching = canonical_form(n, triples)
+        form = canonical_form(n, triples)
         perm = list(range(n))
         rng.shuffle(perm)
         moved = [(pool, perm[u], perm[v], w) for pool, u, v, w in triples]
         rng.shuffle(moved)
-        moved_form, moved_reaching = canonical_form(n, moved)
-        assert moved_form == form and len(moved_reaching) == len(reaching)  # as many automorphisms
+        assert canonical_form(n, moved) == form
         assert form == tuple(sorted(form))
         assert all(u <= v for _, u, v, _ in form)
-        for relabel in reaching:  # each returned relabelling reaches the form
-            assert tuple(sorted((pool, *sorted((relabel[u], relabel[v])), w) for pool, u, v, w in triples)) == form
 
 
 def test_canonical_form_separates_a_path_by_its_middle_vertex():
     # the path 0-1-2 and the path 1-0-2 are relabellings; a heavier leaf edge is not
-    def form(triples):
-        return canonical_form(3, triples)[0]
-
     path = [(0, 0, 1, Fraction(1)), (0, 1, 2, Fraction(2))]
-    assert form(path) == form([(0, 1, 0, Fraction(1)), (0, 0, 2, Fraction(2))])
-    assert form(path) != form([(0, 0, 1, Fraction(2)), (0, 1, 2, Fraction(2))])
-    assert form(path) != form([(0, 0, 1, Fraction(1)), (1, 1, 2, Fraction(2))])
+    assert canonical_form(3, path) == canonical_form(3, [(0, 1, 0, Fraction(1)), (0, 0, 2, Fraction(2))])
+    assert canonical_form(3, path) != canonical_form(3, [(0, 0, 1, Fraction(2)), (0, 1, 2, Fraction(2))])
+    assert canonical_form(3, path) != canonical_form(3, [(0, 0, 1, Fraction(1)), (1, 1, 2, Fraction(2))])
 
 
 @pytest.mark.parametrize("corpus, classes", [((3, 4), 471), ((3, 5), 2_523)])
 def test_canonical_form_counts_the_corpus_classes(corpus, classes):
     instances = list(generate_instances(*corpus, (0, 1, 2)))
-    forms = {(p.graph.vertex_count, canonical_form(p.graph.vertex_count, _pooled_triples(p))[0]) for p in instances}
+    forms = {(p.graph.vertex_count, canonical_form(p.graph.vertex_count, _pooled_triples(p))) for p in instances}
     assert len(forms) == classes < len(instances)
 
 
@@ -212,5 +206,4 @@ def test_canonical_form_raises_past_the_relabelling_cap():
         canonical_form(8, path)  # 8! = 40,320 relabellings, over the default 4,096
     with pytest.raises(CapExceededError):
         canonical_form(3, path[:2], Caps(max_subsets=5))
-    # centre at 0, by either relabelling that sends vertex 1 there: the swap of the leaves is the automorphism
-    assert canonical_form(3, path[:2], Caps(max_subsets=6)) == (((0, 0, 1, 1), (0, 0, 2, 1)), [(1, 0, 2), (2, 0, 1)])
+    assert canonical_form(3, path[:2], Caps(max_subsets=6)) == ((0, 0, 1, 1), (0, 0, 2, 1))  # centre at 0

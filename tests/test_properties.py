@@ -93,7 +93,7 @@ def test_greedy_fixer_move_is_a_minimum_spanning_tree(p):
 @PROPERTY
 @given(instances(max_vertices=3, max_total_edges=5))
 def test_theorem_sweep_tallies_equal_a_count_made_without_search(p):
-    """Orbit sharing, keyed on scaled fractional weights and identical parallel edges, credits exact tallies."""
+    """Post-bust class sharing, on fractional weights and identical parallel edges, credits exact tallies."""
     moves = greedy_checked = responses_checked = 0
     for busted in enumerate_buster_moves(p):
         moves += 1
@@ -106,6 +106,20 @@ def test_theorem_sweep_tallies_equal_a_count_made_without_search(p):
     report = theorem_sweep([p], compare_prune=True)
     assert report.ok
     assert (report.moves, report.greedy_checked, report.responses_checked) == (moves, greedy_checked, responses_checked)
+
+
+@PROPERTY
+@given(instances(max_vertices=3, max_total_edges=5), instances(max_vertices=3, max_total_edges=5))
+def test_theorem_sweep_of_a_pair_sums_its_singles(p, q):
+    """Moves of ``q`` that leave a class ``p``'s moves left are credited, not adjudicated, with exact tallies."""
+    singles = [theorem_sweep([x], compare_prune=True) for x in (p, q)]
+    pair = theorem_sweep([p, q], compare_prune=True)
+    assert pair.ok or not all(single.ok for single in singles)
+    tallies = [
+        (r.instances, r.moves, r.greedy_checked, r.responses_checked, len(r.counterexamples), len(r.prune_mismatches))
+        for r in (*singles, pair)
+    ]
+    assert tallies[2] == tuple(map(sum, zip(*tallies[:2])))
 
 
 # Scenario names and edge ids: printable non-space ASCII without the
