@@ -10,10 +10,7 @@ ordering, by exhaustive game-tree search on desk-scale instances.
 
 from .adjudicator import (
     Caps,
-    Counterexample,
     DEFAULT_CAPS,
-    SweepReport,
-    VerifyResult,
     enumerate_fixer_responses,
     fixer_superior,
     generate_instances,
@@ -55,19 +52,16 @@ from .errors import (
     ScenarioValidationError,
 )
 from .graph import (
-    ContractedGraph,
     Edge,
     Multigraph,
     component_count,
     components,
     contract,
-    format_decimal_weight,
     format_weight,
     is_connected,
     parse_decimal_weight,
 )
 from .reconnect import (
-    PrimTrace,
     SpanningTree,
     all_msts,
     all_spanning_trees,
@@ -80,10 +74,7 @@ from .transcript import parse_transcript, render_transcript, replay_transcript
 
 __all__ = [
     "Caps",
-    "Counterexample",
     "DEFAULT_CAPS",
-    "SweepReport",
-    "VerifyResult",
     "enumerate_fixer_responses",
     "fixer_superior",
     "generate_instances",
@@ -119,17 +110,14 @@ __all__ = [
     "PolicyError",
     "ScenarioParseError",
     "ScenarioValidationError",
-    "ContractedGraph",
     "Edge",
     "Multigraph",
     "component_count",
     "components",
     "contract",
-    "format_decimal_weight",
     "format_weight",
     "is_connected",
     "parse_decimal_weight",
-    "PrimTrace",
     "SpanningTree",
     "all_msts",
     "all_spanning_trees",

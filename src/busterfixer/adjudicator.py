@@ -161,11 +161,6 @@ class _Arena(EdgeIndex):
         self._ordered: dict[tuple[int, bool], _Ordered] = {}
         self.dominance_memo: dict = {}
 
-    def left_after(self, busted: frozenset[str]) -> int:
-        """The graph mask a legal bust leaves; raises ``IllegalMoveError`` otherwise."""
-        self.position.check_bust(busted)
-        return self.graph_mask ^ self.mask_of(busted)
-
     def responses(self, graph_mask: int, reserve_mask: int) -> tuple[tuple[int, int], ...]:
         """All reserve submasks reconnecting ``graph_mask``, with weights."""
         key = (graph_mask, reserve_mask)
@@ -376,7 +371,9 @@ class VerifyResult:
 
 def _legal_bust(arena: _Arena, busted: Iterable[str]) -> int | None:
     """The graph mask a bust leaves, or None when Buster wins; an illegal bust raises ``IllegalMoveError``."""
-    left = arena.left_after(frozenset(busted))
+    busted = frozenset(busted)
+    arena.position.check_bust(busted)
+    left = arena.graph_mask ^ arena.mask_of(busted)
     return None if arena.unfixable(left, arena.reserve_mask) else left
 
 
@@ -614,15 +611,14 @@ def theorem_sweep(
     depend only on the position it leaves (the busted graph and the whole
     reserve), so across the whole call only the first move to leave each
     class of position is adjudicated, keyed by the vertex count and the
-    ``canonical_form`` of that position on exact weight ratios; later moves
-    that leave the class, in any instance, get its tallies unless it
-    recorded a failure. Each adjudicated move is adjudicated once: its bust is
-    checked once, each response (greedy ones included) is checked legal,
-    and the move's ``_Adjudication`` per prune setting gives each verdict.
-    The greedy list comes from ``contract``/``all_msts``, independently of
-    the arena, once per component partition of the busted graph (which with
-    the reserve fixes the contracted graph), read off the arena's masks so
-    that a busted ``Multigraph`` is built only for a new partition; the
+    ``canonical_form`` of that position; later moves that leave the class,
+    in any instance, get its tallies unless it recorded a failure. Both
+    keys weigh every graph edge alike, since graph weights enter no verdict
+    or tally, and take reserve weights as exact ratios. Each adjudicated
+    move is adjudicated once: its bust is checked once, each response
+    (greedy ones included) is checked legal, and the move's
+    ``_Adjudication`` per prune setting gives each verdict. The greedy list
+    comes from ``contract``/``all_msts``, independently of the arena; the
     converse list is the arena's ordered responses, the same enumeration
     the verifier compares against, which ``enumerate_fixer_responses``
     exposes and the tests check against a brute force over reserve subsets.
@@ -648,10 +644,11 @@ def theorem_sweep(
             continue
         if p.total_edges > caps.max_total_edges:
             raise CapExceededError(f"position has {p.total_edges} edges, cap is {caps.max_total_edges}")
-        # exact weights as integer pairs, which sort and hash in C, unlike Fractions (or
-        # arena-scaled ints, whose scale differs between instances); entry i is arena bit i
+        # graph weights never enter a verdict; reserve weights as exact integer pairs, which
+        # sort and hash in C, unlike Fractions (or arena-scaled ints, whose scale differs
+        # between instances); entry i is arena bit i
         n = p.graph.vertex_count
-        triples = [(0, e.u, e.v, e.weight.as_integer_ratio()) for e in p.graph]
+        triples = [(0, e.u, e.v, 0) for e in p.graph]
         reserve = [(1, e.u, e.v, e.weight.as_integer_ratio()) for e in p.reserve]
         try:
             key = n, canonical_form(n, triples + reserve, caps)
@@ -662,7 +659,7 @@ def theorem_sweep(
             report.moves, report.greedy_checked, report.responses_checked = map(sum, zip(before, shared[key]))
             continue
         failures = len(report.counterexamples) + len(report.prune_mismatches)
-        arena, greedy_by_partition = _arena_for(p, caps), {}
+        arena = _arena_for(p, caps)
         for busted in enumerate_buster_moves(p, caps):
             report.moves += 1
             left = _legal_bust(arena, busted)
@@ -678,15 +675,9 @@ def theorem_sweep(
                 continue
             move_failures = len(report.counterexamples) + len(report.prune_mismatches)
             jobs = [_Adjudication(arena, left, setting) for setting in settings]
-            uf = _UnionFind(arena.n)
-            for i in _bit_indices(left):
-                uf.union(*arena.ends[i])
-            labels = tuple(uf.find(v) for v in range(arena.n))  # each root is its component's least vertex
-            if labels not in greedy_by_partition:
-                msts = all_msts(contract(p.graph.without(busted), p.reserve.edges), caps)
-                greedy = dict.fromkeys(sorted({t.edge_ids for t in msts}, key=sorted))  # an ordered set
-                greedy_by_partition[labels] = (greedy, msts[0].total_weight)
-            greedy, minimum = greedy_by_partition[labels]
+            msts = all_msts(contract(p.graph.without(busted), p.reserve.edges), caps)
+            greedy = dict.fromkeys(t.edge_ids for t in msts)  # an ordered set
+            minimum = msts[0].total_weight
             for response in greedy:
                 report.greedy_checked += 1
                 if not adjudicate(arena, busted, left, jobs, response):

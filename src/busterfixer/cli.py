@@ -175,7 +175,7 @@ def _cmd_msts(args: argparse.Namespace) -> int:
     except DisconnectedError:
         _emit("no spanning tree: the reserve cannot reconnect this bust\n", args.out)
         return 1
-    lines = [f"{len(trees)} minimum spanning tree(s) over {m.component_count} component(s)"]
+    lines = [f"{len(trees)} minimum spanning tree(s) over {m.vertex_count} component(s)"]
     for tree in trees:
         lines.append(f"{_render_ids(tree.edge_ids)} weight {format_weight(tree.total_weight)}")
     _emit("\n".join(lines) + "\n", args.out)

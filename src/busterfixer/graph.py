@@ -194,20 +194,6 @@ class Multigraph:
         return Multigraph(self.vertex_count, self.edges + tuple(new_edges))
 
 
-@dataclass(frozen=True)
-class ContractedGraph:
-    """The multigraph of components: vertices are component indices.
-
-    Built by :func:`contract`. Each edge keeps the id and weight of the
-    reserve edge it came from, with endpoints re-expressed as component
-    indices, so a set of contracted edge ids is directly a set of reserve
-    ids. Reserve edges internal to one component become loops.
-    """
-
-    component_count: int
-    edges: tuple[Edge, ...]
-
-
 class _UnionFind:
     """Plain union-find over ``range(n)``; path compression, no ranks."""
 
@@ -261,19 +247,17 @@ def is_connected(g: Multigraph) -> bool:
     return component_count(g) == 1
 
 
-def contract(base: Multigraph, reserve: Iterable[Edge]) -> ContractedGraph:
-    """Contract each component of ``base`` to a vertex and remap ``reserve``.
+def contract(base: Multigraph, reserve: Iterable[Edge]) -> Multigraph:
+    """The multigraph of components: each component of ``base`` becomes one vertex.
 
-    The contracted graph has one vertex per component of ``base``; every
-    reserve edge reappears with its endpoints replaced by the component
-    indices that contain them, keeping its id and weight. Reserve edges with
-    both endpoints in one component become loops.
+    Vertex ``i`` is component ``i`` of :func:`components`. Every reserve
+    edge reappears with its endpoints replaced by the components that
+    contain them, keeping its id and weight, so a set of contracted edge
+    ids is directly a set of reserve ids. Reserve edges with both endpoints
+    in one component become loops.
     """
     labels = components(base)
-    contracted = []
-    for e in sorted(reserve, key=lambda e: e.id):
-        contracted.append(Edge(e.id, labels[e.u], labels[e.v], e.weight))
-    return ContractedGraph(component_count=max(labels) + 1, edges=tuple(contracted))
+    return Multigraph(max(labels) + 1, tuple(Edge(e.id, labels[e.u], labels[e.v], e.weight) for e in reserve))
 
 
 def canonical_form(vertex_count: int, triples: Iterable[tuple], caps: Caps = DEFAULT_CAPS) -> tuple:

@@ -26,7 +26,7 @@ from .errors import (
     DisconnectedError,
     NotSpanningTreeError,
 )
-from .graph import DEFAULT_CAPS, Caps, ContractedGraph, Edge, _UnionFind, contract
+from .graph import DEFAULT_CAPS, Caps, Edge, Multigraph, _UnionFind, contract
 
 if TYPE_CHECKING:
     from .engine import Position
@@ -52,7 +52,7 @@ class PrimTrace:
     addition_order: tuple[str, ...]
 
 
-def prim_mst(m: ContractedGraph) -> SpanningTree:
+def prim_mst(m: Multigraph) -> SpanningTree:
     """Grow a minimum spanning tree of ``m`` one cheapest crossing edge at a time.
 
     The tree starts at component 0, and ties between equally cheap crossing
@@ -72,7 +72,7 @@ def prim_mst(m: ContractedGraph) -> SpanningTree:
     """
     in_tree = {0}
     chosen: list[Edge] = []
-    while len(in_tree) < m.component_count:
+    while len(in_tree) < m.vertex_count:
         crossing = [e for e in m.edges if (e.u in in_tree) != (e.v in in_tree)]
         if not crossing:
             raise DisconnectedError("contracted multigraph has no spanning tree")
@@ -85,17 +85,17 @@ def prim_mst(m: ContractedGraph) -> SpanningTree:
     )
 
 
-def _is_spanning_tree(m: ContractedGraph, edges: tuple[Edge, ...]) -> bool:
-    if len(edges) != m.component_count - 1:
+def _is_spanning_tree(m: Multigraph, edges: tuple[Edge, ...]) -> bool:
+    if len(edges) != m.vertex_count - 1:
         return False
-    uf = _UnionFind(m.component_count)
+    uf = _UnionFind(m.vertex_count)
     for e in edges:
         if not uf.union(e.u, e.v):
             return False
     return True
 
 
-def all_spanning_trees(m: ContractedGraph, caps: Caps = DEFAULT_CAPS) -> tuple[SpanningTree, ...]:
+def all_spanning_trees(m: Multigraph, caps: Caps = DEFAULT_CAPS) -> tuple[SpanningTree, ...]:
     """Every spanning tree of ``m``, minimum or not, by exhaustive search.
 
     Tries all ``c - 1`` sized subsets of the non-loop edges; feasible
@@ -107,13 +107,13 @@ def all_spanning_trees(m: ContractedGraph, caps: Caps = DEFAULT_CAPS) -> tuple[S
     ``DisconnectedError`` when there are no spanning trees.
     """
     non_loops = tuple(e for e in m.edges if not e.is_loop)
-    candidates = comb(len(non_loops), m.component_count - 1)
+    candidates = comb(len(non_loops), m.vertex_count - 1)
     if candidates > caps.max_subsets:
         raise CapExceededError(
             f"{candidates} spanning-tree candidate subsets exceeds cap {caps.max_subsets}"
         )
     trees = []
-    for subset in combinations(non_loops, m.component_count - 1):
+    for subset in combinations(non_loops, m.vertex_count - 1):
         if _is_spanning_tree(m, subset):
             trees.append(
                 SpanningTree(
@@ -127,7 +127,7 @@ def all_spanning_trees(m: ContractedGraph, caps: Caps = DEFAULT_CAPS) -> tuple[S
     return tuple(trees)
 
 
-def all_msts(m: ContractedGraph, caps: Caps = DEFAULT_CAPS) -> tuple[SpanningTree, ...]:
+def all_msts(m: Multigraph, caps: Caps = DEFAULT_CAPS) -> tuple[SpanningTree, ...]:
     """Exactly the minimum-weight spanning trees of ``m``.
 
     Computed by enumerating all spanning trees and filtering to minimum
@@ -146,7 +146,7 @@ def all_msts(m: ContractedGraph, caps: Caps = DEFAULT_CAPS) -> tuple[SpanningTre
     return tuple(t for t in trees if t.total_weight == best)
 
 
-def prim_reachable(m: ContractedGraph, t: SpanningTree, caps: Caps = DEFAULT_CAPS) -> PrimTrace | None:
+def prim_reachable(m: Multigraph, t: SpanningTree, caps: Caps = DEFAULT_CAPS) -> PrimTrace | None:
     """Search for an order in which Prim's algorithm could have built ``t``.
 
     Tries every start vertex and explores greedy-feasible addition orders,
@@ -157,26 +157,25 @@ def prim_reachable(m: ContractedGraph, t: SpanningTree, caps: Caps = DEFAULT_CAP
     and ``CapExceededError`` when the ``2**c`` component sets the memo
     ranges over exceed ``caps.max_subsets``.
     """
-    if 1 << m.component_count > caps.max_subsets:
+    if 1 << m.vertex_count > caps.max_subsets:
         raise CapExceededError(
-            f"2^{m.component_count} component sets exceeds the ordering-search cap {caps.max_subsets}"
+            f"2^{m.vertex_count} component sets exceeds the ordering-search cap {caps.max_subsets}"
         )
-    by_id = {e.id: e for e in m.edges}
     try:
-        tree_edges = tuple(by_id[i] for i in sorted(t.edge_ids))
+        tree_edges = tuple(m.edge(i) for i in sorted(t.edge_ids))
     except KeyError as exc:
         raise NotSpanningTreeError(f"edge {exc.args[0]} not in contracted graph") from exc
     if not _is_spanning_tree(m, tree_edges):
         raise NotSpanningTreeError("edge set is not a spanning tree of the graph")
 
-    if m.component_count == 1:
+    if m.vertex_count == 1:
         return PrimTrace(start_vertex=0, addition_order=())
 
     non_loops = tuple(e for e in m.edges if not e.is_loop)
     failed: set[frozenset[int]] = set()
 
     def extend(in_tree: frozenset[int], order: tuple[str, ...]) -> tuple[str, ...] | None:
-        if len(in_tree) == m.component_count:
+        if len(in_tree) == m.vertex_count:
             return order
         if in_tree in failed:
             return None
@@ -196,7 +195,7 @@ def prim_reachable(m: ContractedGraph, t: SpanningTree, caps: Caps = DEFAULT_CAP
         failed.add(in_tree)
         return None
 
-    for start in range(m.component_count):
+    for start in range(m.vertex_count):
         order = extend(frozenset({start}), ())
         if order is not None:
             return PrimTrace(start_vertex=start, addition_order=order)
@@ -221,7 +220,7 @@ def greedy_fixer_move(position: "Position", busted: frozenset[str]) -> frozenset
     position.check_bust(busted)
     remaining = position.graph.without(busted)
     m = contract(remaining, position.reserve.edges)
-    if m.component_count == 1:
+    if m.vertex_count == 1:
         return frozenset()
     try:
         tree = prim_mst(m)

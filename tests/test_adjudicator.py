@@ -39,7 +39,7 @@ from busterfixer import (
 
 from busterfixer import adjudicator
 from busterfixer.adjudicator import _Adjudication, _Arena, _distinct_unions, _legal_bust, _legal_candidate, verify_optimal_report
-from busterfixer.graph import EdgeIndex, canonical_form, components, contract
+from busterfixer.graph import EdgeIndex, canonical_form, contract
 from busterfixer.reconnect import all_msts
 
 from conftest import random_instance, triangle_position
@@ -136,7 +136,7 @@ def test_triple_reduction_matches_raw_sums():
 
 def _bridge_only_responses(p, busted):
     arena = _Arena(p)
-    return [frozenset(ids) for _, ids, _ in arena.ordered_responses(arena.left_after(busted), bridge_only=True)]
+    return [frozenset(ids) for _, ids, _ in arena.ordered_responses(_legal_bust(arena, busted), bridge_only=True)]
 
 
 def test_enumerate_fixer_responses_bridge_only(triangle):
@@ -435,8 +435,8 @@ def test_theorem_sweep_checks_greedy_responses_legal(triangle, monkeypatch):
 
 
 def _class_of(p):
-    """The isomorphism class of ``p``: its vertex count and canonical form."""
-    triples = [(0, e.u, e.v, e.weight) for e in p.graph] + [(1, e.u, e.v, e.weight) for e in p.reserve]
+    """The isomorphism class of ``p`` up to graph weights: its vertex count and canonical form."""
+    triples = [(0, e.u, e.v, 0) for e in p.graph] + [(1, e.u, e.v, e.weight) for e in p.reserve]
     return p.graph.vertex_count, canonical_form(p.graph.vertex_count, triples)
 
 
@@ -452,12 +452,10 @@ def _post_bust_representatives(corpus):
     return list(leaves.values())
 
 
-def test_theorem_sweep_builds_one_greedy_list_per_partition(monkeypatch):
-    # all_msts runs once per class representative and component labelling of
-    # the busted graphs of its adjudicated moves, and the greedy tally equals
-    # one fresh greedy list per move; in generation order every adjudicated
-    # move of (3, 4) has a partition of its own, and reversed, larger
-    # instances come first and share partitions between their moves
+def test_theorem_sweep_runs_all_msts_once_per_adjudicated_move(monkeypatch):
+    # each adjudicated move, one per post-bust class whatever the input
+    # order, builds its own greedy list, and the greedy tally equals one
+    # fresh greedy list per move
     forward = list(generate_instances(3, 4, (0, 1, 2)))
     greedy_checked, moves = 0, 0
     for p in forward:
@@ -468,30 +466,19 @@ def test_theorem_sweep_builds_one_greedy_list_per_partition(monkeypatch):
                 continue
             remaining = p.graph.without(busted)
             greedy_checked += len({t.edge_ids for t in all_msts(contract(remaining, p.reserve.edges))})
-    calls = built = 0
+    calls = 0
 
     def counting(*args):
         nonlocal calls
         calls += 1
         return all_msts(*args)
 
-    def counting_post_init(self):
-        nonlocal built
-        built += 1
-        post_init(self)
-
-    post_init = Multigraph.__post_init__
     monkeypatch.setattr(adjudicator, "all_msts", counting)
-    monkeypatch.setattr(Multigraph, "__post_init__", counting_post_init)
-    for corpus, shared in ((forward, 0), (forward[::-1], 49)):
-        adjudicated = _post_bust_representatives(corpus)
-        partitions = {(index, components(corpus[index].graph.without(busted))) for index, busted in adjudicated}
-        calls = built = 0
+    for corpus in (forward, forward[::-1]):
+        calls = 0
         report = theorem_sweep(corpus)
         assert report.ok and (report.moves, report.greedy_checked) == (moves, greedy_checked)
-        assert calls == len(partitions) == len(adjudicated) - shared
-        # the partition comes from the arena's masks: a busted graph is built only for a new one
-        assert built == calls
+        assert calls == len(_post_bust_representatives(corpus)) == 291
 
 
 def _tallies(report):
@@ -636,29 +623,33 @@ def test_theorem_sweep_shares_a_post_bust_class_across_instances(monkeypatch):
 
 
 def test_theorem_sweep_keys_post_bust_classes_on_exact_weights(monkeypatch):
-    # a graph edge of weight 1/3 makes the second arena's scale 3, so its
-    # other edges weigh 3 there against 1 in the first arena; busting the
-    # 1/3 edge still leaves the class that busting one of two unit edges
-    # leaves, and busting the unit edge leaves a new class
-    two, third = _parallel(2), _parallel(2, (Fraction(1, 3),))
-    assert _Arena(two).scale == 1 and _Arena(third).scale == 3
-    singles = [_tallies(theorem_sweep([p], compare_prune=True)) for p in (two, third)]
+    # a graph edge of weight 1/3 makes an arena's scale 3, so its reserve
+    # edge weighs 3 there against 1 in a unit arena, yet graph weights never
+    # enter a key: two unit edges and edges of weights 1/3 and 1 are one
+    # class, and busting two of three edges of weights 1/3, 1 and 1 leaves
+    # the class that busting one of two unit edges leaves
+    two, third, three = _parallel(2), _parallel(2, (Fraction(1, 3),)), _parallel(3, (Fraction(1, 3),))
+    assert _Arena(two).scale == 1 and _Arena(third).scale == _Arena(three).scale == 3
     counts = _flip_verdicts(monkeypatch, set())
-    report = theorem_sweep([two, third], compare_prune=True)
-    assert counts["jobs"] == 2 * (2 + 1)
-    assert report.ok and _tallies(report) == tuple(map(sum, zip(*singles)))
+    for corpus, jobs in (([two, third], 2 * 2), ([two, three], 2 * (2 + 1))):
+        singles = [_tallies(theorem_sweep([p], compare_prune=True)) for p in corpus]
+        counts["jobs"] = 0
+        report = theorem_sweep(corpus, compare_prune=True)
+        assert counts["jobs"] == jobs
+        assert report.ok and _tallies(report) == tuple(map(sum, zip(*singles)))
 
 
-def test_theorem_sweep_keeps_busts_of_unequal_parallel_edges_apart(monkeypatch):
-    # parallel graph edges of weights 1/2 and 1/3 are not identical, so the
-    # busts {a}, {b} and {a, b} leave three classes of position
+def test_theorem_sweep_merges_busts_of_parallel_edges_of_unequal_weight(monkeypatch):
+    # parallel graph edges of weights 1/2 and 1/3 differ only in weight,
+    # which enters no verdict, so the busts {a} and {b} leave one class of
+    # position and {a, b} another
     p = Position(
         graph=Multigraph(2, (Edge("a", 0, 1, Fraction(1, 2)), Edge("b", 0, 1, Fraction(1, 3)))),
         reserve=Multigraph(2, (Edge("r", 0, 1, Fraction(1)),)),
     )
     counts = _flip_verdicts(monkeypatch, set())
     report = theorem_sweep([p], compare_prune=True)
-    assert counts["jobs"] == 2 * len(_post_bust_representatives([p])) == 2 * 3
+    assert counts["jobs"] == 2 * len(_post_bust_representatives([p])) == 2 * 2
     assert report.ok and report.moves == 3
 
 
@@ -667,8 +658,8 @@ def test_arena_ordered_responses_memo_equals_a_fresh_arena():
     for p in generate_instances(3, 4, (0, 1, 2)):
         arena = _Arena(p)
         for busted in enumerate_buster_moves(p):
-            left = arena.left_after(busted)
-            if arena.unfixable(left, arena.reserve_mask):
+            left = _legal_bust(arena, busted)
+            if left is None:
                 continue
             for bridge_only in (False, True, False, True):
                 cached = arena.ordered_responses(left, bridge_only)

@@ -39,7 +39,9 @@ def test_prim_two_components_picks_cheaper():
 
 def test_prim_single_component_empty_tree():
     base = triangle_position().graph
-    m = contract(base, triangle_position().reserve.edges)
+    m = contract(base, triangle_position().reserve.edges[::-1])
+    assert isinstance(m, Multigraph) and m.vertex_count == 1
+    assert [e.id for e in m.edges] == ["e4", "e5"] and all(e.is_loop for e in m.edges)
     tree = prim_mst(m)
     assert tree.edge_ids == frozenset()
     assert tree.total_weight == 0
@@ -142,7 +144,7 @@ def _assert_trace_valid(m, t, trace):
         ]
         assert e.weight == min(crossing)
         in_tree.add(e.v if e.u in in_tree else e.u)
-    assert in_tree == set(range(m.component_count))
+    assert in_tree == set(range(m.vertex_count))
 
 
 def test_prim_reachable_forced_single_edge():
@@ -162,7 +164,7 @@ def test_prim_reachable_rejects_non_tree():
     m = _contracted(3, [("a", 0, 1, 1), ("b", 1, 2, 1), ("c", 0, 2, 2)])
     with pytest.raises(NotSpanningTreeError):
         prim_reachable(m, SpanningTree(edge_ids=frozenset({"a"}), total_weight=Fraction(1)))
-    with pytest.raises(NotSpanningTreeError):
+    with pytest.raises(NotSpanningTreeError, match="^edge zz not in contracted graph$"):
         prim_reachable(m, SpanningTree(edge_ids=frozenset({"zz", "a"}), total_weight=Fraction(1)))
 
 
