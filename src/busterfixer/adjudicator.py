@@ -35,9 +35,9 @@ Every list of legal responses and every round-legality check comes from
 one place, the per-instance bitmask arena. The arena is the engine's
 ``graph.EdgeIndex`` (edge bits, integer-scaled weights, memoized
 connectivity and weight per mask) plus the reachability search and its
-memos: ``_Arena.ordered_responses`` lists the responses cheapest first,
-sorted once per graph mask and setting (``enumerate_fixer_responses``
-wraps it). Both searches walk the nonempty bust submasks in descending
+memos: ``_Arena.ordered_responses`` lists every response cheapest first,
+sorted once per graph mask (``enumerate_fixer_responses`` wraps it).
+Both searches walk the nonempty bust submasks in descending
 ``(bust - 1) & graph_mask`` order, which fixes the first failure reported.
 ``_legal_bust`` checks a bust and decides Buster-wins with the index's
 ``unfixable``; ``_legal_candidate`` checks a candidate against it. An
@@ -46,12 +46,12 @@ setting shares: the alternative lines, the check memo and the survival
 search with its memo. A verifier call builds one; ``theorem_sweep``
 builds one per class of post-bust position and setting and checks every
 response with it.
-By default the alternatives compared against are restricted to responses
-whose every edge is a bridge after the fix (equivalently, spanning trees
-of the contracted graph, the reconnecting sets of fewest edges); this
-restriction provably preserves the verdict and ``bridge_only=False``
-disables it so the equivalence can be checked empirically. The naive
-oracle never applies it.
+The prune is decided there alone: by default the alternatives are only
+the responses whose every edge is a bridge after the fix (equivalently,
+spanning trees of the contracted graph, the reconnecting sets of fewest
+edges). This provably preserves the verdict; the verifiers'
+``bridge_only=False`` disables it, and the sweep's ``compare_prune`` adds
+the unpruned verdict to the pruned one. The naive oracle never prunes.
 
 Every size limit comes from one :class:`Caps` object (defined in
 ``graph`` and re-exported here); exceeding it raises ``CapExceededError``.
@@ -158,7 +158,7 @@ class _Arena(EdgeIndex):
         super().__init__(p.graph, p.reserve)
         self.position = p
         self._responses: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-        self._ordered: dict[tuple[int, bool], _Ordered] = {}
+        self._ordered: dict[int, _Ordered] = {}
         self.dominance_memo: dict = {}
 
     def responses(self, graph_mask: int, reserve_mask: int) -> tuple[tuple[int, int], ...]:
@@ -178,27 +178,21 @@ class _Arena(EdgeIndex):
             self._responses[key] = cached
         return cached
 
-    def ordered_responses(self, graph_mask: int, bridge_only: bool = False) -> _Ordered:
+    def ordered_responses(self, graph_mask: int) -> _Ordered:
         """Every response reconnecting ``graph_mask`` from the full reserve, cheapest first.
 
         Each is (scaled weight, sorted ids, reserve mask), ordered by weight
-        and then by ids, memoized per graph mask and setting. With
-        ``bridge_only``, only the sets of fewest edges, kept before sorting.
+        and then by ids, memoized per graph mask. The bridge-only prune is
+        not applied here: ``_Adjudication`` filters this list.
         """
-        key = (graph_mask, bridge_only)
-        ordered = self._ordered.get(key)
+        ordered = self._ordered.get(graph_mask)
         if ordered is None:
-            ids, responses = self.ids, self.responses(graph_mask, self.reserve_mask)
-            if bridge_only:
-                # Every reconnecting set has at least components(graph_mask) - 1
-                # edges; those with exactly that many are the contracted spanning trees.
-                fewest = min(mask.bit_count() for mask, _ in responses)
-                responses = [r for r in responses if r[0].bit_count() == fewest]
+            ids = self.ids
             # A response's bits all lie in the reserve range, which the index lays
             # out in id order, so its ids come out of ascending bits already sorted.
-            ordered = self._ordered[key] = tuple(
-                sorted((w, tuple(ids[i] for i in _bit_indices(m)), m) for m, w in responses)
-            )
+            ordered = self._ordered[graph_mask] = tuple(sorted(
+                (w, tuple(ids[i] for i in _bit_indices(m)), m) for m, w in self.responses(graph_mask, self.reserve_mask)
+            ))
         return ordered
 
     def dominated(
@@ -260,7 +254,9 @@ class _Adjudication:
     The alternative lines, the check memo (target outcome -> first
     alternative it fails to dominate, or None) and the survival memo depend
     only on the arena, the bust and the alternatives, so they serve every
-    candidate verified against this bust.
+    candidate verified against this bust. This is the one place the
+    bridge-only prune is applied: with ``bridge_only`` the alternatives are
+    the arena's ordered responses of fewest edges, in the same order.
     """
 
     __slots__ = ("arena", "base_busted", "edge_count", "reserve_weight", "alt_lines", "check_memo", "survive_memo")
@@ -269,9 +265,14 @@ class _Adjudication:
         self.arena = arena
         self.base_busted = (arena.graph_mask ^ left).bit_count()
         self.edge_count, self.reserve_weight = len(arena.edges), arena.weight_of(arena.reserve_mask)
+        lines = arena.ordered_responses(left)
+        if bridge_only:
+            # Every reconnecting set has at least components(left) - 1 edges;
+            # those with exactly that many are the contracted spanning trees.
+            fewest = min(mask.bit_count() for _, _, mask in lines)
+            lines = [line for line in lines if line[2].bit_count() == fewest]
         self.alt_lines = tuple(
-            (frozenset(ids), left | mask, arena.reserve_mask ^ mask, weight)
-            for weight, ids, mask in arena.ordered_responses(left, bridge_only)
+            (frozenset(ids), left | mask, arena.reserve_mask ^ mask, weight) for weight, ids, mask in lines
         )
         self.check_memo: dict[tuple[bool, int, int], frozenset | None] = {}
         self.survive_memo: dict = {}
@@ -589,7 +590,6 @@ def theorem_sweep(
     instances: Iterable[Position],
     caps: Caps = DEFAULT_CAPS,
     *,
-    bridge_only: bool = True,
     compare_prune: bool = False,
 ) -> SweepReport:
     """Check greedy-is-optimal, and its converse, across whole instances.
@@ -598,12 +598,13 @@ def theorem_sweep(
     (every minimum spanning tree of the contracted graph, not just the
     default tie-break), the verifier must say optimal. Conversely, every
     other legal response is also adjudicated and must be rejected unless it
-    has minimum weight. With ``compare_prune``, each verdict is recomputed
-    without the bridge restriction and any disagreement is recorded. A
-    nonempty counterexample list is a build-failing event for the corpus
-    this library ships with. ``caps`` bounds every enumeration and search;
-    the reserve-subset cap is checked as each instance's arena is fetched,
-    before its Buster moves or converse list are enumerated.
+    has minimum weight. Every verdict comes from the bridge-only prune that
+    ``_Adjudication`` applies; with ``compare_prune`` each is recomputed
+    unpruned and any disagreement is recorded. A nonempty counterexample
+    list is a build-failing event for the corpus this library ships with.
+    ``caps`` bounds every enumeration and search; the reserve-subset cap is
+    checked as each instance's arena is fetched, before its Buster moves or
+    converse list are enumerated.
 
     Only the first instance of each isomorphism class (``canonical_form``)
     is adjudicated, on one arena; later members get its tallies unless it
@@ -635,7 +636,7 @@ def theorem_sweep(
             ))
         return verdict
 
-    settings = (bridge_only, not bridge_only) if compare_prune else (bridge_only,)
+    settings = (True, False) if compare_prune else (True,)  # the pruned verdict first
     shared: dict[tuple, tuple[int, int, int]] = {}  # class key -> its first clean instance's tallies
     by_class: dict[tuple, tuple[int, int]] = {}  # class of the position a move leaves -> its first clean move's tallies
     for p in instances:

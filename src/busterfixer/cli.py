@@ -116,9 +116,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     initial = scenario.initial_position()
     busted, candidate = _ids(args.busted), _ids(args.candidate)
     caps = adjudicator.Caps(max_total_edges=args.max_total_edges, naive_max_total_edges=args.naive_cap)
-    result = adjudicator.verify_optimal_report(
-        initial, busted, candidate, caps, bridge_only=not args.no_bridge_prune
-    )
+    result = adjudicator.verify_optimal_report(initial, busted, candidate, caps, bridge_only=not args.no_bridge_prune)
     if initial.total_edges <= caps.naive_max_total_edges:
         naive = adjudicator.verify_optimal_naive(initial, busted, candidate, caps)
         if naive != result.optimal:
@@ -155,10 +153,7 @@ def _cmd_theorem_sweep(args: argparse.Namespace) -> int:
         reserve_weights=args.weights,
     )
     report = adjudicator.theorem_sweep(
-        instances,
-        adjudicator.Caps(max_total_edges=args.max_total_edges),
-        bridge_only=not args.no_bridge_prune,
-        compare_prune=args.compare_prune,
+        instances, adjudicator.Caps(max_total_edges=args.max_total_edges), compare_prune=args.compare_prune
     )
     _emit(report.summary() + "\n", args.out)
     return 0 if report.ok else 1
@@ -252,7 +247,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     caps_parent = argparse.ArgumentParser(add_help=False)
     caps_parent.add_argument("--max-total-edges", type=_positive, default=adjudicator.DEFAULT_CAPS.max_total_edges)
-    caps_parent.add_argument("--no-bridge-prune", action="store_true")
 
     out_parent = argparse.ArgumentParser(add_help=False)
     out_parent.add_argument("--out", default=None, help="write output to a file instead of stdout")
@@ -267,6 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--busted", required=True, help="comma-separated ids Buster removes")
     p.add_argument("--candidate", required=True, help="comma-separated Fixer response ids")
     p.add_argument("--naive-cap", type=int, default=adjudicator.DEFAULT_CAPS.naive_max_total_edges)
+    p.add_argument("--no-bridge-prune", action="store_true", help="compare against every alternative response")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("theorem-sweep", parents=[caps_parent, out_parent],

@@ -306,7 +306,6 @@ class EdgeIndex:
         self.n = graph.vertex_count
         self.edges = edges
         self.ids = tuple(e.id for e in edges)
-        self.ends = tuple((e.u, e.v) for e in edges)
         self.spans = tuple(1 << e.u | 1 << e.v for e in edges)
         self.scale = lcm(*(e.weight.denominator for e in edges))
         self.weights = tuple(e.weight.numerator * (self.scale // e.weight.denominator) for e in edges)

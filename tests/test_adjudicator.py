@@ -40,7 +40,7 @@ from busterfixer import (
 from busterfixer import adjudicator
 from busterfixer.adjudicator import _Adjudication, _Arena, _distinct_unions, _legal_bust, _legal_candidate, verify_optimal_report
 from busterfixer.graph import EdgeIndex, canonical_form, contract
-from busterfixer.reconnect import all_msts
+from busterfixer.reconnect import all_msts, all_spanning_trees
 
 from conftest import random_instance, triangle_position
 from series_tables import ALL_SERIES, FAMILY_A, play_table_series
@@ -136,7 +136,7 @@ def test_triple_reduction_matches_raw_sums():
 
 def _bridge_only_responses(p, busted):
     arena = _Arena(p)
-    return [frozenset(ids) for _, ids, _ in arena.ordered_responses(_legal_bust(arena, busted), bridge_only=True)]
+    return [alt_ids for alt_ids, *_ in _Adjudication(arena, _legal_bust(arena, busted), True).alt_lines]
 
 
 def test_enumerate_fixer_responses_bridge_only(triangle):
@@ -568,6 +568,45 @@ def test_theorem_sweep_records_a_prune_mismatch_per_check(monkeypatch):
     assert report.counterexamples == []
     assert len(report.prune_mismatches) == counts["roots"] == checks > 0
     assert {ce.kind for ce in report.prune_mismatches} == {"prune-mismatch"}
+    # each label names the pruned verdict, which a fresh pruned verifier call gives
+    for ce in report.prune_mismatches:
+        pruned = verify_optimal(ce.instance, ce.busted, ce.response)
+        assert ce.detail == f"pruned={pruned} full={not pruned}"
+
+
+def test_theorem_sweep_summary_lists_each_failure(monkeypatch):
+    # one graph edge beside reserve edges of weights 1 and 2: with every pruned
+    # verdict flipped the greedy fix fails, the two dearer fixes pass, and every
+    # check disagrees with its unpruned verdict; counterexamples are listed first
+    p = Position(
+        graph=Multigraph(2, (Edge("g", 0, 1, Fraction(1)),)),
+        reserve=Multigraph(2, (Edge("r1", 0, 1, Fraction(1)), Edge("r2", 0, 1, Fraction(2)))),
+    )
+    _flip_verdicts(monkeypatch, {True})
+    report = theorem_sweep([p], compare_prune=True)
+    assert not report.ok
+    assert report.summary() == "\n".join([
+        "instances: 1",
+        "buster moves checked: 1",
+        "greedy responses verified optimal: 1",
+        "alternative responses checked: 2",
+        "counterexamples: 3",
+        "prune mismatches: 3",
+        "  greedy-not-optimal: busted=['g'] response=['r1'] weight 1",
+        "  non-minimum-optimal: busted=['g'] response=['r2'] weight 2 > minimum 1",
+        "  non-minimum-optimal: busted=['g'] response=['r1', 'r2'] weight 3 > minimum 1",
+        "  prune-mismatch: busted=['g'] response=['r1'] pruned=False full=True",
+        "  prune-mismatch: busted=['g'] response=['r2'] pruned=True full=False",
+        "  prune-mismatch: busted=['g'] response=['r1', 'r2'] pruned=True full=False",
+    ])
+
+
+def test_theorem_sweep_counts_an_empty_graph_as_an_instance_without_moves(monkeypatch):
+    # Buster has no move on a graph without edges: the instance counts, and no arena is built
+    lone = Position(graph=Multigraph(1, ()), reserve=Multigraph(1, ()))
+    arenas = _counting_arenas(monkeypatch)
+    assert _tallies(theorem_sweep([lone], compare_prune=True)) == (1, 0, 0, 0, 0, 0)
+    assert arenas == []
 
 
 def test_theorem_sweep_adjudicates_one_move_per_post_bust_class(monkeypatch):
@@ -662,14 +701,30 @@ def test_arena_ordered_responses_memo_equals_a_fresh_arena():
             if left is None:
                 continue
             for bridge_only in (False, True, False, True):
-                cached = arena.ordered_responses(left, bridge_only)
-                assert cached == _Arena(p).ordered_responses(left, bridge_only)
+                # an adjudication of either setting reads the memoized list and leaves it whole
+                _Adjudication(arena, left, bridge_only)
+                cached = arena.ordered_responses(left)
+                assert cached == _Arena(p).ordered_responses(left)
                 assert list(cached) == sorted(cached)
                 checked += 1
-            # the bridge-only list is the full list's fewest-edge responses, in its order
-            full = arena.ordered_responses(left)
-            fewest = min(mask.bit_count() for _, _, mask in full)
-            assert arena.ordered_responses(left, True) == tuple(r for r in full if r[2].bit_count() == fewest)
+    assert checked > 1000
+
+
+def test_bridge_only_alternatives_are_the_contracted_spanning_trees():
+    # the pruned alternatives are the spanning trees of the contracted graph,
+    # which reconnect enumerates without the arena, in the full list's order
+    checked = 0
+    for p in generate_instances(3, 4, (0, 1, 2)):
+        arena = _Arena(p)
+        for busted in enumerate_buster_moves(p):
+            left = _legal_bust(arena, busted)
+            if left is None:
+                continue
+            trees = {t.edge_ids for t in all_spanning_trees(contract(p.graph.without(busted), p.reserve.edges))}
+            alts = [alt_ids for alt_ids, *_ in _Adjudication(arena, left, True).alt_lines]
+            assert alts == [frozenset(ids) for _, ids, _ in arena.ordered_responses(left) if frozenset(ids) in trees]
+            assert set(alts) == trees
+            checked += 1
     assert checked > 1000
 
 

@@ -182,6 +182,23 @@ def test_theorem_sweep_rejects_naive_cap(capsys):
     assert "--naive-cap" in capsys.readouterr().err
 
 
+def test_theorem_sweep_rejects_no_bridge_prune(capsys):
+    # sweep verdicts always come from the pruned search; --compare-prune adds the unpruned one
+    code = cli_main(["theorem-sweep", "--max-vertices", "2", "--max-total-edges", "2", "--no-bridge-prune"])
+    assert code == 2
+    assert "--no-bridge-prune" in capsys.readouterr().err
+
+
+def test_verify_reports_an_oracle_mismatch(tmp_path, capsys):
+    # the two verifiers must agree: a differing naive verdict fails the call and prints no verdict
+    scenario = _scenario_path(tmp_path)
+    with mock.patch.object(cli.adjudicator, "verify_optimal_naive", return_value=False) as naive:
+        code = cli_main(["verify", scenario, "--busted", "e1,e2", "--candidate", "e4"])
+    assert naive.call_count == 1
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (1, "", "ORACLE-MISMATCH: game search says True, naive says False\n")
+
+
 def test_usage_errors_exit_two(tmp_path, capsys):
     assert cli_main(["verify"]) == 2  # missing required flags
     capsys.readouterr()

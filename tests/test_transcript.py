@@ -135,9 +135,33 @@ def test_replay_detects_tampered_totals(triangle):
         replay_transcript(triangle, parse_transcript(tampered))
 
 
-def test_parse_transcript_requires_header():
+def test_parse_transcript_requires_header(triangle):
     with pytest.raises(ScenarioParseError):
         parse_transcript("nothing here\n")
+    # well-formed rows are not enough without the column header
+    series = play_table_series(triangle, {"e4"}, (frozenset({"e1", "e2"}), frozenset({"e3"})))
+    lines = render_transcript(series, scenario="paper_1_2").splitlines(keepends=True)
+    headerless = "".join(line for line in lines if not line.startswith("j "))
+    assert len(headerless) < len("".join(lines))
+    with pytest.raises(ScenarioParseError, match="transcript has no column header"):
+        parse_transcript(headerless)
+
+
+def test_parse_transcript_reads_a_zero_row_transcript_and_skips_comments():
+    text = (
+        "# scenario: z\n# policy: p\n# any other comment\n"
+        "j | G_j | R_j | B_j | F_j | sum|B| | sum w(F) | Winner\nWinner: Fixer\n"
+    )
+    parsed = parse_transcript(text)
+    assert (parsed.scenario_name, parsed.policy, parsed.rows, parsed.winner) == ("z", "p", (), "Fixer")
+
+
+def test_parse_transcript_rejects_an_id_cell_without_braces(triangle):
+    series = play_table_series(triangle, {"e4"}, (frozenset({"e1", "e2"}), frozenset({"e3"})))
+    text = render_transcript(series, scenario="paper_1_2")
+    assert text.count("{e1,e2}") == 1
+    with pytest.raises(ScenarioParseError, match="expected an id set, got 'e1,e2'"):
+        parse_transcript(text.replace("{e1,e2}", "e1,e2"))
 
 
 def test_parse_transcript_rejects_costs_render_never_writes(triangle):
