@@ -43,9 +43,8 @@ Both searches walk the nonempty bust submasks in descending
 ``unfixable``; ``_legal_candidate`` checks a candidate against it. An
 ``_Adjudication`` holds what every candidate against one bust and prune
 setting shares: the alternative lines, the check memo and the survival
-search with its memo. A verifier call builds one; ``theorem_sweep``
-builds one per class of post-bust position and setting and checks every
-response with it.
+search with its memo. A verifier call builds one, and the sweep's kernel
+one per prune setting for each move it adjudicates.
 The prune is decided there alone: by default the alternatives are only
 the responses whose every edge is a bridge after the fix (equivalently,
 spanning trees of the contracted graph, the reconnecting sets of fewest
@@ -66,11 +65,10 @@ boundary, in the ``OutcomeTriple`` of a witness. No float is ever involved.
 
 Searches are pure given their inputs, and every memo is per position,
 keyed only by what decides its answer. Each verifier call builds a fresh
-arena; the sweep builds one arena per isomorphism class and one
-``_Adjudication`` pair per isomorphism class of the position a Buster move
-leaves, over the whole sweep, which changes no tally, since every verdict
-depends only on that position and is invariant under relabelling and
-renaming.
+arena. The sweep keys each instance and each position a Buster move
+leaves by isomorphism class, adjudicates the first move of each class with
+the one-move kernel ``_adjudicate_move`` on its instance's arena, and
+credits every later one with that move's tallies.
 """
 
 from __future__ import annotations
@@ -586,6 +584,38 @@ class SweepReport:
         return "\n".join(lines)
 
 
+def _adjudicate_move(
+    arena: _Arena, busted: frozenset[str], left: int, settings: tuple[bool, ...], caps: Caps
+) -> tuple[int, int, list[tuple[str, frozenset[str], str]]]:
+    """Adjudicate every response to one non-winning Buster move on its instance's arena.
+
+    ``left`` is the graph mask ``busted`` leaves. Each greedy response (an
+    ``all_msts`` tree of the ``contract``ed graph, found without the arena)
+    must be optimal, and each other response on the arena's ordered list
+    must not be unless it has minimum weight. Each is checked legal as a
+    candidate; its verdict is the first setting's, which a second must match.
+    Returns the greedy and converse tallies and the failures, each a (kind, response, detail).
+    """
+    p = arena.position
+    jobs = [_Adjudication(arena, left, setting) for setting in settings]
+    msts = all_msts(contract(p.graph.without(busted), p.reserve.edges), caps)
+    greedy = dict.fromkeys(t.edge_ids for t in msts)  # an ordered set
+    minimum = msts[0].total_weight
+    converse = [r for r in (frozenset(ids) for _, ids, _ in arena.ordered_responses(left)) if r not in greedy]
+    failures = []
+    for response in (*greedy, *converse):
+        cand_mask = _legal_candidate(arena, left, response)
+        pruned, *full = [job.survives(left | cand_mask, arena.reserve_mask ^ cand_mask)[0] for job in jobs]
+        if full and full[0] != pruned:
+            failures.append(("prune-mismatch", response, f"pruned={pruned} full={full[0]}"))
+        if response in greedy:
+            if not pruned:
+                failures.append(("greedy-not-optimal", response, f"weight {minimum}"))
+        elif pruned and (weight := p.reserve.weight(response)) != minimum:
+            failures.append(("non-minimum-optimal", response, f"weight {weight} > minimum {minimum}"))
+    return len(greedy), len(converse), failures
+
+
 def theorem_sweep(
     instances: Iterable[Position],
     caps: Caps = DEFAULT_CAPS,
@@ -606,38 +636,23 @@ def theorem_sweep(
     checked as each instance's arena is fetched, before its Buster moves or
     converse list are enumerated.
 
-    Only the first instance of each isomorphism class (``canonical_form``)
-    is adjudicated, on one arena; later members get its tallies unless it
-    recorded a failure. A non-winning Buster move's verdicts and tallies
-    depend only on the position it leaves (the busted graph and the whole
-    reserve), so across the whole call only the first move to leave each
-    class of position is adjudicated, keyed by the vertex count and the
-    ``canonical_form`` of that position; later moves that leave the class,
-    in any instance, get its tallies unless it recorded a failure. Both
-    keys weigh every graph edge alike, since graph weights enter no verdict
-    or tally, and take reserve weights as exact ratios. Each adjudicated
-    move is adjudicated once: its bust is checked once, each response
-    (greedy ones included) is checked legal, and the move's
-    ``_Adjudication`` per prune setting gives each verdict. The greedy list
-    comes from ``contract``/``all_msts``, independently of the arena; the
-    converse list is the arena's ordered responses, the same enumeration
-    the verifier compares against, which ``enumerate_fixer_responses``
-    exposes and the tests check against a brute force over reserve subsets.
+    The sweep keys, adjudicates and credits. It keys each instance, and
+    the position each non-winning Buster move leaves (the busted graph and
+    the whole reserve), by isomorphism class: vertex count and
+    ``canonical_form``, with every graph edge weighed alike (graph weights
+    enter no verdict or tally) and reserve weights as exact ratios. The
+    first move to leave each class in the whole call is adjudicated by
+    :func:`_adjudicate_move`, whose failures become ``Counterexample``s with
+    the instance and bust. An instance is credited with the sum of its
+    moves' tallies, a Buster-win move counting (1, 0). Later instances and
+    moves of a class get the first one's tallies unless it recorded a
+    failure; instances past the relabelling cap are not keyed. The kernel
+    runs on the instance's arena, whose memos its moves share; the
+    instance key stays, since a hit skips keying every move.
     """
     report = SweepReport()
-
-    def adjudicate(arena: _Arena, busted: frozenset[str], left: int, jobs: list, response: frozenset[str]) -> bool:
-        cand_mask = _legal_candidate(arena, left, response)
-        graph_mask, reserve_mask = left | cand_mask, arena.reserve_mask ^ cand_mask
-        verdict = jobs[0].survives(graph_mask, reserve_mask)[0]
-        if compare_prune and jobs[1].survives(graph_mask, reserve_mask)[0] != verdict:
-            report.prune_mismatches.append(Counterexample(
-                "prune-mismatch", arena.position, busted, response, f"pruned={verdict} full={not verdict}"
-            ))
-        return verdict
-
     settings = (True, False) if compare_prune else (True,)  # the pruned verdict first
-    shared: dict[tuple, tuple[int, int, int]] = {}  # class key -> its first clean instance's tallies
+    shared: dict[tuple, tuple[int, int, int]] = {}  # instance class -> its first clean instance's tallies
     by_class: dict[tuple, tuple[int, int]] = {}  # class of the position a move leaves -> its first clean move's tallies
     for p in instances:
         report.instances += 1
@@ -645,9 +660,8 @@ def theorem_sweep(
             continue
         if p.total_edges > caps.max_total_edges:
             raise CapExceededError(f"position has {p.total_edges} edges, cap is {caps.max_total_edges}")
-        # graph weights never enter a verdict; reserve weights as exact integer pairs, which
-        # sort and hash in C, unlike Fractions (or arena-scaled ints, whose scale differs
-        # between instances); entry i is arena bit i
+        # reserve weights as exact integer pairs, which sort and hash in C, unlike Fractions (or
+        # arena-scaled ints, whose scale differs between instances); entry i is arena bit i
         n = p.graph.vertex_count
         triples = [(0, e.u, e.v, 0) for e in p.graph]
         reserve = [(1, e.u, e.v, e.weight.as_integer_ratio()) for e in p.reserve]
@@ -655,50 +669,33 @@ def theorem_sweep(
             key = n, canonical_form(n, triples + reserve, caps)
         except CapExceededError:  # too many relabellings to key: adjudicate it alone
             key = None
-        before = report.moves, report.greedy_checked, report.responses_checked
-        if key in shared:
-            report.moves, report.greedy_checked, report.responses_checked = map(sum, zip(before, shared[key]))
-            continue
-        failures = len(report.counterexamples) + len(report.prune_mismatches)
-        arena = _arena_for(p, caps)
-        for busted in enumerate_buster_moves(p, caps):
-            report.moves += 1
-            left = _legal_bust(arena, busted)
-            if left is None:  # Buster wins the round: the forced empty response is optimal
-                report.greedy_checked += 1
-                continue
-            post = None  # the class of the position the move leaves: the graph edges of left, and the reserve
-            if key is not None:
-                post = n, canonical_form(n, [triples[i] for i in _bit_indices(left)] + reserve, caps)
-            move_before = report.greedy_checked, report.responses_checked
-            if post in by_class:
-                report.greedy_checked, report.responses_checked = map(sum, zip(move_before, by_class[post]))
-                continue
-            move_failures = len(report.counterexamples) + len(report.prune_mismatches)
-            jobs = [_Adjudication(arena, left, setting) for setting in settings]
-            msts = all_msts(contract(p.graph.without(busted), p.reserve.edges), caps)
-            greedy = dict.fromkeys(t.edge_ids for t in msts)  # an ordered set
-            minimum = msts[0].total_weight
-            for response in greedy:
-                report.greedy_checked += 1
-                if not adjudicate(arena, busted, left, jobs, response):
-                    report.counterexamples.append(
-                        Counterexample("greedy-not-optimal", p, busted, response, f"weight {minimum}")
-                    )
-            for _, ids, _ in arena.ordered_responses(left):
-                response = frozenset(ids)
-                if response in greedy:
+        tallies = shared.get(key)
+        if tallies is None:
+            arena, moves, clean = _arena_for(p, caps), [], True
+            for busted in enumerate_buster_moves(p, caps):
+                left = _legal_bust(arena, busted)
+                if left is None:  # Buster wins the round: the forced empty response is optimal
+                    moves.append((1, 0))
                     continue
-                report.responses_checked += 1
-                if adjudicate(arena, busted, left, jobs, response) and p.reserve.weight(response) != minimum:
-                    detail = f"weight {p.reserve.weight(response)} > minimum {minimum}"
-                    report.counterexamples.append(Counterexample("non-minimum-optimal", p, busted, response, detail))
-            if post is not None and len(report.counterexamples) + len(report.prune_mismatches) == move_failures:
-                after = report.greedy_checked, report.responses_checked
-                by_class[post] = tuple(a - b for a, b in zip(after, move_before))
-        if key is not None and len(report.counterexamples) + len(report.prune_mismatches) == failures:
-            after = report.moves, report.greedy_checked, report.responses_checked
-            shared[key] = tuple(a - b for a, b in zip(after, before))
+                post = None  # the class of the position the move leaves: the graph edges of left, and the reserve
+                if key is not None:
+                    post = n, canonical_form(n, [triples[i] for i in _bit_indices(left)] + reserve, caps)
+                move = by_class.get(post)
+                if move is None:
+                    greedy, converse, failures = _adjudicate_move(arena, busted, left, settings, caps)
+                    for kind, response, detail in failures:
+                        failed = report.prune_mismatches if kind == "prune-mismatch" else report.counterexamples
+                        failed.append(Counterexample(kind, p, busted, response, detail))
+                    move, clean = (greedy, converse), clean and not failures
+                    if post is not None and not failures:
+                        by_class[post] = move
+                moves.append(move)
+            tallies = len(moves), sum(g for g, _ in moves), sum(c for _, c in moves)
+            if key is not None and clean:
+                shared[key] = tallies
+        report.moves += tallies[0]
+        report.greedy_checked += tallies[1]
+        report.responses_checked += tallies[2]
     return report
 
 
@@ -718,7 +715,7 @@ def generate_instances(
     edges). Instances whose graph is empty are skipped, since Buster has
     no move to check there.
     """
-    weights = tuple(Fraction(w) for w in reserve_weights)
+    weights = tuple(dict.fromkeys(Fraction(w) for w in reserve_weights))  # a repeated weight would repeat instances
     for n in range(1, max_vertices + 1):
         pairs = [(u, v) for u in range(n) for v in range(u, n)]
         reserve_types = [(u, v, w) for (u, v) in pairs for w in weights]

@@ -76,11 +76,14 @@ def _ids(text: str) -> frozenset[str]:
 
 
 def _weights(text: str) -> list:
-    """Comma-separated reserve weights, in the scenario files' decimal grammar."""
+    """Comma-separated reserve weights, at least one, in the scenario files' decimal grammar."""
     try:
-        return [parse_decimal_weight(w) for w in text.split(",") if w != ""]
+        weights = [parse_decimal_weight(w) for w in text.split(",") if w != ""]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    if not weights:
+        raise argparse.ArgumentTypeError(f"must list at least one weight, got {text!r}")
+    return weights
 
 
 def _positive(text: str) -> int:

@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -38,7 +39,15 @@ from busterfixer import (
 )
 
 from busterfixer import adjudicator
-from busterfixer.adjudicator import _Adjudication, _Arena, _distinct_unions, _legal_bust, _legal_candidate, verify_optimal_report
+from busterfixer.adjudicator import (
+    _adjudicate_move,
+    _Adjudication,
+    _Arena,
+    _distinct_unions,
+    _legal_bust,
+    _legal_candidate,
+    verify_optimal_report,
+)
 from busterfixer.graph import EdgeIndex, canonical_form, contract
 from busterfixer.reconnect import all_msts, all_spanning_trees
 
@@ -634,6 +643,52 @@ def test_theorem_sweep_adjudicates_one_move_per_post_bust_class(monkeypatch):
     assert flipped.prune_mismatches == unshared.prune_mismatches == []
 
 
+def test_adjudicate_move_returns_what_the_first_move_of_its_class_returns():
+    # the sweep credits a move with the return of the first move that left
+    # its class of position: check that per move, each on its instance's
+    # own arena, and that the return survives a pickle round trip
+    first, adjudicated = {}, 0
+    for p in generate_instances(3, 4, (0, 1, 2)):
+        arena = _Arena(p)
+        for busted in enumerate_buster_moves(p):
+            left = _legal_bust(arena, busted)
+            if left is None:
+                continue
+            got = _adjudicate_move(arena, busted, left, (True, False), Caps())
+            assert pickle.loads(pickle.dumps(got)) == got
+            post = Position(graph=p.graph.without(busted), reserve=p.reserve)
+            assert first.setdefault(_class_of(post), got) == got
+            adjudicated += 1
+    assert len(first) == 291 < adjudicated
+    assert all(greedy > 0 and failures == [] for greedy, _, failures in first.values())
+
+
+def test_adjudicate_move_returns_its_failures_in_the_order_met(monkeypatch):
+    # the summary test's instance, pruned verdicts flipped: each response's
+    # prune mismatch comes before its counterexample, responses greedy first
+    p = Position(
+        graph=Multigraph(2, (Edge("g", 0, 1, Fraction(1)),)),
+        reserve=Multigraph(2, (Edge("r1", 0, 1, Fraction(1)), Edge("r2", 0, 1, Fraction(2)))),
+    )
+    _flip_verdicts(monkeypatch, {True})
+    arena = _Arena(p)
+    got = _adjudicate_move(arena, frozenset({"g"}), _legal_bust(arena, {"g"}), (True, False), Caps())
+    assert pickle.loads(pickle.dumps(got)) == got == (1, 2, [
+        ("prune-mismatch", frozenset({"r1"}), "pruned=False full=True"),
+        ("greedy-not-optimal", frozenset({"r1"}), "weight 1"),
+        ("prune-mismatch", frozenset({"r2"}), "pruned=True full=False"),
+        ("non-minimum-optimal", frozenset({"r2"}), "weight 2 > minimum 1"),
+        ("prune-mismatch", frozenset({"r1", "r2"}), "pruned=True full=False"),
+        ("non-minimum-optimal", frozenset({"r1", "r2"}), "weight 3 > minimum 1"),
+    ])
+    # with the pruned setting alone there is nothing to compare
+    assert _adjudicate_move(arena, frozenset({"g"}), _legal_bust(arena, {"g"}), (True,), Caps())[2] == [
+        ("greedy-not-optimal", frozenset({"r1"}), "weight 1"),
+        ("non-minimum-optimal", frozenset({"r2"}), "weight 2 > minimum 1"),
+        ("non-minimum-optimal", frozenset({"r1", "r2"}), "weight 3 > minimum 1"),
+    ]
+
+
 def _parallel(n_graph, weights=(), reserve_weight=1):
     """``n_graph`` parallel graph edges between vertices 0 and 1, the first ones of the given weights, and one reserve edge."""
     weights = (*weights, *[1] * (n_graph - len(weights)))
@@ -868,6 +923,13 @@ def test_theorem_sweep_micro_corpus_clean():
     assert report.greedy_checked > 0
     assert report.responses_checked > 0
     assert "counterexamples: 0" in report.summary()
+
+
+def test_generate_instances_counts_a_repeated_weight_once():
+    # 1 and Fraction(1) are one weight: repeating it must not repeat instances
+    once = list(generate_instances(max_vertices=2, max_total_edges=3, reserve_weights=(0, 1)))
+    twice = list(generate_instances(max_vertices=2, max_total_edges=3, reserve_weights=(0, 1, Fraction(1))))
+    assert twice == once and len(set(twice)) == len(twice) == 65
 
 
 def test_generate_instances_counts_and_shape():

@@ -216,12 +216,21 @@ def test_theorem_sweep_decimal_weights(capsys):
     assert "counterexamples: 0" in capsys.readouterr().out
 
 
+def test_theorem_sweep_counts_a_repeated_weight_once(capsys):
+    # 1 and 1.0 are one weight: the sweep sees each instance once
+    code = cli_main(["theorem-sweep", "--max-vertices", "2", "--max-total-edges", "3", "--weights", "0,1,1.0"])
+    assert code == 0
+    assert "instances: 65" in capsys.readouterr().out.splitlines()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["theorem-sweep", "--weights", "a"],
         ["theorem-sweep", "--weights", "-1"],
         ["theorem-sweep", "--weights", "1/2"],
+        ["theorem-sweep", "--weights", ","],
+        ["theorem-sweep", "--weights", ""],
         ["theorem-sweep", "--max-vertices", "0"],
         ["theorem-sweep", "--max-vertices", "-1"],
         ["theorem-sweep", "--max-total-edges", "0"],
