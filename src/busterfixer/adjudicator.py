@@ -90,6 +90,11 @@ from .errors import BusterWinsError, CapExceededError, IllegalMoveError
 from .graph import DEFAULT_CAPS, Caps, Edge, EdgeIndex, Multigraph, _bit_indices, _UnionFind, canonical_form, contract
 from .reconnect import all_msts
 
+__all__ = [
+    "enumerate_fixer_responses", "fixer_superior", "generate_instances", "series_superior", "theorem_sweep",
+    "verify_optimal", "verify_optimal_naive", "verify_optimal_report",
+]
+
 
 def fixer_superior(a: OutcomeTriple, b: OutcomeTriple) -> bool:
     """True iff outcome ``a`` dominates outcome ``b``.
@@ -719,10 +724,6 @@ def generate_instances(
     for n in range(1, max_vertices + 1):
         pairs = [(u, v) for u in range(n) for v in range(u, n)]
         reserve_types = [(u, v, w) for (u, v) in pairs for w in weights]
-        reserve_combos = {
-            size: list(combinations_with_replacement(reserve_types, size))
-            for size in range(0, max_total_edges)
-        }
         for graph_size in range(max(1, n - 1), max_total_edges + 1):
             for graph_combo in combinations_with_replacement(pairs, graph_size):
                 uf = _UnionFind(n)
@@ -731,7 +732,7 @@ def generate_instances(
                     continue
                 graph = Multigraph(n, tuple(Edge(f"g{i}", u, v, 1) for i, (u, v) in enumerate(graph_combo)))
                 for reserve_size in range(0, max_total_edges - graph_size + 1):
-                    for reserve_combo in reserve_combos[reserve_size]:
+                    for reserve_combo in combinations_with_replacement(reserve_types, reserve_size):
                         reserve = Multigraph(
                             n,
                             tuple(

@@ -51,6 +51,8 @@ from .reconnect import all_msts, greedy_fixer_move
 from .scenario import ScenarioFile, load_bundled_scenario, parse_scenario
 from .transcript import _render_ids
 
+__all__ = ["cli_main"]
+
 _USAGE_ERRORS = (
     ScenarioParseError,
     ScenarioValidationError,

@@ -41,6 +41,12 @@ from .errors import CapExceededError, IdentityViolationError, IllegalMoveError, 
 from .graph import DEFAULT_CAPS, Caps, EdgeIndex, Multigraph
 from .reconnect import greedy_fixer_move
 
+__all__ = [
+    "QUIT", "OutcomeTriple", "Position", "RoundRecord", "Series", "Winner", "apply_round", "buster_wins",
+    "enumerate_buster_moves", "greedy_fixer", "play_series", "random_buster", "replay_positions",
+    "scripted_buster", "scripted_fixer", "series_totals",
+]
+
 # Chance that random_buster quits after a survived round; seeded series
 # depend on it, so changing it changes every recorded random transcript.
 QUIT_PROBABILITY = 0.15

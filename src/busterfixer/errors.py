@@ -1,5 +1,10 @@
 """Exception types shared across the library."""
 
+__all__ = [
+    "BusterWinsError", "CapExceededError", "DisconnectedError", "GameError", "IdentityViolationError",
+    "IllegalMoveError", "NotSpanningTreeError", "PolicyError", "ScenarioParseError", "ScenarioValidationError",
+]
+
 
 class GameError(Exception):
     """Base class for all library-specific errors."""

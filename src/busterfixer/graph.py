@@ -5,7 +5,8 @@ spending reserve edges stays unambiguous even when parallel edges share
 endpoints and weights. Weights are ``fractions.Fraction`` values throughout:
 minimum spanning trees and equal-weight tie enumeration need exact
 comparisons, so binary floats never appear. Instance sizes are tiny by
-design and every query on a :class:`Multigraph` recomputes from scratch.
+design: a :class:`Multigraph` caches only its id set and its id-to-edge
+map, and every other query recomputes from scratch.
 
 All values are immutable after construction and every operation is a pure
 function, so graphs can be shared freely between threads. The size limits
@@ -29,6 +30,11 @@ from math import factorial, lcm
 from typing import Iterable, Iterator
 
 from .errors import CapExceededError, IllegalMoveError
+
+__all__ = [
+    "Caps", "DEFAULT_CAPS", "Edge", "Multigraph", "component_count", "components", "contract",
+    "format_weight", "is_connected", "parse_decimal_weight",
+]
 
 _DECIMAL_RE = re.compile(r"(-?)(\d+)(?:\.(\d+))?")
 

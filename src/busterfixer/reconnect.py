@@ -31,6 +31,8 @@ from .graph import DEFAULT_CAPS, Caps, Edge, Multigraph, _UnionFind, contract
 if TYPE_CHECKING:
     from .engine import Position
 
+__all__ = ["SpanningTree", "all_msts", "all_spanning_trees", "greedy_fixer_move", "prim_mst", "prim_reachable"]
+
 
 @dataclass(frozen=True)
 class SpanningTree:

@@ -31,6 +31,8 @@ from .engine import QUIT, BusterAction, Position, _QuitToken
 from .errors import ScenarioParseError, ScenarioValidationError
 from .graph import Edge, Multigraph, format_decimal_weight, is_connected, parse_decimal_weight
 
+__all__ = ["ScenarioFile", "load_bundled_scenario", "parse_scenario", "render_scenario"]
+
 # Characters the transcript format uses around ids (``{a,b}`` cells in
 # ``|``-separated rows) or that start a comment.
 _RESERVED_ID_CHARACTERS = frozenset(",{}|#")

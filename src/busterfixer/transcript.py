@@ -24,6 +24,8 @@ from .engine import QUIT, Position, Series, Winner, _play, _replay
 from .errors import ScenarioParseError
 from .graph import EdgeIndex, format_weight
 
+__all__ = ["parse_transcript", "render_transcript", "replay_transcript"]
+
 _COLUMNS = ("j", "G_j", "R_j", "B_j", "F_j", "sum|B|", "sum w(F)", "Winner")
 
 # The only cost forms render_transcript writes: ``3`` or ``7/2``.

@@ -1,6 +1,7 @@
 import hashlib
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 from types import SimpleNamespace
@@ -945,6 +946,19 @@ def test_generate_instances_counts_and_shape():
         for p in instances
     }
     assert len(labelled) == len(instances)  # one instance per labelled edge multiset
+
+
+def test_generate_instances_streams_its_reserve_multisets():
+    # reserve multisets must be drawn lazily: a stored table of every size up
+    # to the edge cap grows far faster than the output (past 1 GB on (6, 6))
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in generate_instances(4, 5, (0, 1, 2)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 22462
+    assert peak < 1 << 20
 
 
 def _relabelled(p, rng):
