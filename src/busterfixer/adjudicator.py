@@ -65,10 +65,11 @@ boundary, in the ``OutcomeTriple`` of a witness. No float is ever involved.
 
 Searches are pure given their inputs, and every memo is per position,
 keyed only by what decides its answer. Each verifier call builds a fresh
-arena. The sweep keys each instance and each position a Buster move
-leaves by isomorphism class, adjudicates the first move of each class with
-the one-move kernel ``_adjudicate_move`` on its instance's arena, and
-credits every later one with that move's tallies.
+arena. The sweep walks an instance's Buster moves as masks on its arena,
+in ``enumerate_buster_moves`` order, keys each instance and each position
+a move leaves by isomorphism class, adjudicates the first move of each
+class, the only one whose ids it builds, with the one-move kernel
+``_adjudicate_move``, and credits every later one with its tallies.
 """
 
 from __future__ import annotations
@@ -82,8 +83,8 @@ from .engine import (
     OutcomeTriple,
     Position,
     Series,
+    _move_masks,
     buster_wins,  # noqa: F401  unused here, kept because perfbench's binding self-test reads it
-    enumerate_buster_moves,
     series_totals,
 )
 from .errors import BusterWinsError, CapExceededError, IllegalMoveError
@@ -91,8 +92,9 @@ from .graph import DEFAULT_CAPS, Caps, Edge, EdgeIndex, Multigraph, _bit_indices
 from .reconnect import all_msts
 
 __all__ = [
-    "enumerate_fixer_responses", "fixer_superior", "generate_instances", "series_superior", "theorem_sweep",
-    "verify_optimal", "verify_optimal_naive", "verify_optimal_report",
+    "Counterexample", "SweepReport", "VerifyResult", "enumerate_fixer_responses", "fixer_superior",
+    "generate_instances", "series_superior", "theorem_sweep", "verify_optimal", "verify_optimal_naive",
+    "verify_optimal_report",
 ]
 
 
@@ -641,19 +643,19 @@ def theorem_sweep(
     checked as each instance's arena is fetched, before its Buster moves or
     converse list are enumerated.
 
-    The sweep keys, adjudicates and credits. It keys each instance, and
-    the position each non-winning Buster move leaves (the busted graph and
-    the whole reserve), by isomorphism class: vertex count and
+    The sweep keys, adjudicates and credits. It walks each instance's Buster
+    moves as arena masks in :func:`enumerate_buster_moves` order, and keys
+    each instance and the position each non-winning move leaves (the busted
+    graph and the whole reserve) by isomorphism class: vertex count and
     ``canonical_form``, with every graph edge weighed alike (graph weights
-    enter no verdict or tally) and reserve weights as exact ratios. The
-    first move to leave each class in the whole call is adjudicated by
-    :func:`_adjudicate_move`, whose failures become ``Counterexample``s with
-    the instance and bust. An instance is credited with the sum of its
-    moves' tallies, a Buster-win move counting (1, 0). Later instances and
-    moves of a class get the first one's tallies unless it recorded a
-    failure; instances past the relabelling cap are not keyed. The kernel
-    runs on the instance's arena, whose memos its moves share; the
-    instance key stays, since a hit skips keying every move.
+    enter no verdict or tally) and reserve weights as exact ratios. The first
+    move to leave each class in the whole call, the only kind whose ids are
+    built, is adjudicated by :func:`_adjudicate_move`, whose failures become
+    ``Counterexample``s with the instance and bust. An instance gets the sum
+    of its moves' tallies, a Buster-win move counting (1, 0). Later instances
+    and moves of a class get the first one's tallies unless it recorded a
+    failure; instances past the relabelling cap are not keyed. The kernel runs
+    on the instance's arena, whose memos its moves share.
     """
     report = SweepReport()
     settings = (True, False) if compare_prune else (True,)  # the pruned verdict first
@@ -677,9 +679,9 @@ def theorem_sweep(
         tallies = shared.get(key)
         if tallies is None:
             arena, moves, clean = _arena_for(p, caps), [], True
-            for busted in enumerate_buster_moves(p, caps):
-                left = _legal_bust(arena, busted)
-                if left is None:  # Buster wins the round: the forced empty response is optimal
+            for bust in _move_masks(len(p.graph), caps):
+                left = arena.graph_mask ^ bust
+                if arena.unfixable(left, arena.reserve_mask):  # Buster wins: the forced empty response is optimal
                     moves.append((1, 0))
                     continue
                 post = None  # the class of the position the move leaves: the graph edges of left, and the reserve
@@ -687,6 +689,7 @@ def theorem_sweep(
                     post = n, canonical_form(n, [triples[i] for i in _bit_indices(left)] + reserve, caps)
                 move = by_class.get(post)
                 if move is None:
+                    busted = arena.ids_of(bust)
                     greedy, converse, failures = _adjudicate_move(arena, busted, left, settings, caps)
                     for kind, response, detail in failures:
                         failed = report.prune_mismatches if kind == "prune-mismatch" else report.counterexamples

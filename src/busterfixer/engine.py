@@ -35,10 +35,11 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from typing import AbstractSet, Callable, Iterable, Sequence, Union
 
 from .errors import CapExceededError, IdentityViolationError, IllegalMoveError, PolicyError
-from .graph import DEFAULT_CAPS, Caps, EdgeIndex, Multigraph
+from .graph import DEFAULT_CAPS, Caps, EdgeIndex, Multigraph, _bit_indices
 from .reconnect import greedy_fixer_move
 
 __all__ = [
@@ -242,24 +243,35 @@ def buster_wins(p: Position, busted: frozenset[str]) -> bool:
     return _Walk(p).bust(busted)
 
 
+_MOVE_MASKS: dict[int, tuple[int, ...]] = {}
+
+
+def _move_masks(size: int, caps: Caps) -> tuple[int, ...]:
+    """The nonempty masks of ``size`` bits by bit count, then by ascending bit tuple, memoized per size.
+
+    Bit ``i`` is the ``i``-th graph id in sorted order, as in ``graph.EdgeIndex``, so this is the move
+    order of :func:`enumerate_buster_moves`. The cap is checked before any table is built.
+    """
+    if 1 << size > caps.max_subsets:
+        raise CapExceededError(f"2^{size} graph-edge subsets exceeds cap {caps.max_subsets}")
+    if size not in _MOVE_MASKS:
+        subsets = (bits for k in range(1, size + 1) for bits in combinations(range(size), k))
+        _MOVE_MASKS[size] = tuple(sum(1 << bit for bit in bits) for bits in subsets)
+    return _MOVE_MASKS[size]
+
+
 def enumerate_buster_moves(p: Position, caps: Caps = DEFAULT_CAPS) -> list[frozenset[str]]:
     """All nonempty sub-multisets of the current graph, smallest first.
 
     Order is deterministic: by size, then lexicographically on the sorted
-    id tuple. The quit action is not part of this enumeration; it is the
-    separate :data:`QUIT` token.
+    id tuple, as the mask table ``_move_masks`` lists them. The quit action
+    is not part of this enumeration; it is the separate :data:`QUIT` token.
 
     Raises ``CapExceededError`` when the ``2**|G|`` subsets exceed
     ``caps.max_subsets`` (the default admits graphs of up to 12 edges).
     """
     ids = sorted(p.graph.ids)
-    if 1 << len(ids) > caps.max_subsets:
-        raise CapExceededError(f"2^{len(ids)} graph-edge subsets exceeds cap {caps.max_subsets}")
-    moves = []
-    for mask in range(1, 1 << len(ids)):
-        moves.append(frozenset(i for bit, i in enumerate(ids) if mask >> bit & 1))
-    moves.sort(key=lambda m: (len(m), tuple(sorted(m))))
-    return moves
+    return [frozenset(ids[bit] for bit in _bit_indices(mask)) for mask in _move_masks(len(ids), caps)]
 
 
 def _play(

@@ -39,7 +39,7 @@ from busterfixer import (
     verify_optimal_naive,
 )
 
-from busterfixer import adjudicator
+from busterfixer import adjudicator, engine
 from busterfixer.adjudicator import (
     _adjudicate_move,
     _Adjudication,
@@ -430,7 +430,7 @@ def test_theorem_sweep_caps_total_edges_before_enumerating(monkeypatch):
     def never(*args):
         raise AssertionError("moves enumerated before the total-edge cap")
 
-    monkeypatch.setattr(adjudicator, "enumerate_buster_moves", never)
+    monkeypatch.setattr(adjudicator, "_move_masks", never)
     with pytest.raises(CapExceededError, match="3 edges, cap is 2"):
         theorem_sweep([p], Caps(max_total_edges=2))
 
@@ -489,6 +489,38 @@ def test_theorem_sweep_runs_all_msts_once_per_adjudicated_move(monkeypatch):
         report = theorem_sweep(corpus)
         assert report.ok and (report.moves, report.greedy_checked) == (moves, greedy_checked)
         assert calls == len(_post_bust_representatives(corpus)) == 291
+
+
+def test_theorem_sweep_walks_move_masks_and_names_only_adjudicated_moves(monkeypatch):
+    # the sweep neither lists moves as id sets nor re-checks them as busts;
+    # it builds a move's ids only to hand them to the kernel, which sees the
+    # first move to leave each class of position, in move order
+    corpus = list(generate_instances(3, 4, (0, 1, 2)))
+    expected = [(corpus[index], busted) for index, busted in _post_bust_representatives(corpus)]
+    calls = dict.fromkeys(("enumerate_buster_moves", "_legal_bust"), 0)
+
+    def counted(name, *modules):
+        original = getattr(modules[0], name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        for module in modules:  # every binding the sweep could call it through
+            monkeypatch.setattr(module, name, counting, raising=False)
+
+    counted("enumerate_buster_moves", engine, adjudicator)
+    counted("_legal_bust", adjudicator)
+    adjudicated, kernel = [], adjudicator._adjudicate_move
+
+    def recording(arena, busted, *args):
+        adjudicated.append((arena.position, busted))
+        return kernel(arena, busted, *args)
+
+    monkeypatch.setattr(adjudicator, "_adjudicate_move", recording)
+    assert theorem_sweep(corpus).ok
+    assert calls == {"enumerate_buster_moves": 0, "_legal_bust": 0}
+    assert len(adjudicated) == 291 and adjudicated == expected
 
 
 def _tallies(report):

@@ -8,9 +8,9 @@ from busterfixer import adjudicator, cli, engine, errors, graph, reconnect, scen
 MODULES = (adjudicator, cli, engine, errors, graph, reconnect, scenario, transcript)
 
 
-def test_package_exports_58_distinct_names_that_resolve():
+def test_package_exports_61_distinct_names_that_resolve():
     names = busterfixer.__all__
-    assert len(names) == len(set(names)) == 58
+    assert len(names) == len(set(names)) == 61
     for name in names:
         assert hasattr(busterfixer, name), name
 

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from busterfixer import engine
 from busterfixer import (
+    DEFAULT_CAPS,
     QUIT,
     CapExceededError,
     Caps,
@@ -105,6 +107,33 @@ def test_enumerate_buster_moves_cap():
     with pytest.raises(CapExceededError):
         enumerate_buster_moves(p)
     assert len(enumerate_buster_moves(p, Caps(max_subsets=1 << 13))) == 2**13 - 1
+
+
+def test_move_mask_table_is_the_documented_move_order():
+    # ids whose string order is not their numeric order: "g10" < "g2"
+    numbers = [2, 10, 1, 11, 3, 12, 4, 5, 6, 7, 8, 9]
+    for size in range(1, 13):
+        ids = sorted(f"g{i}" for i in numbers[:size])
+        subsets = [frozenset(ids[bit] for bit in range(size) if mask >> bit & 1) for mask in range(1, 1 << size)]
+        reference = sorted(subsets, key=lambda m: (len(m), tuple(sorted(m))))
+        table = engine._move_masks(size, DEFAULT_CAPS)
+        assert [frozenset(ids[bit] for bit in range(size) if mask >> bit & 1) for mask in table] == reference
+        p = Position(graph=Multigraph(2, tuple(Edge(i, 0, 1, Fraction(1)) for i in ids)), reserve=Multigraph(2, ()))
+        assert enumerate_buster_moves(p) == reference
+
+
+def test_move_mask_cap_raises_before_any_table_is_built(monkeypatch):
+    def never(*args):
+        raise AssertionError("mask table built before the cap check")
+
+    monkeypatch.setattr(engine, "_MOVE_MASKS", {})
+    monkeypatch.setattr(engine, "combinations", never)
+    p = Position(
+        graph=Multigraph(2, tuple(Edge(f"g{i}", 0, 1, Fraction(1)) for i in range(13))), reserve=Multigraph(2, ())
+    )
+    with pytest.raises(CapExceededError, match="2\\^13 graph-edge subsets exceeds cap 4096"):
+        enumerate_buster_moves(p, DEFAULT_CAPS)
+    assert engine._MOVE_MASKS == {}
 
 
 @pytest.mark.parametrize("name,first_fix,script,win,busted,cost", ALL_SERIES)
