@@ -32,44 +32,34 @@ the definition's reading, and any disagreement between the two is
 surfaced as a test failure rather than resolved silently.
 
 Every list of legal responses and every round-legality check comes from
-one place, the per-instance bitmask arena. The arena is the engine's
+one place, the per-instance bitmask arena: the engine's
 ``graph.EdgeIndex`` (edge bits, integer-scaled weights, memoized
 connectivity and weight per mask) plus the reachability search and its
-memos: ``_Arena.ordered_responses`` lists every response cheapest first,
-sorted once per graph mask (``enumerate_fixer_responses`` wraps it).
+memos. Inside this module every response, alternative and witness is a
+reserve mask and every weight an int, the edge weights times the least
+common multiple of their denominators, so budgets, floors and memo keys
+are ints and no float is ever involved. Ids enter only through
+``_legal_bust`` and ``_legal_candidate``; ids and ``Fraction``s are built
+only where a result leaves: ``enumerate_fixer_responses``, a
+``VerifyResult``'s witness and a sweep ``Counterexample``.
+
 Both searches walk the nonempty bust submasks in descending
 ``(bust - 1) & graph_mask`` order, which fixes the first failure reported.
-``_legal_bust`` checks a bust and decides Buster-wins with the index's
-``unfixable``; ``_legal_candidate`` checks a candidate against it. An
-``_Adjudication`` holds what every candidate against one bust and prune
-setting shares: the alternative lines, the check memo and the survival
-search with its memo. A verifier call builds one, and the sweep's kernel
-one per prune setting for each move it adjudicates.
-The prune is decided there alone: by default the alternatives are only
-the responses whose every edge is a bridge after the fix (equivalently,
-spanning trees of the contracted graph, the reconnecting sets of fewest
-edges). This provably preserves the verdict; the verifiers'
-``bridge_only=False`` disables it, and the sweep's ``compare_prune`` adds
-the unpruned verdict to the pruned one. The naive oracle never prunes.
+An ``_Adjudication`` holds what every candidate against one bust and prune
+setting shares, and the prune is decided there alone: by default the
+alternatives are only the responses whose every edge is a bridge after the
+fix (equivalently, spanning trees of the contracted graph, the
+reconnecting sets of fewest edges). This provably preserves the verdict;
+the verifiers' ``bridge_only=False`` disables it, and the sweep's
+``compare_prune`` adds the unpruned verdict to the pruned one. The naive
+oracle never prunes.
 
 Every size limit comes from one :class:`Caps` object (defined in
 ``graph`` and re-exported here); exceeding it raises ``CapExceededError``.
-Every entry point gets its arena from ``_arena_for``, the one check of the
-reserve-subset cap, made before any response is enumerated. The total-edge
-caps are checked by the two verifiers and, per instance, the sweep.
-
-The searches run on exact integers: each arena's index scales its edge
-weights by the least common multiple of their denominators, so budgets,
-floors and memo keys are ints and ``Fraction`` appears only at the
-boundary, in the ``OutcomeTriple`` of a witness. No float is ever involved.
-
-Searches are pure given their inputs, and every memo is per position,
-keyed only by what decides its answer. Each verifier call builds a fresh
-arena. The sweep walks an instance's Buster moves as masks on its arena,
-in ``enumerate_buster_moves`` order, keys each instance and each position
-a move leaves by isomorphism class, adjudicates the first move of each
-class, the only one whose ids it builds, with the one-move kernel
-``_adjudicate_move``, and credits every later one with its tallies.
+Building an ``_Arena`` checks the reserve-subset cap; the total-edge caps
+are checked by the two verifiers and, per instance, the sweep. Searches
+are pure given their inputs, every memo is per position, keyed only by
+what decides its answer, and each verifier call builds a fresh arena.
 """
 
 from __future__ import annotations
@@ -140,33 +130,37 @@ def enumerate_fixer_responses(p: Position, busted: frozenset[str], caps: Caps = 
     illegal bust and ``BusterWinsError`` when not even the full reserve
     reconnects.
     """
-    arena = _arena_for(p, caps)
+    arena = _Arena(p, caps)
     left = _legal_bust(arena, busted)
     if left is None:
         raise BusterWinsError("no response can reconnect; Buster wins this round")
-    return [frozenset(ids) for _, ids, _ in arena.ordered_responses(left)]
+    return [arena.ids_of(mask) for mask, _ in arena.ordered_responses(left)]
 
 
-_Ordered = tuple[tuple[int, tuple[str, ...], int], ...]
+_Lines = tuple[tuple[int, int], ...]  # (reserve mask, scaled weight) pairs
 
 
 class _Arena(EdgeIndex):
     """The verifier's view of one position: its edge index plus the search memos.
 
-    Everything is derived from the immutable position, so the arena carries
-    the memos shared by every check on it. It holds no reference to the
+    Building one first checks the reserve-subset cap, so it raises
+    ``CapExceededError`` before any response is enumerated. Everything is
+    derived from the immutable position, so the arena carries the memos
+    shared by every check on it. It holds no reference to the
     ``_Adjudication``s that use it, so a finished arena is freed at once by
     reference counting rather than left to the cycle collector.
     """
 
-    def __init__(self, p: Position):
+    def __init__(self, p: Position, caps: Caps = DEFAULT_CAPS):
+        if 1 << len(p.reserve) > caps.max_subsets:
+            raise CapExceededError(f"2^{len(p.reserve)} reserve subsets exceeds cap {caps.max_subsets}")
         super().__init__(p.graph, p.reserve)
         self.position = p
-        self._responses: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-        self._ordered: dict[int, _Ordered] = {}
+        self._responses: dict[tuple[int, int], _Lines] = {}
+        self._ordered: dict[int, _Lines] = {}
         self.dominance_memo: dict = {}
 
-    def responses(self, graph_mask: int, reserve_mask: int) -> tuple[tuple[int, int], ...]:
+    def responses(self, graph_mask: int, reserve_mask: int) -> _Lines:
         """All reserve submasks reconnecting ``graph_mask``, with weights."""
         key = (graph_mask, reserve_mask)
         cached = self._responses.get(key)
@@ -183,20 +177,19 @@ class _Arena(EdgeIndex):
             self._responses[key] = cached
         return cached
 
-    def ordered_responses(self, graph_mask: int) -> _Ordered:
+    def ordered_responses(self, graph_mask: int) -> _Lines:
         """Every response reconnecting ``graph_mask`` from the full reserve, cheapest first.
 
-        Each is (scaled weight, sorted ids, reserve mask), ordered by weight
-        and then by ids, memoized per graph mask. The bridge-only prune is
+        Each is a (reserve mask, scaled weight) pair, ordered by weight and
+        then by sorted ids, memoized per graph mask. The bridge-only prune is
         not applied here: ``_Adjudication`` filters this list.
         """
         ordered = self._ordered.get(graph_mask)
         if ordered is None:
-            ids = self.ids
-            # A response's bits all lie in the reserve range, which the index lays
-            # out in id order, so its ids come out of ascending bits already sorted.
+            # The index lays the reserve bits out in id order, so ascending bit
+            # tuples order responses as their sorted ids do; the mask ints do not.
             ordered = self._ordered[graph_mask] = tuple(sorted(
-                (w, tuple(ids[i] for i in _bit_indices(m)), m) for m, w in self.responses(graph_mask, self.reserve_mask)
+                self.responses(graph_mask, self.reserve_mask), key=lambda line: (line[1], tuple(_bit_indices(line[0])))
             ))
         return ordered
 
@@ -249,16 +242,16 @@ class _Arena(EdgeIndex):
 
 
 # A failing check met by the survival search: (win, total busted, scaled
-# spend) of the target outcome, and the alternative it does not dominate.
-_Failure = tuple[bool, int, int, frozenset]
+# spend) of the target outcome, and the mask of the alternative it does not dominate.
+_Failure = tuple[bool, int, int, int]
 
 
 class _Adjudication:
     """What every candidate response to one (bust, prune setting) shares.
 
-    The alternative lines, the check memo (target outcome -> first
-    alternative it fails to dominate, or None) and the survival memo depend
-    only on the arena, the bust and the alternatives, so they serve every
+    The alternative lines, the check memo (target outcome -> the mask of the
+    first alternative it fails to dominate, or None) and the survival memo
+    depend only on the arena, the bust and the alternatives, so they serve every
     candidate verified against this bust. This is the one place the
     bridge-only prune is applied: with ``bridge_only`` the alternatives are
     the arena's ordered responses of fewest edges, in the same order.
@@ -274,25 +267,26 @@ class _Adjudication:
         if bridge_only:
             # Every reconnecting set has at least components(left) - 1 edges;
             # those with exactly that many are the contracted spanning trees.
-            fewest = min(mask.bit_count() for _, _, mask in lines)
-            lines = [line for line in lines if line[2].bit_count() == fewest]
-        self.alt_lines = tuple(
-            (frozenset(ids), left | mask, arena.reserve_mask ^ mask, weight) for weight, ids, mask in lines
-        )
-        self.check_memo: dict[tuple[bool, int, int], frozenset | None] = {}
+            fewest = min(mask.bit_count() for mask, _ in lines)
+            lines = [line for line in lines if line[0].bit_count() == fewest]
+        self.alt_lines = tuple((mask, left | mask, arena.reserve_mask ^ mask, weight) for mask, weight in lines)
+        self.check_memo: dict[tuple[bool, int, int], int | None] = {}
         self.survive_memo: dict = {}
 
-    def check(self, win: bool, total_busted: int, spent: int) -> frozenset | None:
-        """The first alternative whose every line escapes this outcome, or None."""
+    def check(self, win: bool, total_busted: int, spent: int) -> int | None:
+        """The mask of the first alternative whose every line escapes this outcome, or None.
+
+        The empty response is mask 0, so only None means that none escapes.
+        """
         key = (win, total_busted, spent)
         memo = self.check_memo
         if key in memo:
             return memo[key]
         failing = None
         budget = total_busted - self.base_busted
-        for alt_ids, alt_graph, alt_reserve, alt_spend in self.alt_lines:
+        for alt, alt_graph, alt_reserve, alt_spend in self.alt_lines:
             if not self.arena.dominated(alt_graph, alt_reserve, budget, spent - alt_spend, win):
-                failing = alt_ids
+                failing = alt
                 break
         memo[key] = failing
         return failing
@@ -348,16 +342,6 @@ class _Adjudication:
             result = (ok, first)
         memo[key] = result
         return result
-
-
-def _arena_for(p: Position, caps: Caps) -> _Arena:
-    """A fresh arena for ``p``, after the one check of the reserve-subset cap.
-
-    Every entry point fetches its arena here, before any response is enumerated.
-    """
-    if 1 << len(p.reserve) > caps.max_subsets:
-        raise CapExceededError(f"2^{len(p.reserve)} reserve subsets exceeds cap {caps.max_subsets}")
-    return _Arena(p)
 
 
 @dataclass(frozen=True)
@@ -416,7 +400,7 @@ def verify_optimal_report(
     """
     if p.total_edges > caps.max_total_edges:
         raise CapExceededError(f"position has {p.total_edges} edges, cap is {caps.max_total_edges}")
-    arena = _arena_for(p, caps)
+    arena = _Arena(p, caps)
     left = _legal_bust(arena, busted)
     cand_mask = _legal_candidate(arena, left, candidate)
     if left is None:  # the round is already lost; the forced empty response is optimal
@@ -430,7 +414,7 @@ def verify_optimal_report(
         optimal=False,
         alternatives=len(job.alt_lines),
         failing_outcome=OutcomeTriple(win, total_busted, Fraction(spent, arena.scale)),
-        failing_alternative=alt,
+        failing_alternative=arena.ids_of(alt),
     )
 
 
@@ -487,7 +471,7 @@ def verify_optimal_naive(
     """
     if p.total_edges > caps.naive_max_total_edges:
         raise CapExceededError(f"position has {p.total_edges} edges, naive cap is {caps.naive_max_total_edges}")
-    arena = _arena_for(p, caps)
+    arena = _Arena(p, caps)
     left = _legal_bust(arena, busted)
     cand_mask = _legal_candidate(arena, left, candidate)
     if left is None:
@@ -535,7 +519,7 @@ def verify_optimal_naive(
     )
     alternative_sets = [
         shifted(strategies(left | alt_mask, arena.reserve_mask ^ alt_mask), alt_weight)
-        for alt_weight, _, alt_mask in arena.ordered_responses(left)
+        for alt_mask, alt_weight in arena.ordered_responses(left)
     ]
     del strategies  # the recursive closure refers to itself; break the cycle so its memo is freed now
     return any(
@@ -592,35 +576,36 @@ class SweepReport:
 
 
 def _adjudicate_move(
-    arena: _Arena, busted: frozenset[str], left: int, settings: tuple[bool, ...], caps: Caps
+    arena: _Arena, bust: int, settings: tuple[bool, ...], caps: Caps
 ) -> tuple[int, int, list[tuple[str, frozenset[str], str]]]:
     """Adjudicate every response to one non-winning Buster move on its instance's arena.
 
-    ``left`` is the graph mask ``busted`` leaves. Each greedy response (an
-    ``all_msts`` tree of the ``contract``ed graph, found without the arena)
-    must be optimal, and each other response on the arena's ordered list
-    must not be unless it has minimum weight. Each is checked legal as a
-    candidate; its verdict is the first setting's, which a second must match.
-    Returns the greedy and converse tallies and the failures, each a (kind, response, detail).
+    ``bust`` is the move's graph mask. Each greedy response (an ``all_msts``
+    tree of the ``contract``ed graph, found without the arena) must be a
+    legal candidate and optimal, and each other response on the arena's
+    ordered list must not be optimal unless it has minimum weight. A verdict
+    is the first setting's, which a second must match. Returns the greedy
+    and converse tallies and the failures, each a (kind, response ids, detail).
     """
     p = arena.position
+    left = arena.graph_mask ^ bust
     jobs = [_Adjudication(arena, left, setting) for setting in settings]
-    msts = all_msts(contract(p.graph.without(busted), p.reserve.edges), caps)
-    greedy = dict.fromkeys(t.edge_ids for t in msts)  # an ordered set
+    msts = all_msts(contract(p.graph.without(arena.ids_of(bust)), p.reserve.edges), caps)
+    greedy = dict.fromkeys(_legal_candidate(arena, left, t.edge_ids) for t in msts)  # an ordered set of masks
     minimum = msts[0].total_weight
-    converse = [r for r in (frozenset(ids) for _, ids, _ in arena.ordered_responses(left)) if r not in greedy]
-    failures = []
-    for response in (*greedy, *converse):
-        cand_mask = _legal_candidate(arena, left, response)
-        pruned, *full = [job.survives(left | cand_mask, arena.reserve_mask ^ cand_mask)[0] for job in jobs]
+    least = int(minimum * arena.scale)  # exact: the scale is a multiple of every weight's denominator
+    converse = [mask for mask, _ in arena.ordered_responses(left) if mask not in greedy]
+    failures = []  # each a (kind, response mask, detail)
+    for mask in (*greedy, *converse):
+        pruned, *full = [job.survives(left | mask, arena.reserve_mask ^ mask)[0] for job in jobs]
         if full and full[0] != pruned:
-            failures.append(("prune-mismatch", response, f"pruned={pruned} full={full[0]}"))
-        if response in greedy:
+            failures.append(("prune-mismatch", mask, f"pruned={pruned} full={full[0]}"))
+        if mask in greedy:
             if not pruned:
-                failures.append(("greedy-not-optimal", response, f"weight {minimum}"))
-        elif pruned and (weight := p.reserve.weight(response)) != minimum:
-            failures.append(("non-minimum-optimal", response, f"weight {weight} > minimum {minimum}"))
-    return len(greedy), len(converse), failures
+                failures.append(("greedy-not-optimal", mask, f"weight {minimum}"))
+        elif pruned and (cost := arena.weight_of(mask)) != least:
+            failures.append(("non-minimum-optimal", mask, f"weight {Fraction(cost, arena.scale)} > minimum {minimum}"))
+    return len(greedy), len(converse), [(kind, arena.ids_of(mask), detail) for kind, mask, detail in failures]
 
 
 def theorem_sweep(
@@ -640,7 +625,7 @@ def theorem_sweep(
     unpruned and any disagreement is recorded. A nonempty counterexample
     list is a build-failing event for the corpus this library ships with.
     ``caps`` bounds every enumeration and search; the reserve-subset cap is
-    checked as each instance's arena is fetched, before its Buster moves or
+    checked as each instance's arena is built, before its Buster moves or
     converse list are enumerated.
 
     The sweep keys, adjudicates and credits. It walks each instance's Buster
@@ -649,10 +634,10 @@ def theorem_sweep(
     graph and the whole reserve) by isomorphism class: vertex count and
     ``canonical_form``, with every graph edge weighed alike (graph weights
     enter no verdict or tally) and reserve weights as exact ratios. The first
-    move to leave each class in the whole call, the only kind whose ids are
-    built, is adjudicated by :func:`_adjudicate_move`, whose failures become
-    ``Counterexample``s with the instance and bust. An instance gets the sum
-    of its moves' tallies, a Buster-win move counting (1, 0). Later instances
+    move to leave each class in the whole call is adjudicated by
+    :func:`_adjudicate_move`, whose failures become ``Counterexample``s with
+    the instance and the bust's ids. An instance gets the sum of its moves'
+    tallies, a Buster-win move counting (1, 0). Later instances
     and moves of a class get the first one's tallies unless it recorded a
     failure; instances past the relabelling cap are not keyed. The kernel runs
     on the instance's arena, whose memos its moves share.
@@ -678,7 +663,7 @@ def theorem_sweep(
             key = None
         tallies = shared.get(key)
         if tallies is None:
-            arena, moves, clean = _arena_for(p, caps), [], True
+            arena, moves, clean = _Arena(p, caps), [], True
             for bust in _move_masks(len(p.graph), caps):
                 left = arena.graph_mask ^ bust
                 if arena.unfixable(left, arena.reserve_mask):  # Buster wins: the forced empty response is optimal
@@ -689,11 +674,10 @@ def theorem_sweep(
                     post = n, canonical_form(n, [triples[i] for i in _bit_indices(left)] + reserve, caps)
                 move = by_class.get(post)
                 if move is None:
-                    busted = arena.ids_of(bust)
-                    greedy, converse, failures = _adjudicate_move(arena, busted, left, settings, caps)
+                    greedy, converse, failures = _adjudicate_move(arena, bust, settings, caps)
                     for kind, response, detail in failures:
                         failed = report.prune_mismatches if kind == "prune-mismatch" else report.counterexamples
-                        failed.append(Counterexample(kind, p, busted, response, detail))
+                        failed.append(Counterexample(kind, p, arena.ids_of(bust), response, detail))
                     move, clean = (greedy, converse), clean and not failures
                     if post is not None and not failures:
                         by_class[post] = move

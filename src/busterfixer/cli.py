@@ -95,6 +95,17 @@ def _positive(text: str) -> int:
     return int(text)
 
 
+def _non_negative(text: str) -> int:
+    """An integer of at least 0; text that is no integer is refused in ``type=int``'s words."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 0, got {text!r}")
+    return value
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -117,8 +128,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    scenario = _load_scenario(args.scenario)
-    initial = scenario.initial_position()
+    initial = _load_scenario(args.scenario).initial_position()
     busted, candidate = _ids(args.busted), _ids(args.candidate)
     caps = adjudicator.Caps(max_total_edges=args.max_total_edges, naive_max_total_edges=args.naive_cap)
     result = adjudicator.verify_optimal_report(initial, busted, candidate, caps, bridge_only=not args.no_bridge_prune)
@@ -165,8 +175,7 @@ def _cmd_theorem_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_msts(args: argparse.Namespace) -> int:
-    scenario = _load_scenario(args.scenario)
-    initial = scenario.initial_position()
+    initial = _load_scenario(args.scenario).initial_position()
     busted = _ids(args.busted)
     initial.check_bust(busted)
     m = contract(initial.graph.without(busted), initial.reserve.edges)
@@ -237,11 +246,9 @@ def _cmd_play(args: argparse.Namespace) -> int:
         return 0
     if series.outcome is engine.Winner.BUSTER:
         print(f"busting {_render_ids(series.rounds[-1].busted)} cannot be fixed; Buster wins")
-    else:  # the end graph is the initial graph plus every fix minus every bust
-        fixed = frozenset().union(*(r.fixed for r in series.rounds))
-        if not (series.initial.graph.ids | fixed) - frozenset().union(*(r.busted for r in series.rounds)):
-            print(_round_line(len(series.rounds) + 1, frozenset(), series.initial.reserve.ids - fixed))
-            print("graph has no edges left to bust; Fixer wins")
+    elif not (end := engine.replay_positions(series)[-1]).graph:
+        print(_round_line(len(series.rounds) + 1, frozenset(), end.reserve.ids))
+        print("graph has no edges left to bust; Fixer wins")
     return 0
 
 
@@ -265,7 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario")
     p.add_argument("--busted", required=True, help="comma-separated ids Buster removes")
     p.add_argument("--candidate", required=True, help="comma-separated Fixer response ids")
-    p.add_argument("--naive-cap", type=int, default=adjudicator.DEFAULT_CAPS.naive_max_total_edges)
+    p.add_argument("--naive-cap", type=_non_negative, default=adjudicator.DEFAULT_CAPS.naive_max_total_edges)
     p.add_argument("--no-bridge-prune", action="store_true", help="compare against every alternative response")
     p.set_defaults(func=_cmd_verify)
 

@@ -100,7 +100,7 @@ class Caps:
     (``2**|G|``), Fixer responses (``2**|R|``), spanning-tree candidates
     (``comb(non-loop edges, c - 1)``), Prim orderings (``2**c`` memoized
     component sets) and the oracle's materialized strategies. The verifier
-    checks ``2**|R|`` in one place, as it fetches a position's arena, so
+    checks ``2**|R|`` in one place, as it builds a position's arena, so
     every adjudicator entry point raises it before enumerating anything.
     """
 

@@ -146,7 +146,7 @@ def test_triple_reduction_matches_raw_sums():
 
 def _bridge_only_responses(p, busted):
     arena = _Arena(p)
-    return [alt_ids for alt_ids, *_ in _Adjudication(arena, _legal_bust(arena, busted), True).alt_lines]
+    return [arena.ids_of(alt) for alt, *_ in _Adjudication(arena, _legal_bust(arena, busted), True).alt_lines]
 
 
 def test_enumerate_fixer_responses_bridge_only(triangle):
@@ -194,8 +194,14 @@ def _assert_responses_match_reference(positions):
 
 def test_enumerate_fixer_responses_matches_brute_force():
     # the list every verifier compares against, checked against an
-    # enumeration that shares no code with the arena
-    _assert_responses_match_reference(generate_instances(3, 4, (0, 1, 2)))
+    # enumeration that shares no code with the arena. The last position's
+    # reserve ids sort as strings (r1, r10, r11, r2, ra), not as numbers, and
+    # all weigh 1, so ids alone order each size; busting one path edge leaves
+    # two components, busting both leaves three
+    path = Multigraph(3, (Edge("g0", 0, 1, Fraction(1)), Edge("g1", 1, 2, Fraction(1))))
+    ends = {"r1": (0, 1), "r2": (1, 2), "r10": (0, 2), "r11": (0, 1), "ra": (1, 2)}
+    reserve = Multigraph(3, tuple(Edge(i, u, v, Fraction(1)) for i, (u, v) in ends.items()))
+    _assert_responses_match_reference([*generate_instances(3, 4, (0, 1, 2)), Position(graph=path, reserve=reserve)])
 
 
 @PROPERTY
@@ -360,7 +366,7 @@ def _assert_shared_arena_changes_nothing(positions):
             if not ok:
                 win, total_busted, spent, alt = failure
                 assert OutcomeTriple(win, total_busted, Fraction(spent, arena.scale)) == fresh.failing_outcome
-                assert alt == fresh.failing_alternative
+                assert arena.ids_of(alt) == fresh.failing_alternative
             outcome, alt = fresh.failing_outcome, fresh.failing_alternative
             digest.update(repr((
                 sorted(busted), sorted(candidate), bridge_only, fresh.optimal, fresh.alternatives,
@@ -513,9 +519,9 @@ def test_theorem_sweep_walks_move_masks_and_names_only_adjudicated_moves(monkeyp
     counted("_legal_bust", adjudicator)
     adjudicated, kernel = [], adjudicator._adjudicate_move
 
-    def recording(arena, busted, *args):
-        adjudicated.append((arena.position, busted))
-        return kernel(arena, busted, *args)
+    def recording(arena, bust, *args):
+        adjudicated.append((arena.position, arena.ids_of(bust)))
+        return kernel(arena, bust, *args)
 
     monkeypatch.setattr(adjudicator, "_adjudicate_move", recording)
     assert theorem_sweep(corpus).ok
@@ -535,14 +541,14 @@ def _tallies(report):
 
 
 def _counting_arenas(monkeypatch):
-    """Wrap ``_arena_for``; the returned list gets each position an arena is built for."""
-    built, arena_for = [], adjudicator._arena_for
+    """Wrap ``_Arena``; the returned list gets each position an arena is built for."""
+    built, arena = [], adjudicator._Arena
 
     def counting(p, caps):
         built.append(p)
-        return arena_for(p, caps)
+        return arena(p, caps)
 
-    monkeypatch.setattr(adjudicator, "_arena_for", counting)
+    monkeypatch.setattr(adjudicator, "_Arena", counting)
     return built
 
 
@@ -684,10 +690,9 @@ def test_adjudicate_move_returns_what_the_first_move_of_its_class_returns():
     for p in generate_instances(3, 4, (0, 1, 2)):
         arena = _Arena(p)
         for busted in enumerate_buster_moves(p):
-            left = _legal_bust(arena, busted)
-            if left is None:
+            if _legal_bust(arena, busted) is None:
                 continue
-            got = _adjudicate_move(arena, busted, left, (True, False), Caps())
+            got = _adjudicate_move(arena, arena.mask_of(busted), (True, False), Caps())
             assert pickle.loads(pickle.dumps(got)) == got
             post = Position(graph=p.graph.without(busted), reserve=p.reserve)
             assert first.setdefault(_class_of(post), got) == got
@@ -705,7 +710,7 @@ def test_adjudicate_move_returns_its_failures_in_the_order_met(monkeypatch):
     )
     _flip_verdicts(monkeypatch, {True})
     arena = _Arena(p)
-    got = _adjudicate_move(arena, frozenset({"g"}), _legal_bust(arena, {"g"}), (True, False), Caps())
+    got = _adjudicate_move(arena, arena.mask_of({"g"}), (True, False), Caps())
     assert pickle.loads(pickle.dumps(got)) == got == (1, 2, [
         ("prune-mismatch", frozenset({"r1"}), "pruned=False full=True"),
         ("greedy-not-optimal", frozenset({"r1"}), "weight 1"),
@@ -715,7 +720,7 @@ def test_adjudicate_move_returns_its_failures_in_the_order_met(monkeypatch):
         ("non-minimum-optimal", frozenset({"r1", "r2"}), "weight 3 > minimum 1"),
     ])
     # with the pruned setting alone there is nothing to compare
-    assert _adjudicate_move(arena, frozenset({"g"}), _legal_bust(arena, {"g"}), (True,), Caps())[2] == [
+    assert _adjudicate_move(arena, arena.mask_of({"g"}), (True,), Caps())[2] == [
         ("greedy-not-optimal", frozenset({"r1"}), "weight 1"),
         ("non-minimum-optimal", frozenset({"r2"}), "weight 2 > minimum 1"),
         ("non-minimum-optimal", frozenset({"r1", "r2"}), "weight 3 > minimum 1"),
@@ -793,7 +798,7 @@ def test_arena_ordered_responses_memo_equals_a_fresh_arena():
                 _Adjudication(arena, left, bridge_only)
                 cached = arena.ordered_responses(left)
                 assert cached == _Arena(p).ordered_responses(left)
-                assert list(cached) == sorted(cached)
+                assert list(cached) == sorted(cached, key=lambda line: (line[1], sorted(arena.ids_of(line[0]))))
                 checked += 1
     assert checked > 1000
 
@@ -809,8 +814,8 @@ def test_bridge_only_alternatives_are_the_contracted_spanning_trees():
             if left is None:
                 continue
             trees = {t.edge_ids for t in all_spanning_trees(contract(p.graph.without(busted), p.reserve.edges))}
-            alts = [alt_ids for alt_ids, *_ in _Adjudication(arena, left, True).alt_lines]
-            assert alts == [frozenset(ids) for _, ids, _ in arena.ordered_responses(left) if frozenset(ids) in trees]
+            alts = [arena.ids_of(alt) for alt, *_ in _Adjudication(arena, left, True).alt_lines]
+            assert alts == [arena.ids_of(m) for m, _ in arena.ordered_responses(left) if arena.ids_of(m) in trees]
             assert set(alts) == trees
             checked += 1
     assert checked > 1000
@@ -893,8 +898,12 @@ def test_verify_optimal_single_replacement_edge():
 def test_verify_optimal_empty_response_when_connected(triangle):
     assert verify_optimal(triangle, frozenset({"e1"}), frozenset())
     assert verify_optimal_naive(triangle, frozenset({"e1"}), frozenset())
-    # spending while still connected wastes weight and is not optimal
+    # spending while still connected wastes weight and is not optimal; the
+    # witness is the empty response, mask 0 inside the search
     assert not verify_optimal(triangle, frozenset({"e1"}), frozenset({"e4"}))
+    for bridge_only in (True, False):
+        result = verify_optimal_report(triangle, frozenset({"e1"}), frozenset({"e4"}), bridge_only=bridge_only)
+        assert (result.optimal, result.failing_alternative) == (False, frozenset())
 
 
 def test_verify_optimal_caps():
@@ -1026,6 +1035,26 @@ def test_verdicts_are_invariant_under_relabelling():
                     assert (theirs.optimal, theirs.alternatives) == (mine.optimal, mine.alternatives)
                     checks += 1
     assert checks == 10_896 + 6_468  # reconnectable rounds, then lost rounds' empty responses
+
+
+@PROPERTY
+@given(instances(max_vertices=3, max_total_edges=5), st.sampled_from([Fraction(1, 2), Fraction(2, 3), Fraction(3)]))
+def test_verify_optimal_report_is_invariant_under_scaling_reserve_weights(p, c):
+    # scaling every reserve weight by c changes the arena's scale but no
+    # verdict, alternative count or witness ids; the witness's cost scales by c
+    scaled = Position(
+        graph=p.graph,
+        reserve=Multigraph(p.reserve.vertex_count, tuple(Edge(e.id, e.u, e.v, e.weight * c) for e in p.reserve)),
+    )
+    for busted, candidate, bridge_only in _every_check(p):
+        mine = verify_optimal_report(p, busted, candidate, bridge_only=bridge_only)
+        theirs = verify_optimal_report(scaled, busted, candidate, bridge_only=bridge_only)
+        assert (theirs.optimal, theirs.alternatives, theirs.failing_alternative) == (
+            mine.optimal, mine.alternatives, mine.failing_alternative
+        )
+        if not mine.optimal:
+            outcome = mine.failing_outcome
+            assert theirs.failing_outcome == OutcomeTriple(outcome.fixer_win, outcome.total_busted, outcome.fix_cost * c)
 
 
 def test_quit_token_repr():

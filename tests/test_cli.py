@@ -57,6 +57,29 @@ def test_verify_flags_no_bridge_prune_and_caps(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("NOT-OPTIMAL")
 
 
+def test_verify_rejects_a_negative_naive_cap(tmp_path, capsys):
+    # 0 turns the naive oracle off; a negative cap is a usage error that names the flag
+    argv = ["verify", _scenario_path(tmp_path), "--busted", "e1,e2", "--candidate", "e5", "--naive-cap"]
+    assert cli_main([*argv, "-4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "argument --naive-cap: must be an integer of at least 0, got '-4'" in err
+    assert cli_main([*argv, "0"]) == 1
+    assert capsys.readouterr().out.startswith("NOT-OPTIMAL")
+
+
+def test_verify_names_the_empty_response_as_witness(tmp_path, capsys):
+    # busting the only graph loop leaves one connected vertex: the empty
+    # response spends nothing, so the candidate's outcome, spent 1,
+    # dominates no outcome under it
+    loops = tmp_path / "loops.scn"
+    loops.write_text("vertex a\nedge g0 a a 1 G\nedge r0 a a 1 R\n", encoding="utf-8")
+    assert cli_main(["verify", str(loops), "--busted", "g0", "--candidate", "r0"]) == 1
+    assert capsys.readouterr().out == (
+        "NOT-OPTIMAL\n"
+        "witness: outcome (winner=Fixer, busted=1, spent=1) is not dominated when the alternative response is {}\n"
+    )
+
+
 def test_verify_bundled_scenario_by_name(capsys):
     # falls back to the packaged scenario when no such file exists
     code = cli_main(["verify", SCN, "--busted", "e1,e2", "--candidate", "e4"])
