@@ -31,17 +31,17 @@ materializing every strategy's outcome set explicitly. It exists to pin
 the definition's reading, and any disagreement between the two is
 surfaced as a test failure rather than resolved silently.
 
-Every list of legal responses and every round-legality check comes from
-one place, the per-instance bitmask arena: the engine's
-``graph.EdgeIndex`` (edge bits, integer-scaled weights, memoized
-connectivity and weight per mask) plus the reachability search and its
-memos. Inside this module every response, alternative and witness is a
-reserve mask and every weight an int, the edge weights times the least
-common multiple of their denominators, so budgets, floors and memo keys
-are ints and no float is ever involved. Ids enter only through
-``_legal_bust`` and ``_legal_candidate``; ids and ``Fraction``s are built
-only where a result leaves: ``enumerate_fixer_responses``, a
-``VerifyResult``'s witness and a sweep ``Counterexample``.
+Every list of legal responses comes from one place, the per-instance
+bitmask arena: the engine's ``graph.EdgeIndex`` (edge bits,
+integer-scaled weights, memoized connectivity and weight per mask) plus
+the reachability search and its memos. Inside this module every response,
+alternative and witness is a reserve mask and every weight an int, the
+edge weights times the least common multiple of their denominators, so
+budgets, floors and memo keys are ints and no float is ever involved. Ids
+enter only through the engine's checked walk ``_Walk`` on the arena (see
+:func:`_play_round`); ids and ``Fraction``s are built only where a result
+leaves: ``enumerate_fixer_responses``, a ``VerifyResult``'s witness and a
+sweep ``Counterexample``.
 
 Both searches walk the nonempty bust submasks in descending
 ``(bust - 1) & graph_mask`` order, which fixes the first failure reported.
@@ -54,12 +54,12 @@ the verifiers' ``bridge_only=False`` disables it, and the sweep's
 ``compare_prune`` adds the unpruned verdict to the pruned one. The naive
 oracle never prunes.
 
-Every size limit comes from one :class:`Caps` object (defined in
-``graph`` and re-exported here); exceeding it raises ``CapExceededError``.
-Building an ``_Arena`` checks the reserve-subset cap; the total-edge caps
-are checked by the two verifiers and, per instance, the sweep. Searches
-are pure given their inputs, every memo is per position, keyed only by
-what decides its answer, and each verifier call builds a fresh arena.
+Every size limit comes from one ``graph.Caps`` object; exceeding it
+raises ``CapExceededError``. Building an ``_Arena`` checks the
+reserve-subset cap; the total-edge caps are checked by the two verifiers
+and, per instance, the sweep. Searches are pure given their inputs, every
+memo is per position, keyed only by what decides its answer, and each
+verifier call builds a fresh arena.
 """
 
 from __future__ import annotations
@@ -74,11 +74,13 @@ from .engine import (
     Position,
     Series,
     _move_masks,
+    _Walk,
     buster_wins,  # noqa: F401  unused here, kept because perfbench's binding self-test reads it
     series_totals,
 )
 from .errors import BusterWinsError, CapExceededError, IllegalMoveError
-from .graph import DEFAULT_CAPS, Caps, Edge, EdgeIndex, Multigraph, _bit_indices, _UnionFind, canonical_form, contract
+from .graph import (DEFAULT_CAPS, Caps, Edge, EdgeIndex, Multigraph, _bit_indices, _exact, _UnionFind,
+                    canonical_form, contract)
 from .reconnect import all_msts
 
 __all__ = [
@@ -131,10 +133,10 @@ def enumerate_fixer_responses(p: Position, busted: frozenset[str], caps: Caps = 
     reconnects.
     """
     arena = _Arena(p, caps)
-    left = _legal_bust(arena, busted)
-    if left is None:
+    walk = _Walk(arena)
+    if walk.bust(frozenset(busted)):
         raise BusterWinsError("no response can reconnect; Buster wins this round")
-    return [arena.ids_of(mask) for mask, _ in arena.ordered_responses(left)]
+    return [arena.ids_of(mask) for mask, _ in arena.ordered_responses(walk.graph)]
 
 
 _Lines = tuple[tuple[int, int], ...]  # (reserve mask, scaled weight) pairs
@@ -359,30 +361,23 @@ class VerifyResult:
     failing_alternative: frozenset[str] | None = None
 
 
-def _legal_bust(arena: _Arena, busted: Iterable[str]) -> int | None:
-    """The graph mask a bust leaves, or None when Buster wins; an illegal bust raises ``IllegalMoveError``."""
-    busted = frozenset(busted)
-    arena.position.check_bust(busted)
-    left = arena.graph_mask ^ arena.mask_of(busted)
-    return None if arena.unfixable(left, arena.reserve_mask) else left
+def _play_round(arena: _Arena, busted: Iterable[str], candidate: Iterable[str]) -> tuple[int | None, int]:
+    """(the graph mask the bust leaves, or None when Buster wins; the candidate's mask), by a walk on ``arena``.
 
-
-def _legal_candidate(arena: _Arena, left: int | None, candidate: Iterable[str]) -> int:
-    """The candidate's mask after :func:`_legal_bust` gave ``left``.
-
-    Raises ``IllegalMoveError`` for a nonempty candidate when Buster wins,
-    for one outside the reserve and for one that does not reconnect.
+    Raises ``IllegalMoveError``, checked in this order, for an illegal bust,
+    a nonempty candidate when Buster wins, one outside the reserve and one
+    that does not reconnect.
     """
-    candidate = frozenset(candidate)
-    if left is None:
+    walk, candidate = _Walk(arena), frozenset(candidate)
+    if walk.bust(frozenset(busted)):
         if candidate:
             raise IllegalMoveError("only the empty response is legal when Buster wins")
-        return 0
-    arena.position.check_fix(candidate)
-    cand_mask = arena.mask_of(candidate)
-    if not arena.connected(left | cand_mask):
+        return None, 0
+    left = walk.graph
+    walk.fix(candidate)
+    if not arena.connected(walk.graph):
         raise IllegalMoveError("candidate does not reconnect the busted graph")
-    return cand_mask
+    return left, walk.graph ^ left
 
 
 def verify_optimal_report(
@@ -401,8 +396,7 @@ def verify_optimal_report(
     if p.total_edges > caps.max_total_edges:
         raise CapExceededError(f"position has {p.total_edges} edges, cap is {caps.max_total_edges}")
     arena = _Arena(p, caps)
-    left = _legal_bust(arena, busted)
-    cand_mask = _legal_candidate(arena, left, candidate)
+    left, cand_mask = _play_round(arena, busted, candidate)
     if left is None:  # the round is already lost; the forced empty response is optimal
         return VerifyResult(optimal=True, alternatives=0)
     job = _Adjudication(arena, left, bridge_only)
@@ -472,8 +466,7 @@ def verify_optimal_naive(
     if p.total_edges > caps.naive_max_total_edges:
         raise CapExceededError(f"position has {p.total_edges} edges, naive cap is {caps.naive_max_total_edges}")
     arena = _Arena(p, caps)
-    left = _legal_bust(arena, busted)
-    cand_mask = _legal_candidate(arena, left, candidate)
+    left, cand_mask = _play_round(arena, busted, candidate)
     if left is None:
         return True
     base_busted = (arena.graph_mask ^ left).bit_count()
@@ -587,11 +580,11 @@ def _adjudicate_move(
     is the first setting's, which a second must match. Returns the greedy
     and converse tallies and the failures, each a (kind, response ids, detail).
     """
-    p = arena.position
+    p, busted = arena.position, arena.ids_of(bust)
     left = arena.graph_mask ^ bust
     jobs = [_Adjudication(arena, left, setting) for setting in settings]
-    msts = all_msts(contract(p.graph.without(arena.ids_of(bust)), p.reserve.edges), caps)
-    greedy = dict.fromkeys(_legal_candidate(arena, left, t.edge_ids) for t in msts)  # an ordered set of masks
+    msts = all_msts(contract(p.graph.without(busted), p.reserve.edges), caps)
+    greedy = dict.fromkeys(_play_round(arena, busted, t.edge_ids)[1] for t in msts)  # an ordered set of masks
     minimum = msts[0].total_weight
     least = int(minimum * arena.scale)  # exact: the scale is a multiple of every weight's denominator
     converse = [mask for mask, _ in arena.ordered_responses(left) if mask not in greedy]
@@ -702,12 +695,13 @@ def generate_instances(
     deduplicated by their edge multisets — two assignments of ids to the
     same endpoint/weight/pool multiset are the same instance. Graph edges
     all weigh 1: only reserve weights ever enter a spend, so varying them
-    would just repeat behaviorally identical instances.
+    would just repeat behaviorally identical instances, and a weight that is
+    neither an ``int`` nor a ``Fraction`` raises ``TypeError`` first.
     Loops are included (they are legal reserve edges and legal graph
     edges). Instances whose graph is empty are skipped, since Buster has
     no move to check there.
     """
-    weights = tuple(dict.fromkeys(Fraction(w) for w in reserve_weights))  # a repeated weight would repeat instances
+    weights = tuple(dict.fromkeys(map(_exact, reserve_weights)))  # a repeated weight would repeat instances
     for n in range(1, max_vertices + 1):
         pairs = [(u, v) for u in range(n) for v in range(u, n)]
         reserve_types = [(u, v, w) for (u, v) in pairs for w in weights]

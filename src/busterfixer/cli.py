@@ -32,8 +32,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from pathlib import Path
+from typing import Callable
 
 from . import adjudicator, engine, transcript
 from .errors import (
@@ -46,7 +48,7 @@ from .errors import (
     ScenarioParseError,
     ScenarioValidationError,
 )
-from .graph import contract, format_weight, parse_decimal_weight
+from .graph import DEFAULT_CAPS, Caps, contract, format_weight, parse_decimal_weight
 from .reconnect import all_msts, greedy_fixer_move
 from .scenario import ScenarioFile, load_bundled_scenario, parse_scenario
 from .transcript import _render_ids
@@ -64,13 +66,16 @@ _USAGE_ERRORS = (
 
 
 def _load_scenario(path_text: str) -> ScenarioFile:
+    """The scenario file at ``path_text``; a bare file name that is no file here names a bundled scenario."""
     path = Path(path_text)
     if path.exists():
         return parse_scenario(path.read_bytes(), name=path.stem)
-    try:
-        return load_bundled_scenario(path.name)
-    except FileNotFoundError:
-        raise ScenarioParseError(f"no such scenario file: {path_text}") from None
+    if path.name == path_text:
+        try:
+            return load_bundled_scenario(path_text)
+        except FileNotFoundError:
+            pass
+    raise ScenarioParseError(f"no such scenario file: {path_text}")
 
 
 def _ids(text: str) -> frozenset[str]:
@@ -88,22 +93,17 @@ def _weights(text: str) -> list:
     return weights
 
 
-def _positive(text: str) -> int:
-    """A decimal integer of at least 1: a smaller size bound would admit no instance."""
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
-    return int(text)
+def _at_least(floor: int) -> Callable[[str], int]:
+    """The argparse type of an integer of at least ``floor`` in ASCII digits; other text gets ``type=int``'s words."""
 
+    def count(text: str) -> int:
+        if not re.fullmatch(r"-?[0-9]+", text):
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if int(text) < floor:
+            raise argparse.ArgumentTypeError(f"must be an integer of at least {floor}, got {text!r}")
+        return int(text)
 
-def _non_negative(text: str) -> int:
-    """An integer of at least 0; text that is no integer is refused in ``type=int``'s words."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be an integer of at least 0, got {text!r}")
-    return value
+    return count
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -130,7 +130,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     initial = _load_scenario(args.scenario).initial_position()
     busted, candidate = _ids(args.busted), _ids(args.candidate)
-    caps = adjudicator.Caps(max_total_edges=args.max_total_edges, naive_max_total_edges=args.naive_cap)
+    caps = Caps(max_total_edges=args.max_total_edges, naive_max_total_edges=args.naive_cap)
     result = adjudicator.verify_optimal_report(initial, busted, candidate, caps, bridge_only=not args.no_bridge_prune)
     if initial.total_edges <= caps.naive_max_total_edges:
         naive = adjudicator.verify_optimal_naive(initial, busted, candidate, caps)
@@ -168,7 +168,7 @@ def _cmd_theorem_sweep(args: argparse.Namespace) -> int:
         reserve_weights=args.weights,
     )
     report = adjudicator.theorem_sweep(
-        instances, adjudicator.Caps(max_total_edges=args.max_total_edges), compare_prune=args.compare_prune
+        instances, Caps(max_total_edges=args.max_total_edges), compare_prune=args.compare_prune
     )
     _emit(report.summary() + "\n", args.out)
     return 0 if report.ok else 1
@@ -258,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     caps_parent = argparse.ArgumentParser(add_help=False)
-    caps_parent.add_argument("--max-total-edges", type=_positive, default=adjudicator.DEFAULT_CAPS.max_total_edges)
+    caps_parent.add_argument("--max-total-edges", type=_at_least(1), default=DEFAULT_CAPS.max_total_edges)
 
     out_parent = argparse.ArgumentParser(add_help=False)
     out_parent.add_argument("--out", default=None, help="write output to a file instead of stdout")
@@ -272,13 +272,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario")
     p.add_argument("--busted", required=True, help="comma-separated ids Buster removes")
     p.add_argument("--candidate", required=True, help="comma-separated Fixer response ids")
-    p.add_argument("--naive-cap", type=_non_negative, default=adjudicator.DEFAULT_CAPS.naive_max_total_edges)
+    p.add_argument("--naive-cap", type=_at_least(0), default=DEFAULT_CAPS.naive_max_total_edges)
     p.add_argument("--no-bridge-prune", action="store_true", help="compare against every alternative response")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("theorem-sweep", parents=[caps_parent, out_parent],
                        help="check greedy optimality over all instances within caps")
-    p.add_argument("--max-vertices", type=_positive, default=3)
+    p.add_argument("--max-vertices", type=_at_least(1), default=3)
     p.add_argument("--weights", type=_weights, default="0,1,2", help="comma-separated decimal reserve weights")
     p.add_argument("--compare-prune", action="store_true",
                    help="also run every check without the bridge restriction and compare")

@@ -10,17 +10,18 @@ win. Each round strictly shrinks the combined edge pool, so every series
 terminates within ``|G| + |R|`` rounds.
 
 Buster's rule is ``Position.check_bust`` and Fixer's (a fix is a subset
-of the current reserve) is ``Position.check_fix``. A round only moves
-edge bits between the pools of one ``graph.EdgeIndex`` of the starting
-position: a bust clears graph bits, Buster wins when graph and whole
-reserve together are disconnected, and a fix moves bits from reserve to
-graph. One checked round step does this on integer-scaled weights; one
-series loop drives it, from policies in :func:`play_series` and from
-transcript rows in ``transcript.replay_transcript``, and keeps the checked
-outcome triple on the ``Series``. A ``Position`` is built only where a
-caller receives one. A walk holds only its two masks and takes the index
-from a one-slot cache keyed by the starting ``Position`` object, so play,
-render and replay of one position build one index and share its memos.
+of the current reserve) is ``_Walk.fix``. A round only moves edge bits
+between the pools of one ``graph.EdgeIndex`` of the starting position: a
+bust clears graph bits, Buster wins when graph and whole reserve together
+are disconnected, and a fix moves bits from reserve to graph. One checked
+walk, ``_Walk``, does this on integer-scaled weights, here and for the
+``adjudicator``'s verifiers on their own arena; one series loop drives
+it, from policies in :func:`play_series` and from transcript rows in
+``transcript.replay_transcript``, and keeps the checked outcome triple on
+the ``Series``. A ``Position`` is built only where a caller receives one.
+This module's walks take the index from a one-slot cache keyed by the
+starting ``Position`` object, so play, render and replay of one position
+build one index and share its memos.
 
 Move sources and response policies are plain callables receiving the
 current position and the history of rounds played so far; the ones
@@ -73,12 +74,6 @@ def _check_bust(busted: frozenset[str], graph_ids: AbstractSet[str]) -> None:
         raise IllegalMoveError("busted must be a nonempty subset of the current graph")
 
 
-def _check_fix(fixed: frozenset[str], reserve_ids: AbstractSet[str]) -> None:
-    """Fixer's one rule: raise ``IllegalMoveError`` unless ``fixed`` is a subset of the reserve."""
-    if not fixed <= reserve_ids:
-        raise IllegalMoveError("fixed must be a subset of the current reserve")
-
-
 class Winner(Enum):
     FIXER = "Fixer"
     BUSTER = "Buster"
@@ -105,10 +100,6 @@ class Position:
     def check_bust(self, busted: frozenset[str]) -> None:
         """Buster's rule, :func:`_check_bust`, against this position's graph."""
         _check_bust(busted, self.graph.ids)
-
-    def check_fix(self, fixed: frozenset[str]) -> None:
-        """Fixer's rule, :func:`_check_fix`, against this position's reserve."""
-        _check_fix(fixed, self.reserve.ids)
 
 
 @dataclass(frozen=True)
@@ -178,15 +169,15 @@ def _index_of(p: Position) -> EdgeIndex:
 
 
 class _Walk:
-    """A position's shared edge index plus the (graph mask, reserve mask) pair a walk has reached.
+    """An edge index plus the (graph mask, reserve mask) pair a walk from its start has reached.
 
     :meth:`round` is the one checked round step; a bust clears graph bits
     and a fix moves bits from the reserve to the graph.
     """
 
-    def __init__(self, p: Position):
-        self.index = _index_of(p)
-        self.graph, self.reserve = self.index.graph_mask, self.index.reserve_mask
+    def __init__(self, index: EdgeIndex):
+        self.index = index
+        self.graph, self.reserve = index.graph_mask, index.reserve_mask
 
     def position(self) -> Position:
         return Position(graph=self.index.multigraph(self.graph), reserve=self.index.multigraph(self.reserve))
@@ -198,8 +189,9 @@ class _Walk:
         return self.index.unfixable(self.graph, self.reserve)
 
     def fix(self, fixed: frozenset[str]) -> None:
-        """Move a legal fix from the reserve into the graph; connectivity is not checked."""
-        _check_fix(fixed, self.index.ids_of(self.reserve))
+        """Move a fix into the graph under Fixer's one rule, a subset of the reserve; connectivity is not checked."""
+        if not fixed <= self.index.ids_of(self.reserve):
+            raise IllegalMoveError("fixed must be a subset of the current reserve")
         mask = self.index.mask_of(fixed)
         self.graph |= mask
         self.reserve ^= mask
@@ -227,9 +219,9 @@ def apply_round(p: Position, busted: frozenset[str], fixed: frozenset[str]) -> P
 
     Connectivity of the result is not checked: a Buster-win round legally
     leaves it disconnected. Raises ``IllegalMoveError`` for an illegal bust
-    or fix (see :meth:`Position.check_bust` and :meth:`Position.check_fix`).
+    or fix (see :meth:`Position.check_bust` and :meth:`_Walk.fix`).
     """
-    walk = _Walk(p)
+    walk = _Walk(_index_of(p))
     walk.bust(busted)
     walk.fix(fixed)
     return walk.position()
@@ -240,7 +232,7 @@ def buster_wins(p: Position, busted: frozenset[str]) -> bool:
 
     Raises ``IllegalMoveError`` for an illegal bust (see :meth:`Position.check_bust`).
     """
-    return _Walk(p).bust(busted)
+    return _Walk(_index_of(p)).bust(busted)
 
 
 _MOVE_MASKS: dict[int, tuple[int, ...]] = {}
@@ -284,8 +276,8 @@ def _play(
     ``buster`` sees the walk at each round's entering position and the rounds so far; ``fixer`` is asked
     only when Buster does not win. Errors are those of :func:`play_series`.
     """
-    walk = _Walk(initial)
-    index = walk.index
+    index = _index_of(initial)
+    walk = _Walk(index)
     if not index.connected(walk.graph):
         raise IllegalMoveError("initial graph must be connected")
     rounds: list[RoundRecord] = []
@@ -331,7 +323,7 @@ def play_series(initial: Position, buster: BusterPolicy, fixer: FixerPolicy) -> 
     Buster has no legal move and the series ends as a Fixer win. Illegal
     moves from either policy raise ``PolicyError`` with the round index; an
     illegal bust or fix carries the :meth:`Position.check_bust` or
-    :meth:`Position.check_fix` message.
+    :meth:`_Walk.fix` message.
 
     Per-round conservation and both routes to the outcome triple are asserted;
     a violation raises ``IdentityViolationError`` and indicates an engine bug.
@@ -349,7 +341,7 @@ def play_series(initial: Position, buster: BusterPolicy, fixer: FixerPolicy) -> 
 
 def _replay(s: Series) -> tuple[EdgeIndex, list[tuple[int, int]]]:
     """The walk behind :func:`replay_positions`: its index, and the masks of the positions it returns."""
-    walk = _Walk(s.initial)
+    walk = _Walk(_index_of(s.initial))
     masks = [(walk.graph, walk.reserve)]
     wins = False
     for idx, record in enumerate(s.rounds):

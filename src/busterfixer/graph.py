@@ -36,7 +36,7 @@ __all__ = [
     "format_weight", "is_connected", "parse_decimal_weight",
 ]
 
-_DECIMAL_RE = re.compile(r"(-?)(\d+)(?:\.(\d+))?")
+_DECIMAL_RE = re.compile(r"(-?)([0-9]+)(?:\.([0-9]+))?")
 
 
 def parse_decimal_weight(text: str) -> Fraction:
@@ -112,13 +112,20 @@ class Caps:
 DEFAULT_CAPS = Caps()
 
 
+def _exact(weight: int | Fraction) -> Fraction:
+    """``weight`` as a ``Fraction``; any type but ``int`` or ``Fraction``, a float included, raises ``TypeError``."""
+    if not isinstance(weight, (int, Fraction)):
+        raise TypeError(f"weight must be an int or a Fraction, got {weight!r}")
+    return Fraction(weight)
+
+
 @dataclass(frozen=True)
 class Edge:
     """A weighted edge between vertex indices, identified by a unique id.
 
     Loops (``u == v``) are representable; they arise naturally in contracted
-    graphs. The weight must be a finite nonnegative rational. Ints are
-    coerced to ``Fraction`` for convenience.
+    graphs. The weight must be a nonnegative ``int`` or ``Fraction``; an
+    int is coerced by :func:`_exact`, which refuses any other type.
     """
 
     id: str
@@ -128,7 +135,7 @@ class Edge:
 
     def __post_init__(self):
         if not isinstance(self.weight, Fraction):
-            object.__setattr__(self, "weight", Fraction(self.weight))
+            object.__setattr__(self, "weight", _exact(self.weight))
         if self.weight < 0:
             raise ValueError(f"edge {self.id}: negative weight {self.weight}")
         if self.u < 0 or self.v < 0:
@@ -320,7 +327,7 @@ class EdgeIndex:
         self.reserve_mask = ((1 << len(edges)) - 1) ^ self.graph_mask
         self._connected: dict[int, bool] = {}
         self._weight: dict[int, int] = {0: 0}
-        self._ids: dict[int, frozenset[str]] = {}
+        self._ids: dict[int, frozenset[str]] = {self.graph_mask: graph.ids, self.reserve_mask: reserve.ids}
 
     def mask_of(self, ids: Iterable[str]) -> int:
         mask = 0

@@ -44,6 +44,12 @@ def _parse_ids(text: str) -> frozenset[str]:
     return frozenset(part for part in inner.split(",") if part)
 
 
+def _parse_count(text: str) -> int:
+    if re.fullmatch("[0-9]+", text) is None:
+        raise ValueError(f"expected a count like 3, got {text!r}")
+    return int(text)
+
+
 def _parse_cost(text: str) -> Fraction:
     m = _COST_RE.fullmatch(text)
     if m is None:
@@ -113,8 +119,8 @@ def _format_rows(rows: Sequence[TranscriptRow], outcome: Winner, scenario: str, 
 def parse_transcript(text: str) -> ParsedTranscript:
     """Parse a rendered transcript back into structured rows.
 
-    Costs must take the forms :func:`render_transcript` writes (``3`` or
-    ``7/2``); ``1e0``, ``0.5`` and the like raise ``ScenarioParseError``.
+    Counts (``3``) and costs (``3`` or ``7/2``) take only the ASCII forms
+    :func:`render_transcript` writes; ``+1``, ``1e0`` and the like raise ``ScenarioParseError``.
     """
     scenario_name = ""
     policy = ""
@@ -145,12 +151,12 @@ def parse_transcript(text: str) -> ParsedTranscript:
             raise ScenarioParseError("malformed transcript row", number)
         try:
             row = TranscriptRow(
-                round_index=int(cells[0]),
+                round_index=_parse_count(cells[0]),
                 graph_ids=_parse_ids(cells[1]),
                 reserve_ids=_parse_ids(cells[2]),
                 busted=_parse_ids(cells[3]),
                 fixed=_parse_ids(cells[4]),
-                busted_total=int(cells[5]),
+                busted_total=_parse_count(cells[5]),
                 cost_total=_parse_cost(cells[6]),
                 winner=cells[7],
             )

@@ -45,8 +45,7 @@ from busterfixer.adjudicator import (
     _Adjudication,
     _Arena,
     _distinct_unions,
-    _legal_bust,
-    _legal_candidate,
+    _play_round,
     verify_optimal_report,
 )
 from busterfixer.graph import EdgeIndex, canonical_form, contract
@@ -144,9 +143,15 @@ def test_triple_reduction_matches_raw_sums():
         assert series_superior(s, t) == raw
 
 
+def _left(arena, busted):
+    """The graph mask ``busted`` leaves on a walk of ``arena``, or None when Buster wins."""
+    walk = engine._Walk(arena)
+    return None if walk.bust(busted) else walk.graph
+
+
 def _bridge_only_responses(p, busted):
     arena = _Arena(p)
-    return [arena.ids_of(alt) for alt, *_ in _Adjudication(arena, _legal_bust(arena, busted), True).alt_lines]
+    return [arena.ids_of(alt) for alt, *_ in _Adjudication(arena, _left(arena, busted), True).alt_lines]
 
 
 def test_enumerate_fixer_responses_bridge_only(triangle):
@@ -356,8 +361,7 @@ def _assert_shared_arena_changes_nothing(positions):
         arena, jobs = _Arena(p), {}
         for busted, candidate, bridge_only in _every_check(p):
             fresh = verify_optimal_report(p, busted, candidate, bridge_only=bridge_only)
-            left = _legal_bust(arena, busted)
-            cand_mask = _legal_candidate(arena, left, candidate)
+            left, cand_mask = _play_round(arena, busted, candidate)
             if (left, bridge_only) not in jobs:
                 jobs[left, bridge_only] = _Adjudication(arena, left, bridge_only)
             job = jobs[left, bridge_only]
@@ -498,12 +502,13 @@ def test_theorem_sweep_runs_all_msts_once_per_adjudicated_move(monkeypatch):
 
 
 def test_theorem_sweep_walks_move_masks_and_names_only_adjudicated_moves(monkeypatch):
-    # the sweep neither lists moves as id sets nor re-checks them as busts;
-    # it builds a move's ids only to hand them to the kernel, which sees the
-    # first move to leave each class of position, in move order
+    # outside the kernel the sweep neither lists moves as id sets nor
+    # re-checks them as busts; it builds a move's ids only to hand them to
+    # the kernel, which sees the first move to leave each class of position,
+    # in move order, and plays each of its greedy trees as one round
     corpus = list(generate_instances(3, 4, (0, 1, 2)))
     expected = [(corpus[index], busted) for index, busted in _post_bust_representatives(corpus)]
-    calls = dict.fromkeys(("enumerate_buster_moves", "_legal_bust"), 0)
+    calls = dict.fromkeys(("enumerate_buster_moves", "_play_round"), 0)
 
     def counted(name, *modules):
         original = getattr(modules[0], name)
@@ -516,16 +521,18 @@ def test_theorem_sweep_walks_move_masks_and_names_only_adjudicated_moves(monkeyp
             monkeypatch.setattr(module, name, counting, raising=False)
 
     counted("enumerate_buster_moves", engine, adjudicator)
-    counted("_legal_bust", adjudicator)
-    adjudicated, kernel = [], adjudicator._adjudicate_move
+    counted("_play_round", adjudicator)
+    adjudicated, greedy, kernel = [], [], adjudicator._adjudicate_move
 
     def recording(arena, bust, *args):
         adjudicated.append((arena.position, arena.ids_of(bust)))
-        return kernel(arena, bust, *args)
+        got = kernel(arena, bust, *args)
+        greedy.append(got[0])
+        return got
 
     monkeypatch.setattr(adjudicator, "_adjudicate_move", recording)
     assert theorem_sweep(corpus).ok
-    assert calls == {"enumerate_buster_moves": 0, "_legal_bust": 0}
+    assert calls == {"enumerate_buster_moves": 0, "_play_round": sum(greedy)}
     assert len(adjudicated) == 291 and adjudicated == expected
 
 
@@ -690,7 +697,7 @@ def test_adjudicate_move_returns_what_the_first_move_of_its_class_returns():
     for p in generate_instances(3, 4, (0, 1, 2)):
         arena = _Arena(p)
         for busted in enumerate_buster_moves(p):
-            if _legal_bust(arena, busted) is None:
+            if _left(arena, busted) is None:
                 continue
             got = _adjudicate_move(arena, arena.mask_of(busted), (True, False), Caps())
             assert pickle.loads(pickle.dumps(got)) == got
@@ -790,7 +797,7 @@ def test_arena_ordered_responses_memo_equals_a_fresh_arena():
     for p in generate_instances(3, 4, (0, 1, 2)):
         arena = _Arena(p)
         for busted in enumerate_buster_moves(p):
-            left = _legal_bust(arena, busted)
+            left = _left(arena, busted)
             if left is None:
                 continue
             for bridge_only in (False, True, False, True):
@@ -810,7 +817,7 @@ def test_bridge_only_alternatives_are_the_contracted_spanning_trees():
     for p in generate_instances(3, 4, (0, 1, 2)):
         arena = _Arena(p)
         for busted in enumerate_buster_moves(p):
-            left = _legal_bust(arena, busted)
+            left = _left(arena, busted)
             if left is None:
                 continue
             trees = {t.edge_ids for t in all_spanning_trees(contract(p.graph.without(busted), p.reserve.edges))}
@@ -972,6 +979,12 @@ def test_generate_instances_counts_a_repeated_weight_once():
     once = list(generate_instances(max_vertices=2, max_total_edges=3, reserve_weights=(0, 1)))
     twice = list(generate_instances(max_vertices=2, max_total_edges=3, reserve_weights=(0, 1, Fraction(1))))
     assert twice == once and len(set(twice)) == len(twice) == 65
+
+
+@pytest.mark.parametrize("weights", [(0.1,), (0, 1, 2.0), ("1",)])
+def test_generate_instances_takes_only_exact_weights(weights):
+    with pytest.raises(TypeError, match="weight must be an int or a Fraction"):
+        next(generate_instances(max_vertices=2, max_total_edges=3, reserve_weights=weights))
 
 
 def test_generate_instances_counts_and_shape():

@@ -87,6 +87,36 @@ def test_verify_bundled_scenario_by_name(capsys):
     capsys.readouterr()
 
 
+def test_a_scenario_path_with_a_directory_is_never_a_bundled_name(tmp_path, capsys):
+    missing = str(tmp_path / "no" / SCN)
+    assert cli_main(["verify", missing, "--busted", "e1,e2", "--candidate", "e4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: no such scenario file: {missing}\n"
+    assert cli_main(["msts", f"./{SCN}", "--busted", "e1,e2"]) == 2
+    assert capsys.readouterr().err == f"error: no such scenario file: ./{SCN}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, good",
+    [
+        (["verify", SCN, "--busted", "e1,e2", "--candidate", "e4", "--naive-cap"], "5"),
+        (["verify", SCN, "--busted", "e1,e2", "--candidate", "e4", "--max-total-edges"], "5"),
+        (["theorem-sweep", "--max-vertices", "1", "--max-total-edges"], "2"),
+        (["theorem-sweep", "--max-total-edges", "2", "--max-vertices"], "2"),
+    ],
+)
+def test_every_count_flag_takes_only_ascii_digits(argv, good, capsys):
+    flag = argv[-1]
+    for text in ("5_0", " +5", "+5", "\u0662", "5.0", "x"):
+        assert cli_main([*argv, text]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"argument {flag}: invalid int value: {text!r}" in err
+    assert cli_main([*argv, "-4"]) == 2
+    assert f"argument {flag}: must be an integer of at least " in capsys.readouterr().err
+    assert cli_main([*argv, good]) == 0
+    capsys.readouterr()
+
+
 def test_msts_lists_single_tree(tmp_path, capsys):
     code = cli_main(["msts", _scenario_path(tmp_path), "--busted", "e1,e2"])
     out = capsys.readouterr().out
@@ -261,6 +291,7 @@ def test_theorem_sweep_counts_a_repeated_weight_once(capsys):
         ["replay", SCN, "{latin1}"],
         ["replay", SCN, "{dir}"],
         ["simulate", "{dir}"],
+        ["theorem-sweep", "--weights", "\u0660,\u0661"],
     ],
 )
 def test_bad_input_exits_two_without_traceback(tmp_path, capsys, argv):

@@ -75,6 +75,14 @@ def test_edge_validation():
     assert loop.is_loop
 
 
+@pytest.mark.parametrize("weight", [0.1, 1.0, "1", None])
+def test_edge_takes_only_exact_weights(weight):
+    # a float would be stored as its binary expansion: 0.1 is not 1/10
+    with pytest.raises(TypeError, match="weight must be an int or a Fraction"):
+        Edge("x", 0, 1, weight)
+    assert Edge("x", 0, 1, 2).weight == Fraction(2)
+
+
 def test_multigraph_validation():
     with pytest.raises(ValueError):
         Multigraph(2, (Edge("a", 0, 1, Fraction(1)), Edge("a", 0, 1, Fraction(1))))

@@ -86,6 +86,14 @@ def test_parse_rejects_scientific_notation_with_line_number():
     assert exc.value.line_number == 3
 
 
+@pytest.mark.parametrize("weight", ["\u0661", "1.\u0665", "\uff11"])
+def test_parse_rejects_non_ascii_digits_in_weights(weight):
+    text = f"vertex a\nvertex b\nedge g1 a b {weight} G\n"
+    with pytest.raises(ScenarioParseError, match="not a plain decimal weight") as exc:
+        parse_scenario(text)
+    assert exc.value.line_number == 3
+
+
 def test_parse_rejects_ids_transcripts_cannot_represent():
     # `quit` alone: `buster quit` is the quit directive, never a bust of edge quit
     for bad in ("x,y", "{x", "x}", "x|y", "x#y", "quit"):

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -174,6 +175,21 @@ def test_parse_transcript_rejects_costs_render_never_writes(triangle):
             parse_transcript(text.replace(row, f"| 3      | {cost} | Fixer"))
 
 
+@pytest.mark.parametrize("column", [0, 5])
+def test_parse_transcript_rejects_counts_render_never_writes(triangle, column):
+    # j and sum|B| are written in ASCII digits; int() alone would read each of these as the true count
+    series = play_table_series(triangle, {"e4"}, (frozenset({"e1", "e2"}), frozenset({"e3"})))
+    lines = render_transcript(series, scenario="paper_1_2").splitlines(keepends=True)
+    row = next(i for i, line in enumerate(lines) if line.startswith("1 "))
+    cells = lines[row].split("|")
+    count = int(cells[column])
+    for text in (f"+{count}", f"0_{count}", chr(ord("\u0660") + count)):
+        assert int(text) == count
+        cells[column] = f" {text} "
+        with pytest.raises(ScenarioParseError, match=re.escape(f"expected a count like 3, got {text!r}")):
+            parse_transcript("".join(lines[:row] + ["|".join(cells)] + lines[row + 1:]))
+
+
 def test_every_rendered_transcript_parses(triangle):
     # fractional running costs render as n/d and must read back exactly
     halves = Position(
@@ -212,9 +228,9 @@ def test_play_totals_render_replay_walks_each_series_three_times(triangle, monke
     walked = []
     walk_init = engine._Walk.__init__
 
-    def counting_init(self, p):
-        walked.append(p)
-        walk_init(self, p)
+    def counting_init(self, index):
+        walked.append(index)
+        walk_init(self, index)
 
     monkeypatch.setattr(engine._Walk, "__init__", counting_init)
     series = play_series(triangle, random_buster(1), greedy_fixer())
@@ -222,7 +238,7 @@ def test_play_totals_render_replay_walks_each_series_three_times(triangle, monke
     text = render_transcript(series, scenario="paper_1_2")
     replayed = replay_transcript(triangle, parse_transcript(text))
     assert series_totals(replayed) == totals
-    assert len(series.rounds) == 3 and walked == [triangle] * 3
+    assert len(series.rounds) == 3 and walked == [engine._index_of(triangle)] * 3
 
 
 def _chain(p: Position, seed: int) -> str:
