@@ -37,11 +37,13 @@ integer-scaled weights, memoized connectivity and weight per mask) plus
 the reachability search and its memos. Inside this module every response,
 alternative and witness is a reserve mask and every weight an int, the
 edge weights times the least common multiple of their denominators, so
-budgets, floors and memo keys are ints and no float is ever involved. Ids
-enter only through the engine's checked walk ``_Walk`` on the arena (see
-:func:`_play_round`); ids and ``Fraction``s are built only where a result
-leaves: ``enumerate_fixer_responses``, a ``VerifyResult``'s witness and a
-sweep ``Counterexample``.
+budgets, floors and memo keys are ints and no float is ever involved. A
+verifier's round, given as ids, enters through the engine's checked walk
+``_Walk`` on the arena (see :func:`_play_round`); the sweep kernel takes its
+move as a mask and turns each greedy tree into one with ``mask_of``. Ids and
+``Fraction``s are built only where a result leaves:
+``enumerate_fixer_responses``, a ``VerifyResult``'s witness and a sweep
+``Counterexample``.
 
 Both searches walk the nonempty bust submasks in descending
 ``(bust - 1) & graph_mask`` order, which fixes the first failure reported.
@@ -573,32 +575,34 @@ def _adjudicate_move(
 ) -> tuple[int, int, list[tuple[str, frozenset[str], str]]]:
     """Adjudicate every response to one non-winning Buster move on its instance's arena.
 
-    ``bust`` is the move's graph mask. Each greedy response (an ``all_msts``
-    tree of the ``contract``ed graph, found without the arena) must be a
-    legal candidate and optimal, and each other response on the arena's
-    ordered list must not be optimal unless it has minimum weight. A verdict
-    is the first setting's, which a second must match. Returns the greedy
-    and converse tallies and the failures, each a (kind, response ids, detail).
+    ``bust`` is the move's graph mask. The move's legal responses are read
+    once, from the arena's ordered list. Each greedy response (an
+    ``all_msts`` tree of the ``contract``ed graph, found without the arena)
+    must be on that list and optimal, and each other response on it must not
+    be optimal unless it has minimum weight. A verdict is the first
+    setting's, which a second must match. Returns the greedy and converse
+    tallies and the failures, each a (kind, response ids, detail).
     """
-    p, busted = arena.position, arena.ids_of(bust)
     left = arena.graph_mask ^ bust
     jobs = [_Adjudication(arena, left, setting) for setting in settings]
-    msts = all_msts(contract(p.graph.without(busted), p.reserve.edges), caps)
-    greedy = dict.fromkeys(_play_round(arena, busted, t.edge_ids)[1] for t in msts)  # an ordered set of masks
+    legal = dict(arena.ordered_responses(left))  # response mask -> scaled weight, cheapest first
+    msts = all_msts(contract(arena.multigraph(left), arena.position.reserve.edges), caps)
+    greedy = {arena.mask_of(t.edge_ids): t.edge_ids for t in msts}  # an ordered set of masks, each with its ids
+    if illegal := [ids for mask, ids in greedy.items() if mask not in legal]:
+        raise IllegalMoveError(f"greedy tree {sorted(illegal[0])} is not legal after bust {sorted(arena.ids_of(bust))}")
     minimum = msts[0].total_weight
     least = int(minimum * arena.scale)  # exact: the scale is a multiple of every weight's denominator
-    converse = [mask for mask, _ in arena.ordered_responses(left) if mask not in greedy]
     failures = []  # each a (kind, response mask, detail)
-    for mask in (*greedy, *converse):
+    for mask in (*greedy, *(mask for mask in legal if mask not in greedy)):
         pruned, *full = [job.survives(left | mask, arena.reserve_mask ^ mask)[0] for job in jobs]
         if full and full[0] != pruned:
             failures.append(("prune-mismatch", mask, f"pruned={pruned} full={full[0]}"))
         if mask in greedy:
             if not pruned:
                 failures.append(("greedy-not-optimal", mask, f"weight {minimum}"))
-        elif pruned and (cost := arena.weight_of(mask)) != least:
+        elif pruned and (cost := legal[mask]) != least:
             failures.append(("non-minimum-optimal", mask, f"weight {Fraction(cost, arena.scale)} > minimum {minimum}"))
-    return len(greedy), len(converse), [(kind, arena.ids_of(mask), detail) for kind, mask, detail in failures]
+    return len(greedy), len(legal) - len(greedy), [(kind, arena.ids_of(mask), text) for kind, mask, text in failures]
 
 
 def theorem_sweep(

@@ -196,12 +196,12 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     text = Path(args.transcript).read_text(encoding="utf-8")
     parsed = transcript.parse_transcript(text)
     try:
-        series = transcript.replay_transcript(scenario.initial_position(), parsed)
+        transcript.replay_transcript(scenario.initial_position(), parsed)
     except ScenarioParseError as exc:
         print(f"REPLAY-MISMATCH: {exc}", file=sys.stderr)
         return 1
     # replay_transcript checked that these rows equal the replayed series' rows
-    rendered = transcript._format_rows(parsed.rows, series.outcome, parsed.scenario_name, parsed.policy)
+    rendered = transcript._format_rows(parsed.rows, parsed.scenario_name, parsed.policy)
     if rendered != text:
         print("REPLAY-MISMATCH: re-rendered transcript differs from the file", file=sys.stderr)
         return 1

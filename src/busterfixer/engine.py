@@ -116,8 +116,8 @@ class Series:
 
     A Buster win means the final round's bust left the graph unreconnectable
     (that round's fix is empty). A Fixer win means Buster quit after the
-    last recorded round. A zero-round Fixer win is the degenerate prefix
-    used by the optimality machinery.
+    last recorded round, or had no move left: a zero-round series is a
+    Fixer win on a graph with no edges.
     """
 
     initial: Position
@@ -266,6 +266,14 @@ def enumerate_buster_moves(p: Position, caps: Caps = DEFAULT_CAPS) -> list[froze
     return [frozenset(ids[bit] for bit in _bit_indices(mask)) for mask in _move_masks(len(ids), caps)]
 
 
+def _start(initial: Position) -> _Walk:
+    """The walk from ``initial`` on its cached index; the series loop's start rule, a connected graph."""
+    walk = _Walk(_index_of(initial))
+    if not walk.index.connected(walk.graph):
+        raise IllegalMoveError("initial graph must be connected")
+    return walk
+
+
 def _play(
     initial: Position,
     buster: Callable[[_Walk, list[RoundRecord]], BusterAction],
@@ -276,10 +284,8 @@ def _play(
     ``buster`` sees the walk at each round's entering position and the rounds so far; ``fixer`` is asked
     only when Buster does not win. Errors are those of :func:`play_series`.
     """
-    index = _index_of(initial)
-    walk = _Walk(index)
-    if not index.connected(walk.graph):
-        raise IllegalMoveError("initial graph must be connected")
+    walk = _start(initial)
+    index = walk.index
     rounds: list[RoundRecord] = []
     masks = [(walk.graph, walk.reserve)]
     while True:
@@ -340,8 +346,11 @@ def play_series(initial: Position, buster: BusterPolicy, fixer: FixerPolicy) -> 
 
 
 def _replay(s: Series) -> tuple[EdgeIndex, list[tuple[int, int]]]:
-    """The walk behind :func:`replay_positions`: its index, and the masks of the positions it returns."""
-    walk = _Walk(_index_of(s.initial))
+    """The walk behind :func:`replay_positions`: its index, and the masks of the positions it returns.
+
+    The series loop's rules apply: a connected start, and no zero-round Fixer win while Buster has a move.
+    """
+    walk = _start(s.initial)
     masks = [(walk.graph, walk.reserve)]
     wins = False
     for idx, record in enumerate(s.rounds):
@@ -359,6 +368,8 @@ def _replay(s: Series) -> tuple[EdgeIndex, list[tuple[int, int]]]:
             raise IllegalMoveError("Buster win requires at least one round")
         if not wins:
             raise IllegalMoveError("final round is reconnectable but outcome says Buster won")
+    elif not s.rounds and walk.graph:
+        raise IllegalMoveError("round 1: Buster may not quit before making any move")
     return walk.index, masks
 
 
@@ -366,9 +377,10 @@ def replay_positions(s: Series) -> list[Position]:
     """Entering positions for each round plus the end state, with legality checks.
 
     Each recorded round goes through the round step :func:`play_series`
-    uses. Only the final round of a Buster-win series may be
-    unreconnectable, and its fix must be empty. Raises ``IllegalMoveError``
-    on any violation.
+    uses, from a start that must be connected as there. Only the final
+    round of a Buster-win series may be unreconnectable, and its fix must
+    be empty; a zero-round series must be a Fixer win on a graph with no
+    edges. Raises ``IllegalMoveError`` on any violation.
     """
     index, masks = _replay(s)
     return [s.initial] + [

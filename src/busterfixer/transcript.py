@@ -76,7 +76,6 @@ class ParsedTranscript:
     scenario_name: str
     policy: str
     rows: tuple[TranscriptRow, ...]
-    winner: str
 
 
 def transcript_rows(s: Series, index: EdgeIndex, masks: Sequence[tuple[int, int]]) -> list[TranscriptRow]:
@@ -95,14 +94,15 @@ def transcript_rows(s: Series, index: EdgeIndex, masks: Sequence[tuple[int, int]
 def render_transcript(s: Series, *, scenario: str = "scenario", policy: str = "") -> str:
     """Render one series as a deterministic fixed-width text table.
 
-    A zero-round series renders as the headers plus a winner line only.
-    Raises ``IllegalMoveError`` when the series does not replay legally.
+    A zero-round series, a Fixer win on a graph with no edges, renders as
+    the headers plus the line ``Winner: Fixer``. Raises
+    ``IllegalMoveError`` when the series does not replay legally.
     """
-    return _format_rows(transcript_rows(s, *_replay(s)), s.outcome, scenario, policy)
+    return _format_rows(transcript_rows(s, *_replay(s)), scenario, policy)
 
 
-def _format_rows(rows: Sequence[TranscriptRow], outcome: Winner, scenario: str, policy: str) -> str:
-    """The text :func:`render_transcript` writes for these rows; ``outcome`` names a zero-row winner."""
+def _format_rows(rows: Sequence[TranscriptRow], scenario: str, policy: str) -> str:
+    """The text :func:`render_transcript` writes for these rows; zero rows are a Fixer win."""
     lines = [f"# scenario: {scenario}"] + ([f"# policy: {policy}"] if policy else [])
     table = [_COLUMNS] + [
         (str(row.round_index), *map(_render_ids, (row.graph_ids, row.reserve_ids, row.busted, row.fixed)),
@@ -112,7 +112,7 @@ def _format_rows(rows: Sequence[TranscriptRow], outcome: Winner, scenario: str, 
     widths = [max(len(cells[i]) for cells in table) for i in range(len(_COLUMNS))]
     lines += [" | ".join(cell.ljust(width) for cell, width in zip(cells, widths)).rstrip() for cells in table]
     if not rows:
-        lines.append(f"Winner: {outcome.value}")
+        lines.append(f"Winner: {Winner.FIXER.value}")
     return "\n".join(lines) + "\n"
 
 
@@ -126,7 +126,6 @@ def parse_transcript(text: str) -> ParsedTranscript:
     policy = ""
     rows: list[TranscriptRow] = []
     saw_header = False
-    winner = ""
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -140,7 +139,6 @@ def parse_transcript(text: str) -> ParsedTranscript:
         if line.startswith("#"):
             continue
         if line.startswith("Winner:"):
-            winner = line.split(":", 1)[1].strip()
             continue
         if line.split("|")[0].strip() == "j":
             # the sum|B| column name contains pipes, so match by first cell only
@@ -163,10 +161,9 @@ def parse_transcript(text: str) -> ParsedTranscript:
         except ValueError as exc:
             raise ScenarioParseError(str(exc), number) from exc
         rows.append(row)
-        winner = row.winner
     if not saw_header:
         raise ScenarioParseError("transcript has no column header")
-    return ParsedTranscript(scenario_name=scenario_name, policy=policy, rows=tuple(rows), winner=winner)
+    return ParsedTranscript(scenario_name=scenario_name, policy=policy, rows=tuple(rows))
 
 
 def replay_transcript(initial: Position, parsed: ParsedTranscript) -> Series:

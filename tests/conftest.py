@@ -25,6 +25,12 @@ def triangle() -> Position:
     return triangle_position()
 
 
+@pytest.fixture
+def edgeless() -> Position:
+    """One vertex and no edges: a connected start where Buster has no move, so its series has zero rounds."""
+    return Position(graph=Multigraph(1, ()), reserve=Multigraph(1, ()))
+
+
 def random_multigraph(rng: random.Random, max_vertices: int = 5, max_edges: int = 8) -> Multigraph:
     """Arbitrary multigraph (possibly disconnected, loops and parallels allowed)."""
     n = rng.randrange(1, max_vertices + 1)

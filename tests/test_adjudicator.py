@@ -446,11 +446,20 @@ def test_theorem_sweep_caps_total_edges_before_enumerating(monkeypatch):
 
 
 def test_theorem_sweep_checks_greedy_responses_legal(triangle, monkeypatch):
-    # a greedy list that does not reconnect must be refused by the round's
-    # candidate check, not adjudicated
+    # a greedy list that does not reconnect must be refused by the kernel's
+    # check against the arena's legal responses, not adjudicated; the empty
+    # tree is legal after busting e1 alone, not after busting e1 and e2
     fake = [SimpleNamespace(edge_ids=frozenset(), total_weight=Fraction(0))]
     monkeypatch.setattr(adjudicator, "all_msts", lambda *args: fake)
-    with pytest.raises(IllegalMoveError, match="^candidate does not reconnect the busted graph$"):
+    with pytest.raises(IllegalMoveError, match=r"^greedy tree \[\] is not legal after bust \['e1', 'e2'\]$"):
+        theorem_sweep([triangle])
+
+
+def test_theorem_sweep_refuses_a_greedy_tree_that_names_a_graph_edge(triangle, monkeypatch):
+    # adding the busted e1 back would reconnect, but a response takes reserve edges only
+    fake = [SimpleNamespace(edge_ids=frozenset({"e1"}), total_weight=Fraction(1))]
+    monkeypatch.setattr(adjudicator, "all_msts", lambda *args: fake)
+    with pytest.raises(IllegalMoveError, match=r"^greedy tree \['e1'\] is not legal after bust \['e1'\]$"):
         theorem_sweep([triangle])
 
 
@@ -502,13 +511,12 @@ def test_theorem_sweep_runs_all_msts_once_per_adjudicated_move(monkeypatch):
 
 
 def test_theorem_sweep_walks_move_masks_and_names_only_adjudicated_moves(monkeypatch):
-    # outside the kernel the sweep neither lists moves as id sets nor
-    # re-checks them as busts; it builds a move's ids only to hand them to
-    # the kernel, which sees the first move to leave each class of position,
-    # in move order, and plays each of its greedy trees as one round
+    # the sweep neither lists moves as id sets nor plays a round on ids: its
+    # kernel sees the first move to leave each class of position, in move
+    # order, and checks its greedy trees against the arena's legal responses
     corpus = list(generate_instances(3, 4, (0, 1, 2)))
     expected = [(corpus[index], busted) for index, busted in _post_bust_representatives(corpus)]
-    calls = dict.fromkeys(("enumerate_buster_moves", "_play_round"), 0)
+    calls = dict.fromkeys(("enumerate_buster_moves", "_play_round", "_Walk"), 0)
 
     def counted(name, *modules):
         original = getattr(modules[0], name)
@@ -522,17 +530,16 @@ def test_theorem_sweep_walks_move_masks_and_names_only_adjudicated_moves(monkeyp
 
     counted("enumerate_buster_moves", engine, adjudicator)
     counted("_play_round", adjudicator)
-    adjudicated, greedy, kernel = [], [], adjudicator._adjudicate_move
+    counted("_Walk", adjudicator)
+    adjudicated, kernel = [], adjudicator._adjudicate_move
 
     def recording(arena, bust, *args):
         adjudicated.append((arena.position, arena.ids_of(bust)))
-        got = kernel(arena, bust, *args)
-        greedy.append(got[0])
-        return got
+        return kernel(arena, bust, *args)
 
     monkeypatch.setattr(adjudicator, "_adjudicate_move", recording)
     assert theorem_sweep(corpus).ok
-    assert calls == {"enumerate_buster_moves": 0, "_play_round": sum(greedy)}
+    assert calls == {"enumerate_buster_moves": 0, "_play_round": 0, "_Walk": 0}
     assert len(adjudicated) == 291 and adjudicated == expected
 
 

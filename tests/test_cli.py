@@ -182,6 +182,23 @@ def test_replay_detects_mismatch(tmp_path, capsys):
     assert "REPLAY-MISMATCH" in captured.err
 
 
+def test_replay_zero_row_transcript_names_fixer_the_winner(tmp_path, capsys):
+    # one vertex and no edges: the series has no round, so only a Fixer win replays
+    scenario = tmp_path / "point.scn"
+    scenario.write_text("vertex a\n", encoding="utf-8")
+    transcript_path = tmp_path / "run.txt"
+    assert cli_main(["simulate", str(scenario), "--out", str(transcript_path)]) == 0
+    text = transcript_path.read_text(encoding="utf-8")
+    assert text.endswith("\nWinner: Fixer\n")
+    assert cli_main(["replay", str(scenario), str(transcript_path)]) == 0
+    assert capsys.readouterr().out == "REPLAY-OK\n"
+    transcript_path.write_text(text.replace("Winner: Fixer", "Winner: Buster"), encoding="utf-8")
+    assert cli_main(["replay", str(scenario), str(transcript_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "REPLAY-MISMATCH: re-rendered transcript differs from the file\n"
+
+
 def test_replay_byte_only_mismatch(tmp_path, capsys):
     # an extra blank line parses and replays, so only the byte comparison sees it
     scenario = _scenario_path(tmp_path)

@@ -29,6 +29,7 @@ from busterfixer import (
     greedy_fixer_move,
     play_series,
     random_buster,
+    render_transcript,
     replay_positions,
     scripted_buster,
     scripted_fixer,
@@ -196,9 +197,32 @@ def test_play_series_single_vertex_loops_end_as_fixer_win():
     assert series.length == 1
 
 
-def test_series_totals_zero_round_prefix(triangle):
-    empty = Series(initial=triangle, rounds=(), outcome=Winner.FIXER)
+def test_series_totals_zero_round_prefix(edgeless):
+    empty = Series(initial=edgeless, rounds=(), outcome=Winner.FIXER)
+    assert play_series(edgeless, scripted_buster([]), greedy_fixer()) == empty
     assert series_totals(empty) == OutcomeTriple(True, 0, Fraction(0))
+
+
+# The graph is a loop at vertex 0, vertex 1 is isolated, and the reserve is
+# empty: busting the loop is a one-round Buster win from a disconnected start.
+_SPLIT = Position(graph=Multigraph(2, (Edge("g", 0, 0, Fraction(1)),)), reserve=Multigraph(2, ()))
+
+
+@pytest.mark.parametrize("consumer", [series_totals, render_transcript, replay_positions])
+@pytest.mark.parametrize(
+    "series,message",
+    [
+        (Series(triangle_position(), (), Winner.FIXER), "round 1: Buster may not quit before making any move"),
+        (Series(_SPLIT, (RoundRecord(frozenset({"g"}), frozenset()),), Winner.BUSTER), "initial graph must be connected"),
+    ],
+    ids=["zero-rounds-on-edges", "disconnected-start"],
+)
+def test_hand_built_series_follow_the_series_loops_start_rules(series, message, consumer):
+    # play_series refuses both series; every consumer of a hand-built one must too
+    with pytest.raises(IllegalMoveError) as exc:
+        consumer(series)
+    assert type(exc.value) is IllegalMoveError
+    assert str(exc.value) == message
 
 
 def test_series_totals_computed_once_per_series(triangle):

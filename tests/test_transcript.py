@@ -67,19 +67,26 @@ def test_final_row_carries_outcome(triangle):
     assert cells[5] == "5" and cells[6] == "3" and cells[7] == "Buster"
 
 
-def test_zero_round_series_renders_headers_and_winner(triangle):
-    empty = Series(initial=triangle, rounds=(), outcome=Winner.FIXER)
+def test_zero_round_series_renders_headers_and_winner(edgeless):
+    empty = Series(initial=edgeless, rounds=(), outcome=Winner.FIXER)
     text = render_transcript(empty, scenario="paper_1_2")
     lines = text.splitlines()
     assert lines[0] == "# scenario: paper_1_2"
     assert lines[-1] == "Winner: Fixer"
 
 
-def test_zero_round_series_renders_exact_bytes(triangle):
-    empty = Series(initial=triangle, rounds=(), outcome=Winner.FIXER)
+def test_zero_round_series_renders_exact_bytes(edgeless):
+    empty = Series(initial=edgeless, rounds=(), outcome=Winner.FIXER)
     assert render_transcript(empty, scenario="z", policy="p") == (
         "# scenario: z\n# policy: p\nj | G_j | R_j | B_j | F_j | sum|B| | sum w(F) | Winner\nWinner: Fixer\n"
     )
+
+
+def test_zero_round_series_renders_parses_and_replays(edgeless):
+    empty = play_series(edgeless, scripted_buster([]), greedy_fixer())
+    text = render_transcript(empty, scenario="z")
+    replayed = replay_transcript(edgeless, parse_transcript(text))
+    assert replayed == empty and render_transcript(replayed, scenario="z") == text
 
 
 def test_zero_round_buster_series_is_rejected(triangle):
@@ -112,7 +119,7 @@ def test_parse_render_inverse(triangle):
     text = render_transcript(series, scenario="paper_1_2", policy="buster=scripted fixer=greedy")
     parsed = parse_transcript(text)
     assert parsed.scenario_name == "paper_1_2"
-    assert parsed.winner == "Fixer"
+    assert parsed.rows[-1].winner == "Fixer"
     assert [row.busted for row in parsed.rows] == [r.busted for r in series.rounds]
     assert [row.fixed for row in parsed.rows] == [r.fixed for r in series.rounds]
 
@@ -154,7 +161,9 @@ def test_parse_transcript_reads_a_zero_row_transcript_and_skips_comments():
         "j | G_j | R_j | B_j | F_j | sum|B| | sum w(F) | Winner\nWinner: Fixer\n"
     )
     parsed = parse_transcript(text)
-    assert (parsed.scenario_name, parsed.policy, parsed.rows, parsed.winner) == ("z", "p", (), "Fixer")
+    assert (parsed.scenario_name, parsed.policy, parsed.rows) == ("z", "p", ())
+    # the winner line is skipped: a zero-row transcript is always a Fixer win
+    assert parse_transcript(text.replace("Winner: Fixer", "Winner: Buster")) == parsed
 
 
 def test_parse_transcript_rejects_an_id_cell_without_braces(triangle):
