@@ -703,12 +703,15 @@ def generate_instances(
     neither an ``int`` nor a ``Fraction`` raises ``TypeError`` first.
     Loops are included (they are legal reserve edges and legal graph
     edges). Instances whose graph is empty are skipped, since Buster has
-    no move to check there.
+    no move to check there. Instances on one vertex count share their
+    reserve ``Edge`` objects, one per id ``r{i}`` and endpoint/weight type,
+    while the reserve multisets themselves are drawn lazily.
     """
     weights = tuple(dict.fromkeys(map(_exact, reserve_weights)))  # a repeated weight would repeat instances
     for n in range(1, max_vertices + 1):
         pairs = [(u, v) for u in range(n) for v in range(u, n)]
-        reserve_types = [(u, v, w) for (u, v) in pairs for w in weights]
+        slots = [[Edge(f"r{i}", u, v, w) for (u, v) in pairs for w in weights] for i in range(max_total_edges - 1)]
+        reserve_types = range(len(pairs) * len(weights))
         for graph_size in range(max(1, n - 1), max_total_edges + 1):
             for graph_combo in combinations_with_replacement(pairs, graph_size):
                 uf = _UnionFind(n)
@@ -718,11 +721,5 @@ def generate_instances(
                 graph = Multigraph(n, tuple(Edge(f"g{i}", u, v, 1) for i, (u, v) in enumerate(graph_combo)))
                 for reserve_size in range(0, max_total_edges - graph_size + 1):
                     for reserve_combo in combinations_with_replacement(reserve_types, reserve_size):
-                        reserve = Multigraph(
-                            n,
-                            tuple(
-                                Edge(f"r{i}", u, v, w)
-                                for i, (u, v, w) in enumerate(reserve_combo)
-                            ),
-                        )
+                        reserve = Multigraph(n, tuple(slots[i][t] for i, t in enumerate(reserve_combo)))
                         yield Position(graph=graph, reserve=reserve)

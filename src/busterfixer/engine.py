@@ -89,9 +89,8 @@ class Position:
     def __post_init__(self):
         if self.graph.vertex_count != self.reserve.vertex_count:
             raise ValueError("graph and reserve must share a vertex set")
-        overlap = self.graph.ids & self.reserve.ids
-        if overlap:
-            raise ValueError(f"graph and reserve ids overlap: {sorted(overlap)}")
+        if not self.graph.ids.isdisjoint(self.reserve.ids):
+            raise ValueError(f"graph and reserve ids overlap: {sorted(self.graph.ids & self.reserve.ids)}")
 
     @property
     def total_edges(self) -> int:

@@ -27,6 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
 from math import factorial, lcm
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .errors import CapExceededError, IllegalMoveError
@@ -136,7 +137,7 @@ class Edge:
     def __post_init__(self):
         if not isinstance(self.weight, Fraction):
             object.__setattr__(self, "weight", _exact(self.weight))
-        if self.weight < 0:
+        if self.weight.numerator < 0:  # a Fraction's denominator is always positive
             raise ValueError(f"edge {self.id}: negative weight {self.weight}")
         if self.u < 0 or self.v < 0:
             raise ValueError(f"edge {self.id}: negative vertex index")
@@ -144,6 +145,9 @@ class Edge:
     @property
     def is_loop(self) -> bool:
         return self.u == self.v
+
+
+_ID = attrgetter("id")
 
 
 @dataclass(frozen=True)
@@ -161,14 +165,15 @@ class Multigraph:
     def __post_init__(self):
         if self.vertex_count < 1:
             raise ValueError("vertex_count must be positive")
-        edges = tuple(sorted(self.edges, key=lambda e: e.id))
-        ids = [e.id for e in edges]
-        if len(set(ids)) != len(ids):
+        edges = tuple(sorted(self.edges, key=_ID))
+        ids = frozenset(map(_ID, edges))
+        if len(ids) != len(edges):
             raise ValueError("duplicate edge ids in multigraph")
         for e in edges:
             if e.u >= self.vertex_count or e.v >= self.vertex_count:
                 raise ValueError(f"edge {e.id} references vertex outside 0..{self.vertex_count - 1}")
         object.__setattr__(self, "edges", edges)
+        self.__dict__["ids"] = ids  # the cached ``ids``, built once here
 
     def __len__(self) -> int:
         return len(self.edges)

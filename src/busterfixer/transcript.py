@@ -121,15 +121,20 @@ def parse_transcript(text: str) -> ParsedTranscript:
 
     Counts (``3``) and costs (``3`` or ``7/2``) take only the ASCII forms
     :func:`render_transcript` writes; ``+1``, ``1e0`` and the like raise ``ScenarioParseError``.
+    So do a ``# scenario:`` or ``# policy:`` line after the column header
+    and a ``Winner:`` line in a transcript with rows, which render never writes.
     """
     scenario_name = ""
     policy = ""
     rows: list[TranscriptRow] = []
     saw_header = False
+    winner_line = 0
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
+        if line.startswith(("# scenario:", "# policy:")) and saw_header:
+            raise ScenarioParseError(f"{line.split(':', 1)[0]!r} line after the column header", number)
         if line.startswith("# scenario:"):
             scenario_name = line.split(":", 1)[1].strip()
             continue
@@ -139,6 +144,7 @@ def parse_transcript(text: str) -> ParsedTranscript:
         if line.startswith("#"):
             continue
         if line.startswith("Winner:"):
+            winner_line = winner_line or number
             continue
         if line.split("|")[0].strip() == "j":
             # the sum|B| column name contains pipes, so match by first cell only
@@ -163,6 +169,9 @@ def parse_transcript(text: str) -> ParsedTranscript:
         rows.append(row)
     if not saw_header:
         raise ScenarioParseError("transcript has no column header")
+    if rows and winner_line:
+        # only a zero-row transcript has a Winner line; a row's own cell names its winner
+        raise ScenarioParseError("Winner line in a transcript with rows", winner_line)
     return ParsedTranscript(scenario_name=scenario_name, policy=policy, rows=tuple(rows))
 
 

@@ -3,7 +3,7 @@ import pickle
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from types import SimpleNamespace
 from unittest.mock import Mock
 
@@ -1007,6 +1007,49 @@ def test_generate_instances_counts_and_shape():
         for p in instances
     }
     assert len(labelled) == len(instances)  # one instance per labelled edge multiset
+
+
+def _reference_instances(max_vertices, max_total_edges, reserve_weights):
+    """The generator written plainly: a fresh ``Edge`` for every edge of every instance."""
+    weights = tuple(dict.fromkeys(map(Fraction, reserve_weights)))
+    for n in range(1, max_vertices + 1):
+        pairs = [(u, v) for u in range(n) for v in range(u, n)]
+        reserve_types = [(u, v, w) for (u, v) in pairs for w in weights]
+        for graph_size in range(max(1, n - 1), max_total_edges + 1):
+            for graph_combo in combinations_with_replacement(pairs, graph_size):
+                graph = Multigraph(n, tuple(Edge(f"g{i}", u, v, 1) for i, (u, v) in enumerate(graph_combo)))
+                if not is_connected(graph):
+                    continue
+                for reserve_size in range(max_total_edges - graph_size + 1):
+                    for reserve_combo in combinations_with_replacement(reserve_types, reserve_size):
+                        reserve = tuple(Edge(f"r{i}", u, v, w) for i, (u, v, w) in enumerate(reserve_combo))
+                        yield Position(graph=graph, reserve=Multigraph(n, reserve))
+
+
+def _pools(p):
+    return p.graph.vertex_count, *(tuple((e.id, e.u, e.v, e.weight) for e in pool) for pool in (p.graph, p.reserve))
+
+
+@pytest.mark.parametrize("args", [(3, 5, (0, 1, 2)), (2, 6, (0, Fraction(1, 2), 1))])
+def test_generate_instances_matches_the_plain_generator(args):
+    got = list(generate_instances(*args))
+    want = list(_reference_instances(*args))
+    assert len(got) == len(want) > 6000
+    for a, b in zip(got, want):
+        assert a == b and _pools(a) == _pools(b)
+        assert all(type(e.weight) is Fraction for pool in (a.graph, a.reserve) for e in pool)
+
+
+def test_generate_instances_shares_its_reserve_edges():
+    corpus = list(generate_instances(3, 5, (0, 1, 2)))
+    first = {}
+    for p in corpus:
+        for e in p.reserve:
+            assert first.setdefault((p.graph.vertex_count, e), e) is e
+    # one Edge per vertex count, slot and (endpoints, weight) type: 4 x 3 on one
+    # vertex, 4 x 9 on two and 3 x 18 on three, against 23,226 reserve edges in all
+    assert len({id(e) for p in corpus for e in p.reserve}) == len(first) == 12 + 36 + 54
+    assert sum(len(p.reserve) for p in corpus) == 23226
 
 
 def test_generate_instances_streams_its_reserve_multisets():

@@ -44,8 +44,11 @@ from series_tables import ALL_SERIES, B1, expected_triple, play_table_series
 
 def test_position_rejects_overlapping_pools():
     g = Multigraph(2, (Edge("a", 0, 1, Fraction(1)),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^graph and reserve ids overlap: \['a'\]$"):
         Position(graph=g, reserve=g)
+    r = Multigraph(2, (Edge("c", 0, 1, 1), Edge("b", 1, 1, 1), Edge("a", 0, 0, 1)))
+    with pytest.raises(ValueError, match=r"^graph and reserve ids overlap: \['a', 'c'\]$"):
+        Position(graph=g.with_edges([Edge("c", 0, 0, 2)]), reserve=r)
 
 
 def test_apply_round_moves_fix_into_graph(triangle):

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from busterfixer import (
     is_connected,
     parse_decimal_weight,
 )
-from busterfixer.graph import canonical_form
+from busterfixer.graph import EdgeIndex, canonical_form
 
 from conftest import random_multigraph, triangle_position
 from test_properties import PROPERTY
@@ -67,15 +68,16 @@ def test_format_weight():
 
 
 def test_edge_validation():
-    with pytest.raises(ValueError):
-        Edge("x", 0, 1, Fraction(-1))
+    for weight, text in ((-1, "-1"), (Fraction(-1), "-1"), (Fraction(-1, 2), "-1/2")):
+        with pytest.raises(ValueError, match=f"^edge x: negative weight {text}$"):
+            Edge("x", 0, 1, weight)
     with pytest.raises(ValueError):
         Edge("x", -1, 0, Fraction(1))
     loop = Edge("l", 2, 2, Fraction(0))
     assert loop.is_loop
 
 
-@pytest.mark.parametrize("weight", [0.1, 1.0, "1", None])
+@pytest.mark.parametrize("weight", [0.1, 1.0, -1.0, "1", None])
 def test_edge_takes_only_exact_weights(weight):
     # a float would be stored as its binary expansion: 0.1 is not 1/10
     with pytest.raises(TypeError, match="weight must be an int or a Fraction"):
@@ -84,12 +86,34 @@ def test_edge_takes_only_exact_weights(weight):
 
 
 def test_multigraph_validation():
-    with pytest.raises(ValueError):
-        Multigraph(2, (Edge("a", 0, 1, Fraction(1)), Edge("a", 0, 1, Fraction(1))))
-    with pytest.raises(ValueError):
+    # each check names its own fault, and they run in this order: vertex count, duplicate ids, then range by id
+    with pytest.raises(ValueError, match=r"^vertex_count must be positive$"):
+        Multigraph(0, (Edge("a", 0, 1, 1), Edge("a", 0, 1, 1)))
+    with pytest.raises(ValueError, match=r"^duplicate edge ids in multigraph$"):
+        Multigraph(2, (Edge("a", 0, 5, 1), Edge("a", 0, 1, 1)))
+    with pytest.raises(ValueError, match=r"^edge b references vertex outside 0\.\.1$"):
+        Multigraph(2, (Edge("c", 0, 7, 1), Edge("b", 3, 0, 1)))
+    with pytest.raises(ValueError, match=r"^edge a references vertex outside 0\.\.1$"):
         Multigraph(2, (Edge("a", 0, 2, Fraction(1)),))
-    with pytest.raises(ValueError):
-        Multigraph(0, ())
+
+
+def _assert_ids_built(g):
+    # ids is built with the graph, so it is already in the instance dict before any read
+    assert vars(g)["ids"] == frozenset(e.id for e in g.edges)
+    assert g.ids is vars(g)["ids"]
+
+
+def test_multigraph_builds_its_id_set_once_whichever_way_it_is_built():
+    _assert_ids_built(TRIANGLE)
+    _assert_ids_built(Multigraph(1, ()))
+    _assert_ids_built(TRIANGLE.without({"e2"}))
+    _assert_ids_built(PATH.with_edges([Edge("e9", 1, 2, 3)]))
+    _assert_ids_built(contract(PATH, [Edge("r1", 1, 2, 1), Edge("r0", 0, 0, 2)]))
+    index = EdgeIndex(PATH, _graph(3, [("r1", 1, 2, 1), ("r0", 0, 0, 2)]))
+    _assert_ids_built(index.multigraph(0b1011))
+    copy = pickle.loads(pickle.dumps(TRIANGLE))
+    assert copy == TRIANGLE
+    _assert_ids_built(copy)
 
 
 def test_multigraph_without_requires_membership():

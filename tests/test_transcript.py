@@ -166,6 +166,38 @@ def test_parse_transcript_reads_a_zero_row_transcript_and_skips_comments():
     assert parse_transcript(text.replace("Winner: Fixer", "Winner: Buster")) == parsed
 
 
+def _paper_1_2_lines(triangle):
+    series = play_table_series(triangle, {"e4"}, (frozenset({"e1", "e2"}), frozenset({"e3"})))
+    lines = render_transcript(series, scenario="paper_1_2", policy="p").splitlines()
+    assert lines[2].startswith("j ") and len(lines) == 5  # two comments, the column header, two rows
+    return lines
+
+
+@pytest.mark.parametrize("winner", ["Winner: Buster", "Winner: nobody", "Winner: Fixer"])
+def test_parse_transcript_rejects_a_winner_line_in_a_transcript_with_rows(triangle, winner):
+    lines = _paper_1_2_lines(triangle)
+    for at in (3, 4, 5):  # before the first row, between the rows, and after the last one
+        text = "\n".join(lines[:at] + [winner] + lines[at:]) + "\n"
+        with pytest.raises(ScenarioParseError, match=f"^line {at + 1}: Winner line in a transcript with rows$"):
+            parse_transcript(text)
+
+
+@pytest.mark.parametrize("comment", ["# scenario: other", "# policy: q"])
+def test_parse_transcript_rejects_a_header_comment_after_the_column_header(triangle, comment):
+    lines = _paper_1_2_lines(triangle)
+    key = comment.split(":")[0]
+    for at in (3, 5):  # right after the column header, and after the last row
+        text = "\n".join(lines[:at] + [comment] + lines[at:]) + "\n"
+        with pytest.raises(ScenarioParseError, match=f"^line {at + 1}: '{key}' line after the column header$"):
+            parse_transcript(text)
+    zero_rows = f"# scenario: z\n{lines[2]}\n{comment}\nWinner: Fixer\n"
+    with pytest.raises(ScenarioParseError, match=f"^line 3: '{key}' line after the column header$"):
+        parse_transcript(zero_rows)
+    # any other comment may still stand anywhere
+    text = "\n".join(lines) + "\n"
+    assert parse_transcript(text + "# a note\n") == parse_transcript(text)
+
+
 def test_parse_transcript_rejects_an_id_cell_without_braces(triangle):
     series = play_table_series(triangle, {"e4"}, (frozenset({"e1", "e2"}), frozenset({"e3"})))
     text = render_transcript(series, scenario="paper_1_2")
