@@ -38,9 +38,10 @@ the reachability search and its memos. Inside this module every response,
 alternative and witness is a reserve mask and every weight an int, the
 edge weights times the least common multiple of their denominators, so
 budgets, floors and memo keys are ints and no float is ever involved. A
-verifier's round, given as ids, enters through the engine's checked walk
-``_Walk`` on the arena (see :func:`_play_round`); the sweep kernel takes its
-move as a mask and turns each greedy tree into one with ``mask_of``. Ids and
+verifier's round, given as ids, is played by the engine's checked walk
+``_Walk`` on the arena, its ``bust`` then its ``fix``, which state every
+round rule; this module states none. The sweep kernel takes its move as a
+mask and turns each greedy tree into one with ``mask_of``. Ids and
 ``Fraction``s are built only where a result leaves:
 ``enumerate_fixer_responses``, a ``VerifyResult``'s witness and a sweep
 ``Counterexample``.
@@ -363,25 +364,6 @@ class VerifyResult:
     failing_alternative: frozenset[str] | None = None
 
 
-def _play_round(arena: _Arena, busted: Iterable[str], candidate: Iterable[str]) -> tuple[int | None, int]:
-    """(the graph mask the bust leaves, or None when Buster wins; the candidate's mask), by a walk on ``arena``.
-
-    Raises ``IllegalMoveError``, checked in this order, for an illegal bust,
-    a nonempty candidate when Buster wins, one outside the reserve and one
-    that does not reconnect.
-    """
-    walk, candidate = _Walk(arena), frozenset(candidate)
-    if walk.bust(frozenset(busted)):
-        if candidate:
-            raise IllegalMoveError("only the empty response is legal when Buster wins")
-        return None, 0
-    left = walk.graph
-    walk.fix(candidate)
-    if not arena.connected(walk.graph):
-        raise IllegalMoveError("candidate does not reconnect the busted graph")
-    return left, walk.graph ^ left
-
-
 def verify_optimal_report(
     p: Position,
     busted: frozenset[str],
@@ -398,11 +380,14 @@ def verify_optimal_report(
     if p.total_edges > caps.max_total_edges:
         raise CapExceededError(f"position has {p.total_edges} edges, cap is {caps.max_total_edges}")
     arena = _Arena(p, caps)
-    left, cand_mask = _play_round(arena, busted, candidate)
-    if left is None:  # the round is already lost; the forced empty response is optimal
+    walk = _Walk(arena)
+    wins = walk.bust(frozenset(busted))
+    left = walk.graph
+    walk.fix(frozenset(candidate))
+    if wins:  # the round is already lost; the forced empty response is optimal
         return VerifyResult(optimal=True, alternatives=0)
     job = _Adjudication(arena, left, bridge_only)
-    ok, failure = job.survives(left | cand_mask, arena.reserve_mask ^ cand_mask)
+    ok, failure = job.survives(walk.graph, walk.reserve)
     if ok:
         return VerifyResult(optimal=True, alternatives=len(job.alt_lines))
     win, total_busted, spent, alt = failure
@@ -468,8 +453,11 @@ def verify_optimal_naive(
     if p.total_edges > caps.naive_max_total_edges:
         raise CapExceededError(f"position has {p.total_edges} edges, naive cap is {caps.naive_max_total_edges}")
     arena = _Arena(p, caps)
-    left, cand_mask = _play_round(arena, busted, candidate)
-    if left is None:
+    walk = _Walk(arena)
+    wins = walk.bust(frozenset(busted))
+    left = walk.graph
+    walk.fix(frozenset(candidate))
+    if wins:
         return True
     base_busted = (arena.graph_mask ^ left).bit_count()
     strategy_memo: dict[tuple[int, int], list[frozenset]] = {}
@@ -509,9 +497,7 @@ def verify_optimal_naive(
     def superior(a: tuple, b: tuple) -> bool:
         return (a[0] or not b[0]) and a[1] >= b[1] and a[2] <= b[2]
 
-    target_sets = shifted(
-        strategies(left | cand_mask, arena.reserve_mask ^ cand_mask), arena.weight_of(cand_mask)
-    )
+    target_sets = shifted(strategies(walk.graph, walk.reserve), arena.weight_of(walk.graph ^ left))
     alternative_sets = [
         shifted(strategies(left | alt_mask, arena.reserve_mask ^ alt_mask), alt_weight)
         for alt_mask, alt_weight in arena.ordered_responses(left)

@@ -3,14 +3,15 @@
 A series starts from a connected graph and a reserve pool of weighted
 edges. Each round, Buster removes a nonempty multiset of graph edges. If
 even the whole remaining reserve cannot reconnect what is left, Buster
-wins and the round's fix is empty by convention. Otherwise Fixer adds a
+wins and the round's only legal fix is empty. Otherwise Fixer adds a
 (possibly empty) reserve subset that restores connectivity, and Buster
 may then either continue or quit; quitting ends the series as a Fixer
 win. Each round strictly shrinks the combined edge pool, so every series
 terminates within ``|G| + |R|`` rounds.
 
-Buster's rule is ``Position.check_bust`` and Fixer's (a fix is a subset
-of the current reserve) is ``_Walk.fix``. A round only moves edge bits
+Buster's rule is ``Position.check_bust``; Fixer's rules, as stated
+above, are ``_Walk.fix``. No other code decides whether a round is
+legal, here or in the verifiers. A round only moves edge bits
 between the pools of one ``graph.EdgeIndex`` of the starting position: a
 bust clears graph bits, Buster wins when graph and whole reserve together
 are disconnected, and a fix moves bits from reserve to graph. One checked
@@ -170,8 +171,8 @@ def _index_of(p: Position) -> EdgeIndex:
 class _Walk:
     """An edge index plus the (graph mask, reserve mask) pair a walk from its start has reached.
 
-    :meth:`round` is the one checked round step; a bust clears graph bits
-    and a fix moves bits from the reserve to the graph.
+    :meth:`bust` and :meth:`fix` are the one checked round: a bust clears
+    graph bits and a fix moves bits from the reserve to the graph.
     """
 
     def __init__(self, index: EdgeIndex):
@@ -188,37 +189,30 @@ class _Walk:
         return self.index.unfixable(self.graph, self.reserve)
 
     def fix(self, fixed: frozenset[str]) -> None:
-        """Move a fix into the graph under Fixer's one rule, a subset of the reserve; connectivity is not checked."""
+        """Move a fix into the graph under Fixer's whole rulebook; ``IllegalMoveError`` names the first broken rule.
+
+        After a Buster-winning bust only the empty fix is legal; otherwise a
+        fix is a subset of the current reserve that reconnects the graph.
+        """
+        if self.index.unfixable(self.graph, self.reserve):
+            if fixed:
+                raise IllegalMoveError("only the empty response is legal when Buster wins")
+            return
         if not fixed <= self.index.ids_of(self.reserve):
             raise IllegalMoveError("fixed must be a subset of the current reserve")
         mask = self.index.mask_of(fixed)
         self.graph |= mask
         self.reserve ^= mask
-
-    def round(
-        self, busted: frozenset[str], respond: Callable[[], Iterable[str]], round_index: int
-    ) -> tuple[frozenset[str], bool]:
-        """The checked round step: (fix, whether Buster won).
-
-        ``respond`` is asked for the fix only when Buster does not win.
-        Raises ``IllegalMoveError`` for an illegal bust or fix, and
-        ``PolicyError`` with ``round_index`` for a fix that does not reconnect.
-        """
-        if self.bust(busted):
-            return frozenset(), True
-        fixed = frozenset(respond())
-        self.fix(fixed)
         if not self.index.connected(self.graph):
-            raise PolicyError("fix does not reconnect the graph", round_index)
-        return fixed, False
+            raise IllegalMoveError("fix does not reconnect the graph")
 
 
 def apply_round(p: Position, busted: frozenset[str], fixed: frozenset[str]) -> Position:
     """Advance one round: remove ``busted`` from the graph, move ``fixed`` in.
 
-    Connectivity of the result is not checked: a Buster-win round legally
-    leaves it disconnected. Raises ``IllegalMoveError`` for an illegal bust
-    or fix (see :meth:`Position.check_bust` and :meth:`_Walk.fix`).
+    Raises ``IllegalMoveError`` for an illegal bust or fix (see
+    :meth:`Position.check_bust` and :meth:`_Walk.fix`). A Buster-win round,
+    whose fix is empty, leaves the graph disconnected.
     """
     walk = _Walk(_index_of(p))
     walk.bust(busted)
@@ -301,7 +295,9 @@ def _play(
         busted = frozenset(action)
         edges, reserve_weight = (walk.graph | walk.reserve).bit_count(), index.weight_of(walk.reserve)
         try:
-            fixed, wins = walk.round(busted, lambda: fixer(busted, rounds), round_index)
+            wins = walk.bust(busted)
+            fixed = frozenset() if wins else frozenset(fixer(busted, rounds))
+            walk.fix(fixed)
         except IllegalMoveError as exc:
             raise PolicyError(str(exc), round_index) from None
         rounds.append(RoundRecord(busted=busted, fixed=fixed))
@@ -326,9 +322,9 @@ def play_series(initial: Position, buster: BusterPolicy, fixer: FixerPolicy) -> 
     Buster may quit only after surviving at least one round (a quit before
     any move is a ``PolicyError``). If the graph ever has no edges at all,
     Buster has no legal move and the series ends as a Fixer win. Illegal
-    moves from either policy raise ``PolicyError`` with the round index; an
-    illegal bust or fix carries the :meth:`Position.check_bust` or
-    :meth:`_Walk.fix` message.
+    moves from either policy raise ``PolicyError`` with the round index and
+    the :meth:`_Walk.bust` or :meth:`_Walk.fix` message; the fixer is asked
+    only when Buster has not won the round.
 
     Per-round conservation and both routes to the outcome triple are asserted;
     a violation raises ``IdentityViolationError`` and indicates an engine bug.
@@ -353,14 +349,10 @@ def _replay(s: Series) -> tuple[EdgeIndex, list[tuple[int, int]]]:
     masks = [(walk.graph, walk.reserve)]
     wins = False
     for idx, record in enumerate(s.rounds):
-        try:
-            _, wins = walk.round(record.busted, lambda: record.fixed, idx + 1)
-        except PolicyError as exc:
-            raise IllegalMoveError(str(exc)) from None
+        wins = walk.bust(record.busted)
         if wins and not (idx == len(s.rounds) - 1 and s.outcome is Winner.BUSTER):
             raise IllegalMoveError(f"round {idx + 1}: unreconnectable bust inside a surviving series")
-        if wins and record.fixed:
-            raise IllegalMoveError(f"round {idx + 1}: Buster-win round must record an empty fix")
+        walk.fix(record.fixed)
         masks.append((walk.graph, walk.reserve))
     if s.outcome is Winner.BUSTER:
         if not s.rounds:
@@ -375,11 +367,12 @@ def _replay(s: Series) -> tuple[EdgeIndex, list[tuple[int, int]]]:
 def replay_positions(s: Series) -> list[Position]:
     """Entering positions for each round plus the end state, with legality checks.
 
-    Each recorded round goes through the round step :func:`play_series`
-    uses, from a start that must be connected as there. Only the final
-    round of a Buster-win series may be unreconnectable, and its fix must
-    be empty; a zero-round series must be a Fixer win on a graph with no
-    edges. Raises ``IllegalMoveError`` on any violation.
+    Each recorded round goes through the walk's bust and fix, as in
+    :func:`play_series`, from a start that must be connected as there. Only
+    the final round of a Buster-win series may be unreconnectable; a
+    zero-round series must be a Fixer win on a graph with no edges. Raises
+    ``IllegalMoveError`` on any violation, a bust or fix with its unprefixed
+    :meth:`_Walk.bust` or :meth:`_Walk.fix` message.
     """
     index, masks = _replay(s)
     return [s.initial] + [

@@ -125,8 +125,9 @@ class Edge:
     """A weighted edge between vertex indices, identified by a unique id.
 
     Loops (``u == v``) are representable; they arise naturally in contracted
-    graphs. The weight must be a nonnegative ``int`` or ``Fraction``; an
-    int is coerced by :func:`_exact`, which refuses any other type.
+    graphs. The id must be a ``str`` and the endpoints ``int``s. The weight
+    must be a nonnegative ``int`` or ``Fraction``; an int is coerced by
+    :func:`_exact`, which refuses any other type.
     """
 
     id: str
@@ -135,10 +136,14 @@ class Edge:
     weight: Fraction
 
     def __post_init__(self):
+        if not isinstance(self.id, str):
+            raise TypeError(f"edge {self.id!r}: id must be a str")
         if not isinstance(self.weight, Fraction):
             object.__setattr__(self, "weight", _exact(self.weight))
         if self.weight.numerator < 0:  # a Fraction's denominator is always positive
             raise ValueError(f"edge {self.id}: negative weight {self.weight}")
+        if not (isinstance(self.u, int) and isinstance(self.v, int)):
+            raise TypeError(f"edge {self.id}: vertex indices must be ints, got {self.u!r} and {self.v!r}")
         if self.u < 0 or self.v < 0:
             raise ValueError(f"edge {self.id}: negative vertex index")
 
@@ -163,6 +168,8 @@ class Multigraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
+        if not isinstance(self.vertex_count, int):
+            raise TypeError(f"vertex_count must be an int, got {self.vertex_count!r}")
         if self.vertex_count < 1:
             raise ValueError("vertex_count must be positive")
         edges = tuple(sorted(self.edges, key=_ID))

@@ -28,7 +28,7 @@ __all__ = ["parse_transcript", "render_transcript", "replay_transcript"]
 
 _COLUMNS = ("j", "G_j", "R_j", "B_j", "F_j", "sum|B|", "sum w(F)", "Winner")
 
-# The only cost forms render_transcript writes: ``3`` or ``7/2``.
+# The shape of the costs render_transcript writes, ``3`` or ``7/2``; lowest terms are checked by rendering back.
 _COST_RE = re.compile(r"([0-9]+)(?:/([1-9][0-9]*))?")
 
 
@@ -37,24 +37,24 @@ def _render_ids(ids: frozenset[str]) -> str:
 
 
 def _parse_ids(text: str) -> frozenset[str]:
-    text = text.strip()
-    if not (text.startswith("{") and text.endswith("}")):
-        raise ScenarioParseError(f"expected an id set, got {text!r}")
-    inner = text[1:-1]
-    return frozenset(part for part in inner.split(",") if part)
+    ids = frozenset(part for part in text[1:-1].split(",") if part)
+    if _render_ids(ids) != text:
+        raise ValueError(f"expected an id set, got {text!r}")
+    return ids
 
 
 def _parse_count(text: str) -> int:
-    if re.fullmatch("[0-9]+", text) is None:
+    if re.fullmatch("[0-9]+", text) is None or str(int(text)) != text:
         raise ValueError(f"expected a count like 3, got {text!r}")
     return int(text)
 
 
 def _parse_cost(text: str) -> Fraction:
     m = _COST_RE.fullmatch(text)
-    if m is None:
+    value = Fraction(int(m[1]), int(m[2] or 1)) if m else None
+    if value is None or format_weight(value) != text:
         raise ValueError(f"expected a cost like 3 or 7/2, got {text!r}")
-    return Fraction(int(m[1]), int(m[2] or 1))
+    return value
 
 
 @dataclass(frozen=True)
@@ -119,8 +119,10 @@ def _format_rows(rows: Sequence[TranscriptRow], scenario: str, policy: str) -> s
 def parse_transcript(text: str) -> ParsedTranscript:
     """Parse a rendered transcript back into structured rows.
 
-    Counts (``3``) and costs (``3`` or ``7/2``) take only the ASCII forms
-    :func:`render_transcript` writes; ``+1``, ``1e0`` and the like raise ``ScenarioParseError``.
+    Each count (``3``), cost (``3`` or ``7/2``) and id set (``{e1,e2}``)
+    cell must be exactly the text :func:`render_transcript` writes for its
+    value; ``+1``, ``03``, ``1e0``, ``6/2``, ``{e2,e1}`` and the like raise
+    ``ScenarioParseError`` with the line number.
     So do a ``# scenario:`` or ``# policy:`` line after the column header
     and a ``Winner:`` line in a transcript with rows, which render never writes.
     """

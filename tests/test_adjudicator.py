@@ -45,7 +45,6 @@ from busterfixer.adjudicator import (
     _Adjudication,
     _Arena,
     _distinct_unions,
-    _play_round,
     verify_optimal_report,
 )
 from busterfixer.graph import EdgeIndex, canonical_form, contract
@@ -361,11 +360,14 @@ def _assert_shared_arena_changes_nothing(positions):
         arena, jobs = _Arena(p), {}
         for busted, candidate, bridge_only in _every_check(p):
             fresh = verify_optimal_report(p, busted, candidate, bridge_only=bridge_only)
-            left, cand_mask = _play_round(arena, busted, candidate)
+            walk = engine._Walk(arena)
+            walk.bust(busted)
+            left = walk.graph
+            walk.fix(candidate)
             if (left, bridge_only) not in jobs:
                 jobs[left, bridge_only] = _Adjudication(arena, left, bridge_only)
             job = jobs[left, bridge_only]
-            ok, failure = job.survives(left | cand_mask, arena.reserve_mask ^ cand_mask)
+            ok, failure = job.survives(walk.graph, walk.reserve)
             assert (ok, len(job.alt_lines)) == (fresh.optimal, fresh.alternatives)
             if not ok:
                 win, total_busted, spent, alt = failure
@@ -516,7 +518,7 @@ def test_theorem_sweep_walks_move_masks_and_names_only_adjudicated_moves(monkeyp
     # order, and checks its greedy trees against the arena's legal responses
     corpus = list(generate_instances(3, 4, (0, 1, 2)))
     expected = [(corpus[index], busted) for index, busted in _post_bust_representatives(corpus)]
-    calls = dict.fromkeys(("enumerate_buster_moves", "_play_round", "_Walk"), 0)
+    calls = dict.fromkeys(("enumerate_buster_moves", "_Walk"), 0)
 
     def counted(name, *modules):
         original = getattr(modules[0], name)
@@ -529,7 +531,6 @@ def test_theorem_sweep_walks_move_masks_and_names_only_adjudicated_moves(monkeyp
             monkeypatch.setattr(module, name, counting, raising=False)
 
     counted("enumerate_buster_moves", engine, adjudicator)
-    counted("_play_round", adjudicator)
     counted("_Walk", adjudicator)
     adjudicated, kernel = [], adjudicator._adjudicate_move
 
@@ -539,7 +540,7 @@ def test_theorem_sweep_walks_move_masks_and_names_only_adjudicated_moves(monkeyp
 
     monkeypatch.setattr(adjudicator, "_adjudicate_move", recording)
     assert theorem_sweep(corpus).ok
-    assert calls == {"enumerate_buster_moves": 0, "_play_round": 0, "_Walk": 0}
+    assert calls == {"enumerate_buster_moves": 0, "_Walk": 0}
     assert len(adjudicated) == 291 and adjudicated == expected
 
 

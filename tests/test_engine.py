@@ -27,6 +27,7 @@ from busterfixer import (
     enumerate_buster_moves,
     greedy_fixer,
     greedy_fixer_move,
+    is_connected,
     play_series,
     random_buster,
     render_transcript,
@@ -271,9 +272,9 @@ def _rounds(*pairs):
         (
             _rounds(({"e1", "e2"}, {"e4"}), ({"e3", "e4"}, {"e5"})),
             Winner.BUSTER,
-            "round 2: Buster-win round must record an empty fix",
+            "only the empty response is legal when Buster wins",
         ),
-        (_rounds(({"e1", "e2"}, ())), Winner.FIXER, "round 1: fix does not reconnect the graph"),
+        (_rounds(({"e1", "e2"}, ())), Winner.FIXER, "fix does not reconnect the graph"),
         ((), Winner.BUSTER, "Buster win requires at least one round"),
         (
             _rounds(({"e1", "e2"}, {"e4"})),
@@ -330,7 +331,6 @@ def test_dataclasses_hash_and_compare(triangle):
 def test_greedy_survives_every_buster_line(triangle):
     # exhaustive walk: while a bust is fixable the greedy policy must
     # produce a legal reconnecting response, whatever Buster does
-    from busterfixer import greedy_fixer_move, is_connected
 
     def walk(pos, depth):
         assert depth <= triangle.total_edges
@@ -460,3 +460,92 @@ def _cli_verify_rejects_fix(p, fixed):
 )
 def test_every_entry_point_enforces_the_one_fix_rule(entry, fixed, triangle):
     entry(triangle, fixed)
+
+
+def _raises_rule(message, call):
+    def check(p, busted, fixed, tmp_path):
+        with pytest.raises(IllegalMoveError) as exc:
+            call(p, frozenset(busted), frozenset(fixed))
+        assert type(exc.value) is IllegalMoveError
+        assert str(exc.value) == message
+
+    return check
+
+
+def _cli_verify_refuses(message, scenario_text=None):
+    def check(p, busted, fixed, tmp_path):
+        # ``scenario_text`` describes ``p``; without it, ``p`` is the bundled paper_1_2 triangle
+        scenario = "paper_1_2.scn"
+        if scenario_text is not None:
+            scenario = str(tmp_path / "p.scn")
+            (tmp_path / "p.scn").write_text(scenario_text, encoding="utf-8")
+        err = io.StringIO()
+        argv = ["verify", scenario, "--busted", ",".join(sorted(busted)), "--candidate", ",".join(sorted(fixed))]
+        with contextlib.redirect_stderr(err):
+            assert cli_main(argv) == 2
+        assert err.getvalue() == f"error: {message}\n"
+
+    return check
+
+
+RECONNECT_RULE = "fix does not reconnect the graph"
+
+
+def _play_series_rejects_reconnect(p, busted, fixed, tmp_path):
+    with pytest.raises(PolicyError) as exc:
+        play_series(p, scripted_buster([busted]), scripted_fixer([fixed]))
+    assert exc.value.round_index == 1
+    assert str(exc.value) == f"round 1: {RECONNECT_RULE}"
+
+
+# On the triangle, busting e1,e2 strands vertex b and busting all three
+# strands every vertex; e4 alone rejoins only a and b.
+@pytest.mark.parametrize(
+    "busted,fixed", [({"e1", "e2"}, ()), ({"e1", "e2", "e3"}, {"e4"})], ids=["empty-fix", "partial-fix"]
+)
+@pytest.mark.parametrize(
+    "entry",
+    [
+        _raises_rule(RECONNECT_RULE, apply_round),
+        _play_series_rejects_reconnect,
+        _raises_rule(RECONNECT_RULE, lambda p, b, f: replay_positions(Series(p, (RoundRecord(b, f),), Winner.FIXER))),
+        _raises_rule(RECONNECT_RULE, verify_optimal_report),
+        _raises_rule(RECONNECT_RULE, verify_optimal_naive),
+        _cli_verify_refuses(RECONNECT_RULE),
+    ],
+    ids=[
+        "apply_round", "play_series", "replay_positions", "verify_optimal_report", "verify_optimal_naive", "cli_verify"
+    ],
+)
+def test_every_entry_point_enforces_the_one_reconnect_rule(entry, busted, fixed, triangle, tmp_path):
+    entry(triangle, busted, fixed, tmp_path)
+
+
+BUSTER_WIN_RULE = "only the empty response is legal when Buster wins"
+
+# Vertices a and b joined by graph edge g; the reserve is a loop r at a, so
+# busting g is a Buster win and only the empty response is legal.
+_LOST = Position(
+    graph=Multigraph(2, (Edge("g", 0, 1, Fraction(1)),)), reserve=Multigraph(2, (Edge("r", 0, 0, Fraction(1)),))
+)
+
+
+@pytest.mark.parametrize("fixed", [{"r"}, {"g"}, {"zz"}], ids=["reserve-edge", "busted-edge", "unknown"])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        _raises_rule(BUSTER_WIN_RULE, apply_round),
+        _raises_rule(
+            BUSTER_WIN_RULE, lambda p, b, f: replay_positions(Series(p, (RoundRecord(b, f),), Winner.BUSTER))
+        ),
+        _raises_rule(BUSTER_WIN_RULE, verify_optimal_report),
+        _raises_rule(BUSTER_WIN_RULE, verify_optimal_naive),
+        _cli_verify_refuses(BUSTER_WIN_RULE, "vertex a\nvertex b\nedge g a b 1 G\nedge r a a 1 R\n"),
+    ],
+    ids=["apply_round", "replay_positions", "verify_optimal_report", "verify_optimal_naive", "cli_verify"],
+)
+def test_every_entry_point_enforces_the_one_buster_win_rule(entry, fixed, tmp_path):
+    assert buster_wins(_LOST, frozenset({"g"}))
+    entry(_LOST, {"g"}, fixed, tmp_path)
+    # the empty response stays legal: the round ends with the graph disconnected
+    assert not is_connected(apply_round(_LOST, frozenset({"g"}), frozenset()).graph)

@@ -1,5 +1,6 @@
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -83,6 +84,39 @@ def test_edge_takes_only_exact_weights(weight):
     with pytest.raises(TypeError, match="weight must be an int or a Fraction"):
         Edge("x", 0, 1, weight)
     assert Edge("x", 0, 1, 2).weight == Fraction(2)
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        ((5, 0, 1, 1), r"^edge 5: id must be a str$"),
+        ((None, 0, 1, 1), r"^edge None: id must be a str$"),
+        (("a", 0.0, 1, 1), r"^edge a: vertex indices must be ints, got 0\.0 and 1$"),
+        (("a", 0, "1", 1), r"^edge a: vertex indices must be ints, got 0 and '1'$"),
+        (("a", Fraction(0), 1, 1), r"^edge a: vertex indices must be ints, got Fraction\(0, 1\) and 1$"),
+    ],
+    ids=["int-id", "no-id", "float-endpoint", "str-endpoint", "fraction-endpoint"],
+)
+def test_edge_refuses_a_non_str_id_and_non_int_endpoints_when_built(args, message):
+    # each would otherwise pass construction and fail later: in union-find, or in a transcript's join
+    with pytest.raises(TypeError, match=message):
+        Edge(*args)
+
+
+def test_edge_checks_keep_their_order():
+    # an id is checked first; a weight's checks come before the endpoints'
+    with pytest.raises(TypeError, match="id must be a str"):
+        Edge(5, -1, 0.0, 1.5)
+    with pytest.raises(TypeError, match="weight must be an int or a Fraction"):
+        Edge("a", 0.0, 1, 1.5)
+    with pytest.raises(ValueError, match="^edge a: negative weight -1$"):
+        Edge("a", 0.0, 1, -1)
+
+
+@pytest.mark.parametrize("vertex_count", [2.5, 2.0, "2", None])
+def test_multigraph_refuses_a_non_int_vertex_count(vertex_count):
+    with pytest.raises(TypeError, match=f"^vertex_count must be an int, got {re.escape(repr(vertex_count))}$"):
+        Multigraph(vertex_count, ())
 
 
 def test_multigraph_validation():

@@ -1,5 +1,6 @@
 """Property tests over random instances, derandomized so every run is identical."""
 
+import random
 import string
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -11,6 +12,7 @@ from busterfixer import (
     QUIT,
     Edge,
     GameError,
+    IllegalMoveError,
     Multigraph,
     Position,
     ScenarioFile,
@@ -18,6 +20,7 @@ from busterfixer import (
     Series,
     Winner,
     all_msts,
+    apply_round,
     buster_wins,
     contract,
     enumerate_buster_moves,
@@ -189,6 +192,38 @@ def test_mask_round_step_matches_multigraph_reference(p, seed):
         assert positions[j + 1] == pos
         survived = series.outcome is Winner.FIXER or j < series.length - 1
         assert is_connected(pos.graph) == survived
+
+
+def _reference_round(p: Position, busted: frozenset, fixed: frozenset) -> Position | None:
+    """The position a round reaches, rebuilt with ``Multigraph`` operations, or None when a rule refuses it."""
+    try:
+        p.check_bust(busted)
+    except IllegalMoveError:
+        return None
+    left = p.graph.without(busted)
+    if not is_connected(left.with_edges(p.reserve.edges)):  # Buster wins: only the empty fix
+        return None if fixed else Position(graph=left, reserve=p.reserve)
+    if not fixed <= p.reserve.ids:
+        return None
+    graph = left.with_edges(p.reserve.edge(i) for i in fixed)
+    return Position(graph=graph, reserve=p.reserve.without(fixed)) if is_connected(graph) else None
+
+
+@PROPERTY
+@given(instances(max_vertices=4, max_total_edges=6), st.integers(0, 10**6))
+def test_apply_round_accepts_exactly_the_rounds_a_multigraph_reference_accepts(p, seed):
+    # a seeded round, legal or not: the bust from the graph or from every id and an unknown
+    # one, the fix from every id or from the reserve alone
+    rng = random.Random(seed)
+    every_id = sorted(p.graph.ids | p.reserve.ids) + ["zz"]
+    busted = frozenset(i for i in rng.choice([sorted(p.graph.ids), every_id]) if rng.random() < 0.5)
+    fixed = frozenset(i for i in every_id if rng.random() < 0.5) & rng.choice([p.reserve.ids, frozenset(every_id)])
+    expected = _reference_round(p, busted, fixed)
+    try:
+        reached = apply_round(p, busted, fixed)
+    except IllegalMoveError:
+        reached = None
+    assert reached == expected
 
 
 def _reference_replay(initial: Position, parsed: ParsedTranscript) -> Series:

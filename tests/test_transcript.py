@@ -231,6 +231,33 @@ def test_parse_transcript_rejects_counts_render_never_writes(triangle, column):
             parse_transcript("".join(lines[:row] + ["|".join(cells)] + lines[row + 1:]))
 
 
+@pytest.mark.parametrize(
+    "row,column,text,expected",
+    [
+        (1, 0, "01", "a count like 3"),
+        (2, 5, "03", "a count like 3"),
+        (1, 6, "1/1", "a cost like 3 or 7/2"),
+        (2, 6, "6/2", "a cost like 3 or 7/2"),
+        (1, 1, "{e3,e1,e2}", "an id set"),
+        (1, 3, "{e1,,e2}", "an id set"),
+        (1, 4, "{e4,e4}", "an id set"),
+    ],
+    ids=["zero-padded-j", "zero-padded-sum", "cost-over-one", "cost-not-lowest", "ids-unsorted", "ids-empty-part",
+         "ids-repeated"],
+)
+def test_parse_transcript_refuses_cells_that_do_not_render_back(triangle, row, column, text, expected):
+    # each cell reads as its row's true value, so replay alone would accept it; only render's own text parses
+    series = play_table_series(triangle, {"e4"}, (frozenset({"e1", "e2"}), frozenset({"e3"})))
+    lines = render_transcript(series, scenario="paper_1_2").splitlines(keepends=True)
+    cells = lines[row + 1].split("|")
+    assert cells[column].strip() != text
+    cells[column] = f" {text} "
+    lines[row + 1] = "|".join(cells)
+    message = f"line {row + 2}: expected {expected}, got {text!r}"
+    with pytest.raises(ScenarioParseError, match=f"^{re.escape(message)}$"):
+        parse_transcript("".join(lines))
+
+
 def test_every_rendered_transcript_parses(triangle):
     # fractional running costs render as n/d and must read back exactly
     halves = Position(
