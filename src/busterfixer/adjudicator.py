@@ -82,8 +82,8 @@ from .engine import (
     series_totals,
 )
 from .errors import BusterWinsError, CapExceededError, IllegalMoveError
-from .graph import (DEFAULT_CAPS, Caps, Edge, EdgeIndex, Multigraph, _bit_indices, _exact, _UnionFind,
-                    canonical_form, contract)
+from .graph import (DEFAULT_CAPS, Caps, Edge, EdgeIndex, Multigraph, _bit_indices, _exact, _UnionFind, contract,
+                    relabelling_columns)
 from .reconnect import all_msts
 
 __all__ = [
@@ -608,60 +608,68 @@ def theorem_sweep(
     unpruned and any disagreement is recorded. A nonempty counterexample
     list is a build-failing event for the corpus this library ships with.
     ``caps`` bounds every enumeration and search; the reserve-subset cap is
-    checked as each instance's arena is built, before its Buster moves or
-    converse list are enumerated.
+    checked as an instance's arena is built, before its converse lists are
+    enumerated, and every class an instance meets was recorded on an arena of
+    its reserve size.
 
     The sweep keys, adjudicates and credits. It walks each instance's Buster
-    moves as arena masks in :func:`enumerate_buster_moves` order, and keys
-    each instance and the position each non-winning move leaves (the busted
-    graph and the whole reserve) by isomorphism class: vertex count and
-    ``canonical_form``, with every graph edge weighed alike (graph weights
-    enter no verdict or tally) and reserve weights as exact ratios. The first
-    move to leave each class in the whole call is adjudicated by
+    moves as graph masks in :func:`enumerate_buster_moves` order. Relabelling
+    each instance once (``graph.relabelling_columns``), it keys the instance
+    and the position each move leaves (the busted graph and the whole reserve)
+    by isomorphism class: the vertex count and the least packed sum over
+    relabellings, every graph edge labelled alike (graph weights enter no
+    verdict or tally) and each reserve weight by its exact ratio. The first
+    move to leave each class in the whole call is adjudicated: a Buster win,
+    found by the arena's ``unfixable``, counts (1, 0); any other move goes to
     :func:`_adjudicate_move`, whose failures become ``Counterexample``s with
     the instance and the bust's ids. An instance gets the sum of its moves'
-    tallies, a Buster-win move counting (1, 0). Later instances
-    and moves of a class get the first one's tallies unless it recorded a
-    failure; instances past the relabelling cap are not keyed. The kernel runs
-    on the instance's arena, whose memos its moves share.
+    tallies. Later instances and moves of a class get the first one's tallies
+    unless it recorded a failure. An instance builds its arena, whose memos
+    its moves share, at its first move of a new class, or at once when it is
+    past the relabelling cap and so not keyed.
     """
     report = SweepReport()
     settings = (True, False) if compare_prune else (True,)  # the pruned verdict first
     shared: dict[tuple, tuple[int, int, int]] = {}  # instance class -> its first clean instance's tallies
     by_class: dict[tuple, tuple[int, int]] = {}  # class of the position a move leaves -> its first clean move's tallies
+    labels: dict[tuple[int, int], int] = {}  # exact reserve weight ratio -> label, first seen first; graph edges are 0
+    width = caps.max_total_edges.bit_length()  # a count field holds every edge of any instance swept
     for p in instances:
         report.instances += 1
         if len(p.graph) == 0:
             continue
         if p.total_edges > caps.max_total_edges:
             raise CapExceededError(f"position has {p.total_edges} edges, cap is {caps.max_total_edges}")
-        # reserve weights as exact integer pairs, which sort and hash in C, unlike Fractions (or
-        # arena-scaled ints, whose scale differs between instances); entry i is arena bit i
-        n = p.graph.vertex_count
-        triples = [(0, e.u, e.v, 0) for e in p.graph]
-        reserve = [(1, e.u, e.v, e.weight.as_integer_ratio()) for e in p.reserve]
+        n, size = p.graph.vertex_count, len(p.graph)
+        edges = [(0, e.u, e.v) for e in p.graph]  # entry i is arena bit i
+        edges += [(labels.setdefault(e.weight.as_integer_ratio(), len(labels) + 1), e.u, e.v) for e in p.reserve]
         try:
-            key = n, canonical_form(n, triples + reserve, caps)
+            columns = relabelling_columns(n, edges, width, caps)
         except CapExceededError:  # too many relabellings to key: adjudicate it alone
             key = None
+        else:  # per relabelling, the reserve's sum; a key adds graph columns to it and takes the least
+            reserve = [sum(sums) for sums in zip(*columns[size:])] or [0] * len(columns[0])
+            key = n, min(map(sum, zip(reserve, *columns[:size])))
         tallies = shared.get(key)
         if tallies is None:
-            arena, moves, clean = _Arena(p, caps), [], True
-            for bust in _move_masks(len(p.graph), caps):
-                left = arena.graph_mask ^ bust
-                if arena.unfixable(left, arena.reserve_mask):  # Buster wins: the forced empty response is optimal
-                    moves.append((1, 0))
-                    continue
+            arena = None if key is not None else _Arena(p, caps)
+            moves, clean, graph_mask = [], True, (1 << size) - 1
+            for bust in _move_masks(size, caps):
+                left = graph_mask ^ bust
                 post = None  # the class of the position the move leaves: the graph edges of left, and the reserve
                 if key is not None:
-                    post = n, canonical_form(n, [triples[i] for i in _bit_indices(left)] + reserve, caps)
+                    post = n, min(map(sum, zip(reserve, *(columns[i] for i in _bit_indices(left)))))
                 move = by_class.get(post)
                 if move is None:
-                    greedy, converse, failures = _adjudicate_move(arena, bust, settings, caps)
-                    for kind, response, detail in failures:
-                        failed = report.prune_mismatches if kind == "prune-mismatch" else report.counterexamples
-                        failed.append(Counterexample(kind, p, arena.ids_of(bust), response, detail))
-                    move, clean = (greedy, converse), clean and not failures
+                    if arena is None:  # the instance's first move of a new class
+                        arena = _Arena(p, caps)
+                    move, failures = (1, 0), []  # a Buster win: the forced empty response is optimal
+                    if not arena.unfixable(left, arena.reserve_mask):
+                        greedy, converse, failures = _adjudicate_move(arena, bust, settings, caps)
+                        for kind, response, detail in failures:
+                            failed = report.prune_mismatches if kind == "prune-mismatch" else report.counterexamples
+                            failed.append(Counterexample(kind, p, arena.ids_of(bust), response, detail))
+                        move, clean = (greedy, converse), clean and not failures
                     if post is not None and not failures:
                         by_class[post] = move
                 moves.append(move)

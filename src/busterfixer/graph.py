@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import permutations
 from math import factorial, lcm
 from operator import attrgetter
@@ -38,6 +38,9 @@ __all__ = [
 ]
 
 _DECIMAL_RE = re.compile(r"(-?)([0-9]+)(?:\.([0-9]+))?")
+# no edge id holds these: transcripts write ids in {a,b} cells of |-separated rows, and # starts a comment
+_RESERVED_ID_CHARACTERS = ", { } | #"  # spaced as messages list them; a space is refused as whitespace anyway
+_ID_RE = re.compile(rf"[^\s{re.escape(_RESERVED_ID_CHARACTERS)}]+")
 
 
 def parse_decimal_weight(text: str) -> Fraction:
@@ -125,9 +128,10 @@ class Edge:
     """A weighted edge between vertex indices, identified by a unique id.
 
     Loops (``u == v``) are representable; they arise naturally in contracted
-    graphs. The id must be a ``str`` and the endpoints ``int``s. The weight
-    must be a nonnegative ``int`` or ``Fraction``; an int is coerced by
-    :func:`_exact`, which refuses any other type.
+    graphs. The id must be a nonempty ``str`` without whitespace or any of
+    ``,{}|#``, so transcripts can write it back, and the endpoints ``int``s.
+    The weight must be a nonnegative ``int`` or ``Fraction``; an int is
+    coerced by :func:`_exact`, which refuses any other type.
     """
 
     id: str
@@ -138,6 +142,8 @@ class Edge:
     def __post_init__(self):
         if not isinstance(self.id, str):
             raise TypeError(f"edge {self.id!r}: id must be a str")
+        if not _ID_RE.fullmatch(self.id):
+            raise ValueError(f"edge id {self.id!r} is empty or holds whitespace or one of {_RESERVED_ID_CHARACTERS}")
         if not isinstance(self.weight, Fraction):
             object.__setattr__(self, "weight", _exact(self.weight))
         if self.weight.numerator < 0:  # a Fraction's denominator is always positive
@@ -285,27 +291,41 @@ def contract(base: Multigraph, reserve: Iterable[Edge]) -> Multigraph:
     return Multigraph(max(labels) + 1, tuple(Edge(e.id, labels[e.u], labels[e.v], e.weight) for e in reserve))
 
 
-def canonical_form(vertex_count: int, triples: Iterable[tuple], caps: Caps = DEFAULT_CAPS) -> tuple:
-    """The least sorted tuple of ``(pool, min endpoint, max endpoint, weight)`` over vertex relabellings.
+@cache
+def _column(vertex_count: int, label: int, u: int, v: int, width: int) -> tuple[int, ...]:
+    return tuple(
+        1 << width * ((label * vertex_count + min(perm[u], perm[v])) * vertex_count + max(perm[u], perm[v]))
+        for perm in permutations(range(vertex_count))
+    )
 
-    ``triples`` holds one ``(pool, u, v, weight)`` per edge; ``pool`` tells
-    apart edge sets described together, such as graph and reserve. Two edge
-    multisets over the same vertex count get equal forms exactly when a
-    relabelling maps one onto the other. Brute force; raises
-    ``CapExceededError`` when ``vertex_count!`` exceeds ``caps.max_subsets``.
+
+def relabelling_columns(vertex_count: int, edges: Iterable[tuple], width: int, caps: Caps = DEFAULT_CAPS) -> list:
+    """Each small-int ``(label, u, v)`` edge packed under every vertex relabelling, one tuple per edge.
+
+    Under a relabelling, in ``permutations`` order, an edge is a count of one in the ``width``-bit field of
+    ``(label, min endpoint, max endpoint)``, so a position-wise sum of columns packs each relabelled multiset,
+    exactly while no field counts ``2**width`` edges. Columns are memoized on their small-int arguments, so
+    memo writes are idempotent. Raises ``CapExceededError`` when ``vertex_count!`` exceeds ``caps.max_subsets``.
     """
     if factorial(vertex_count) > caps.max_subsets:
         raise CapExceededError(f"{vertex_count}! relabellings exceeds cap {caps.max_subsets}")
-    triples, best = tuple(triples), None
-    for perm in permutations(range(vertex_count)):
-        form = []
-        for pool, u, v, weight in triples:
-            u, v = perm[u], perm[v]
-            form.append((pool, u, v, weight) if u <= v else (pool, v, u, weight))
-        form.sort()
-        if best is None or form < best:
-            best = form
-    return tuple(best)
+    return [_column(vertex_count, label, u, v, width) for label, u, v in edges]
+
+
+def canonical_form(vertex_count: int, triples: Iterable[tuple], caps: Caps = DEFAULT_CAPS) -> tuple:
+    """An edge multiset's isomorphism-class key: its size, its labels and its least packed form.
+
+    ``triples`` holds one ``(pool, u, v, weight)`` per edge; ``pool`` tells apart edge sets described
+    together, such as graph and reserve. Each distinct ``(pool, weight)`` is labelled by its sorted rank,
+    and the packed form is the least :func:`relabelling_columns` sum over relabellings. Two edge multisets
+    over the same vertex count get equal forms exactly when a relabelling maps one onto the other. Raises
+    ``CapExceededError`` when ``vertex_count!`` exceeds ``caps.max_subsets``.
+    """
+    triples = tuple(triples)
+    labels = sorted({(pool, weight) for pool, _, _, weight in triples})
+    edges = [(labels.index((pool, weight)), u, v) for pool, u, v, weight in triples]
+    columns = relabelling_columns(vertex_count, edges, len(triples).bit_length(), caps)
+    return len(triples), tuple(labels), min(map(sum, zip(*columns)), default=0)
 
 
 def _bit_indices(mask: int) -> Iterator[int]:

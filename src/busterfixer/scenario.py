@@ -29,13 +29,10 @@ from importlib import resources
 
 from .engine import QUIT, BusterAction, Position, _QuitToken
 from .errors import ScenarioParseError, ScenarioValidationError
-from .graph import Edge, Multigraph, format_decimal_weight, is_connected, parse_decimal_weight
+from .graph import (_ID_RE, _RESERVED_ID_CHARACTERS, Edge, Multigraph, format_decimal_weight, is_connected,
+                    parse_decimal_weight)
 
 __all__ = ["ScenarioFile", "load_bundled_scenario", "parse_scenario", "render_scenario"]
-
-# Characters the transcript format uses around ids (``{a,b}`` cells in
-# ``|``-separated rows) or that start a comment.
-_RESERVED_ID_CHARACTERS = frozenset(",{}|#")
 
 
 @dataclass(frozen=True)
@@ -131,9 +128,9 @@ def parse_scenario(text: bytes | str, name: str = "scenario") -> ScenarioFile:
     for decl in declarations:
         if decl.id in seen_ids:
             raise ScenarioValidationError(f"duplicate edge id {decl.id!r}")
-        if _RESERVED_ID_CHARACTERS.intersection(decl.id) or decl.id == "quit":
+        if not _ID_RE.fullmatch(decl.id) or decl.id == "quit":
             raise ScenarioValidationError(
-                f"edge id {decl.id!r} is quit or contains one of , {{ }} | #,"
+                f"edge id {decl.id!r} is quit or contains one of {_RESERVED_ID_CHARACTERS},"
                 " which scripts and transcripts cannot represent"
             )
         seen_ids.add(decl.id)

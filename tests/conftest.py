@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -62,3 +63,17 @@ def random_instance(rng: random.Random, max_vertices: int = 4, max_total_edges: 
         w = Fraction(rng.randrange(0, 9), rng.choice((1, 1, 2)))
         reserve_edges.append(Edge(f"r{i}", rng.randrange(n), rng.randrange(n), w))
     return Position(graph=Multigraph(n, tuple(graph_edges)), reserve=Multigraph(n, tuple(reserve_edges)))
+
+
+def brute_force_form(vertex_count: int, triples) -> tuple:
+    """The least sorted ``(pool, min endpoint, max endpoint, weight)`` tuple over every vertex relabelling.
+
+    The oracle for ``graph.canonical_form``: two edge multisets are relabellings of each other
+    exactly when their brute-force forms are equal.
+    """
+    best = None
+    for perm in permutations(range(vertex_count)):
+        form = sorted((pool, *sorted((perm[u], perm[v])), weight) for pool, u, v, weight in triples)
+        if best is None or form < best:
+            best = form
+    return tuple(best)

@@ -47,10 +47,10 @@ from busterfixer.adjudicator import (
     _distinct_unions,
     verify_optimal_report,
 )
-from busterfixer.graph import EdgeIndex, canonical_form, contract
+from busterfixer.graph import EdgeIndex, contract
 from busterfixer.reconnect import all_msts, all_spanning_trees
 
-from conftest import random_instance, triangle_position
+from conftest import brute_force_form, random_instance, triangle_position
 from series_tables import ALL_SERIES, FAMILY_A, play_table_series
 from test_properties import PROPERTY, instances
 
@@ -466,9 +466,9 @@ def test_theorem_sweep_refuses_a_greedy_tree_that_names_a_graph_edge(triangle, m
 
 
 def _class_of(p):
-    """The isomorphism class of ``p`` up to graph weights: its vertex count and canonical form."""
+    """The isomorphism class of ``p`` up to graph weights: its vertex count and brute-force form."""
     triples = [(0, e.u, e.v, 0) for e in p.graph] + [(1, e.u, e.v, e.weight) for e in p.reserve]
-    return p.graph.vertex_count, canonical_form(p.graph.vertex_count, triples)
+    return p.graph.vertex_count, brute_force_form(p.graph.vertex_count, triples)
 
 
 def _post_bust_representatives(corpus):
@@ -569,16 +569,23 @@ def _counting_arenas(monkeypatch):
 
 def test_theorem_sweep_adjudicates_one_instance_per_class(monkeypatch):
     # later members of a class are credited with the first member's tallies
-    # and build no arena; the report is the sum of one-instance sweeps
+    # and build no arena; a first member builds one only when some move of it
+    # leaves a position of a new class, Buster-win moves included; the report
+    # is the sum of one-instance sweeps
     corpus = list(generate_instances(3, 4, (0, 1, 2)))
     singles = [_tallies(theorem_sweep([p], compare_prune=True)) for p in corpus]
     arenas = _counting_arenas(monkeypatch)
     report = theorem_sweep(corpus, compare_prune=True)
-    first = {}
+    first, left, expected = {}, set(), []
     for p in corpus:
-        first.setdefault(_class_of(p), p)
-    assert (len(corpus), len(first)) == (1_415, 471)
-    assert all(a is b for a, b in zip(arenas, first.values(), strict=True))  # each class's first member
+        if first.setdefault(_class_of(p), p) is p:
+            moves = enumerate_buster_moves(p)
+            posts = {_class_of(Position(graph=p.graph.without(b), reserve=p.reserve)) for b in moves}
+            if posts - left:
+                expected.append(p)
+            left |= posts
+    assert (len(corpus), len(first), len(expected)) == (1_415, 471, 375)
+    assert all(a is b for a, b in zip(arenas, expected, strict=True))
     assert _tallies(report) == tuple(map(sum, zip(*singles)))
 
 
@@ -691,8 +698,10 @@ def test_theorem_sweep_adjudicates_one_move_per_post_bust_class(monkeypatch):
     counts = _flip_verdicts(monkeypatch, {False, True})
     flipped = theorem_sweep(corpus, compare_prune=True)
     assert counts["jobs"] == 2 * non_winning
-    monkeypatch.setattr(adjudicator, "canonical_form", Mock(side_effect=CapExceededError("unkeyed")))
+    counts["jobs"] = 0
+    monkeypatch.setattr(adjudicator, "relabelling_columns", Mock(side_effect=CapExceededError("unkeyed")))
     unshared = theorem_sweep(corpus, compare_prune=True)
+    assert counts["jobs"] == 2 * non_winning
     assert flipped.counterexamples == unshared.counterexamples and len(flipped.counterexamples) > non_winning
     assert flipped.prune_mismatches == unshared.prune_mismatches == []
 

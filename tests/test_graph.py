@@ -16,6 +16,7 @@ from busterfixer import (
     component_count,
     components,
     contract,
+    enumerate_buster_moves,
     format_weight,
     generate_instances,
     is_connected,
@@ -23,7 +24,7 @@ from busterfixer import (
 )
 from busterfixer.graph import EdgeIndex, canonical_form
 
-from conftest import random_multigraph, triangle_position
+from conftest import brute_force_form, random_multigraph, triangle_position
 from test_properties import PROPERTY
 
 
@@ -101,6 +102,14 @@ def test_edge_refuses_a_non_str_id_and_non_int_endpoints_when_built(args, messag
     # each would otherwise pass construction and fail later: in union-find, or in a transcript's join
     with pytest.raises(TypeError, match=message):
         Edge(*args)
+
+
+@pytest.mark.parametrize("edge_id", ["", " ", "a b", "a\tb", "x,y", "{x", "r}", "x|y", "x#y"])
+def test_edge_refuses_an_id_transcripts_cannot_write_back(edge_id):
+    # a transcript writes id sets as {a,b} cells in |-separated rows: the ids x,y and r}
+    # would render as {x,y,z} | {r}}, which replays as other sets, and an empty id as {}
+    with pytest.raises(ValueError, match=re.escape(f"edge id {edge_id!r} is empty or holds whitespace or one of ")):
+        Edge(edge_id, 0, 1, 1)
 
 
 def test_edge_checks_keep_their_order():
@@ -249,8 +258,6 @@ def test_canonical_form_is_equal_across_relabellings():
         moved = [(pool, perm[u], perm[v], w) for pool, u, v, w in triples]
         rng.shuffle(moved)
         assert canonical_form(n, moved) == form
-        assert form == tuple(sorted(form))
-        assert all(u <= v for _, u, v, _ in form)
 
 
 def test_canonical_form_separates_a_path_by_its_middle_vertex():
@@ -259,6 +266,52 @@ def test_canonical_form_separates_a_path_by_its_middle_vertex():
     assert canonical_form(3, path) == canonical_form(3, [(0, 1, 0, Fraction(1)), (0, 0, 2, Fraction(2))])
     assert canonical_form(3, path) != canonical_form(3, [(0, 0, 1, Fraction(2)), (0, 1, 2, Fraction(2))])
     assert canonical_form(3, path) != canonical_form(3, [(0, 0, 1, Fraction(1)), (1, 1, 2, Fraction(2))])
+
+
+def _partitions_agree(keys, oracle_keys):
+    """Do two keyings of one list of items split it into the same classes?"""
+    return len(set(keys)) == len(set(oracle_keys)) == len(set(zip(keys, oracle_keys)))
+
+
+def test_canonical_form_partitions_instances_and_post_bust_positions_as_brute_force_does():
+    # the sweep's two keyings: each instance, and the position each Buster move leaves
+    # (the busted graph and the whole reserve), graph edges weighed alike
+    instances, positions = [], []
+    for p in generate_instances(3, 4, (0, 1, 2)):
+        n, reserve = p.graph.vertex_count, [(1, e.u, e.v, e.weight) for e in p.reserve]
+        instances.append((n, [(0, e.u, e.v, 0) for e in p.graph] + reserve))
+        for busted in enumerate_buster_moves(p):
+            positions.append((n, [(0, e.u, e.v, 0) for e in p.graph.without(busted)] + reserve))
+    for items, classes in ((instances, 471), (positions, 535)):
+        keys = [(n, canonical_form(n, triples)) for n, triples in items]
+        assert _partitions_agree(keys, [(n, brute_force_form(n, triples)) for n, triples in items])
+        assert len(set(keys)) == classes < len(items)
+
+
+_TRIPLE = st.tuples(
+    st.integers(0, 1), st.integers(0, 3), st.integers(0, 3), st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)])
+)
+
+
+@PROPERTY
+@given(
+    n=st.integers(1, 4),
+    triples=st.lists(_TRIPLE, max_size=7),
+    perm=st.permutations(range(4)),
+    edit=st.none() | st.tuples(st.integers(0, 6), _TRIPLE),
+)
+def test_canonical_form_matches_brute_force_on_drawn_relabellings(n, triples, perm, edit):
+    # a relabelled copy, shuffled, sometimes with one edge replaced: the forms
+    # are equal exactly when the brute-force forms are
+    triples = [(pool, u % n, v % n, w) for pool, u, v, w in triples]
+    ranks = [vertex for vertex in perm if vertex < n]  # a permutation of range(n)
+    moved = [(pool, ranks[u], ranks[v], w) for pool, u, v, w in reversed(triples)]
+    assert canonical_form(n, moved) == canonical_form(n, triples)
+    if edit is not None and triples:
+        at, (pool, u, v, w) = edit
+        moved[at % len(moved)] = (pool, u % n, v % n, w)
+    same = canonical_form(n, moved) == canonical_form(n, triples)
+    assert same == (brute_force_form(n, moved) == brute_force_form(n, triples))
 
 
 @pytest.mark.parametrize("corpus, classes", [((3, 4), 471), ((3, 5), 2_523)])
@@ -274,4 +327,5 @@ def test_canonical_form_raises_past_the_relabelling_cap():
         canonical_form(8, path)  # 8! = 40,320 relabellings, over the default 4,096
     with pytest.raises(CapExceededError):
         canonical_form(3, path[:2], Caps(max_subsets=5))
-    assert canonical_form(3, path[:2], Caps(max_subsets=6)) == ((0, 0, 1, 1), (0, 0, 2, 1))  # centre at 0
+    # centre at 0: one count in each of the 2-bit fields of (label 0, 0, 1) and (label 0, 0, 2)
+    assert canonical_form(3, path[:2], Caps(max_subsets=6)) == (2, ((0, Fraction(1)),), 1 << 2 | 1 << 4)
