@@ -70,6 +70,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from operator import add
 from typing import Iterable, Iterator
 
 from .engine import (
@@ -613,12 +614,15 @@ def theorem_sweep(
     its reserve size.
 
     The sweep keys, adjudicates and credits. It walks each instance's Buster
-    moves as graph masks in :func:`enumerate_buster_moves` order. Relabelling
-    each instance once (``graph.relabelling_columns``), it keys the instance
-    and the position each move leaves (the busted graph and the whole reserve)
-    by isomorphism class: the vertex count and the least packed sum over
-    relabellings, every graph edge labelled alike (graph weights enter no
-    verdict or tally) and each reserve weight by its exact ratio. The first
+    moves as graph masks in :func:`enumerate_buster_moves` order. It keys the
+    instance and the position each move leaves (the busted graph and the
+    whole reserve) by isomorphism class: the vertex count and the least packed
+    sum over relabellings, every graph edge labelled alike (graph weights
+    enter no verdict or tally) and each reserve weight by its exact ratio.
+    With ``graph.relabelling_columns`` it relabels each instance's reserve
+    once, and each graph once while consecutive instances share its object (a
+    one-slot cache keyed by identity); a key adds the reserve's per-relabelling
+    sum to that of the graph edges kept, summed once per graph mask. The first
     move to leave each class in the whole call is adjudicated: a Buster win,
     found by the arena's ``unfixable``, counts (1, 0); any other move goes to
     :func:`_adjudicate_move`, whose failures become ``Counterexample``s with
@@ -634,6 +638,13 @@ def theorem_sweep(
     by_class: dict[tuple, tuple[int, int]] = {}  # class of the position a move leaves -> its first clean move's tallies
     labels: dict[tuple[int, int], int] = {}  # exact reserve weight ratio -> label, first seen first; graph edges are 0
     width = caps.max_total_edges.bit_length()  # a count field holds every edge of any instance swept
+    held = columns = sums = None  # the graph object last relabelled, its columns, and graph-bit mask -> their sum
+
+    def graph_sum(mask: int) -> list[int]:  # per relabelling, the held graph's columns at mask's bits, summed once
+        if mask not in sums:
+            sums[mask] = list(map(sum, zip(sums[0], *(columns[i] for i in _bit_indices(mask)))))
+        return sums[mask]
+
     for p in instances:
         report.instances += 1
         if len(p.graph) == 0:
@@ -641,24 +652,26 @@ def theorem_sweep(
         if p.total_edges > caps.max_total_edges:
             raise CapExceededError(f"position has {p.total_edges} edges, cap is {caps.max_total_edges}")
         n, size = p.graph.vertex_count, len(p.graph)
-        edges = [(0, e.u, e.v) for e in p.graph]  # entry i is arena bit i
-        edges += [(labels.setdefault(e.weight.as_integer_ratio(), len(labels) + 1), e.u, e.v) for e in p.reserve]
+        graph_mask = (1 << size) - 1
+        edges = [(labels.setdefault(e.weight.as_integer_ratio(), len(labels) + 1), e.u, e.v) for e in p.reserve]
         try:
-            columns = relabelling_columns(n, edges, width, caps)
+            if p.graph is not held:  # graph column i is arena bit i; the slot changes only once they are built
+                columns = relabelling_columns(n, [(0, e.u, e.v) for e in p.graph], width, caps)
+                held, sums = p.graph, {0: [0] * len(columns[0])}
+            reserve = list(map(sum, zip(sums[0], *relabelling_columns(n, edges, width, caps))))
         except CapExceededError:  # too many relabellings to key: adjudicate it alone
             key = None
-        else:  # per relabelling, the reserve's sum; a key adds graph columns to it and takes the least
-            reserve = [sum(sums) for sums in zip(*columns[size:])] or [0] * len(columns[0])
-            key = n, min(map(sum, zip(reserve, *columns[:size])))
+        else:  # per relabelling, the reserve's sum; a key adds a graph mask's sum to it and takes the least
+            key = n, min(map(add, reserve, graph_sum(graph_mask)))
         tallies = shared.get(key)
         if tallies is None:
             arena = None if key is not None else _Arena(p, caps)
-            moves, clean, graph_mask = [], True, (1 << size) - 1
+            moves, clean = [], True
             for bust in _move_masks(size, caps):
                 left = graph_mask ^ bust
                 post = None  # the class of the position the move leaves: the graph edges of left, and the reserve
                 if key is not None:
-                    post = n, min(map(sum, zip(reserve, *(columns[i] for i in _bit_indices(left)))))
+                    post = n, min(map(add, reserve, graph_sum(left)))
                 move = by_class.get(post)
                 if move is None:
                     if arena is None:  # the instance's first move of a new class
@@ -699,7 +712,9 @@ def generate_instances(
     edges). Instances whose graph is empty are skipped, since Buster has
     no move to check there. Instances on one vertex count share their
     reserve ``Edge`` objects, one per id ``r{i}`` and endpoint/weight type,
-    while the reserve multisets themselves are drawn lazily.
+    while the reserve multisets themselves are drawn lazily. All reserves of
+    one graph share one graph ``Multigraph`` and come out consecutively;
+    :func:`theorem_sweep` relies on that for speed only, never for correctness.
     """
     weights = tuple(dict.fromkeys(map(_exact, reserve_weights)))  # a repeated weight would repeat instances
     for n in range(1, max_vertices + 1):

@@ -3,7 +3,7 @@ import pickle
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, groupby, product
 from types import SimpleNamespace
 from unittest.mock import Mock
 
@@ -589,16 +589,71 @@ def test_theorem_sweep_adjudicates_one_instance_per_class(monkeypatch):
     assert _tallies(report) == tuple(map(sum, zip(*singles)))
 
 
-def test_theorem_sweep_adjudicates_each_copy_past_the_relabelling_cap(monkeypatch):
-    # 8! relabellings exceed the default cap: the tree is swept, never shared, never refused
-    tree = Position(
+def _past_the_cap_tree():
+    """A path on 8 vertices: its 8! relabellings exceed the default cap."""
+    return Position(
         graph=Multigraph(8, tuple(Edge(f"g{v}", v, v + 1, 1) for v in range(7))),
         reserve=Multigraph(8, ()),
     )
+
+
+def test_theorem_sweep_adjudicates_each_copy_past_the_relabelling_cap(monkeypatch):
+    # 8! relabellings exceed the default cap: the tree is swept, never shared, never refused
+    tree = _past_the_cap_tree()
     arenas = _counting_arenas(monkeypatch)
     report = theorem_sweep([tree, tree])
     assert len(arenas) == 2
     assert _tallies(report) == (2, 2 * 127, 2 * 127, 0, 0, 0)
+
+
+def test_theorem_sweep_keys_alike_however_graph_objects_are_shared(monkeypatch):
+    # the sweep sums a graph's relabelling columns once while consecutive
+    # instances share its graph object; every graph rebuilt as its own equal
+    # object, a shuffled order, an unkeyed instance between two instances of
+    # one graph object, or a relabelling that fails once on a shared graph
+    # must not move a report off the sum of one-instance sweeps
+    corpus = list(generate_instances(3, 4, (0, 1, 2)))
+    rebuilt = [Position(graph=Multigraph(p.graph.vertex_count, p.graph.edges), reserve=p.reserve) for p in corpus]
+    assert all(a == b and a.graph is not b.graph for a, b in zip(corpus, rebuilt))
+    cut = next(i for i in range(1, len(corpus)) if corpus[i].graph is corpus[i - 1].graph)
+    tree = _past_the_cap_tree()
+    singles = {p: _tallies(theorem_sweep([p], compare_prune=True)) for p in (*corpus, tree)}
+    built, adjudication = [], adjudicator._Adjudication
+
+    def recording(arena, left, bridge_only):
+        built[-1].append((arena.position, left, bridge_only))
+        return adjudication(arena, left, bridge_only)
+
+    monkeypatch.setattr(adjudicator, "_Adjudication", recording)
+    orders = corpus, rebuilt, random.Random(5).sample(corpus, len(corpus)), [*corpus[:cut], tree, *corpus[cut:]]
+    for order in orders:
+        built.append([])
+        report = theorem_sweep(order, compare_prune=True)
+        assert _tallies(report) == tuple(map(sum, zip(*(singles[p] for p in order))))
+    assert built[0] == built[1] and len(built[0]) == 2 * 291
+    # the first relabelling of the graph that corpus[cut - 1] and corpus[cut]
+    # share fails: the slot must not hold that graph without its columns
+    relabel, failed = adjudicator.relabelling_columns, []
+
+    def failing_once(n, edges, *args):
+        edges = list(edges)
+        if not failed and edges == [(0, e.u, e.v) for e in corpus[cut].graph]:
+            failed.append(edges)
+            raise CapExceededError("once")
+        return relabel(n, edges, *args)
+
+    monkeypatch.setattr(adjudicator, "relabelling_columns", failing_once)
+    report = theorem_sweep(corpus, compare_prune=True)
+    assert failed and _tallies(report) == tuple(map(sum, zip(*(singles[p] for p in corpus))))
+
+
+def test_generate_instances_yields_each_graph_object_in_one_run():
+    # the sweep sums a graph's columns once per run of consecutive instances
+    # that share its graph object: a generator that split a graph's instances
+    # into several runs would slow the sweep without changing a report
+    corpus = list(generate_instances(3, 5, (0, 1, 2)))
+    runs = [graph for graph, _ in groupby(corpus, key=lambda p: id(p.graph))]
+    assert len(corpus) == 10_015 and len(runs) == len(set(runs)) == 236
 
 
 def _flip_verdicts(monkeypatch, settings):
