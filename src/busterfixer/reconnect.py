@@ -2,12 +2,12 @@
 
 The greedy Fixer response to a bust is a cheapest reserve subset that
 reconnects the graph, which is exactly a minimum spanning tree of the
-contracted component multigraph. This module grows such a tree with Prim's
-algorithm under a deterministic tie-break, enumerates *all* minimum
-spanning trees by brute force (instances are desk-scale, and the
-enumeration doubles as an independent oracle for the Prim construction),
-and certifies whether an arbitrary spanning tree could have been produced
-by some run of Prim's algorithm.
+contracted component multigraph. This module finds that tree with Kruskal's
+algorithm on a union-find of the busted graph, grows it with Prim's
+algorithm on the contracted multigraph as an oracle, enumerates *all*
+minimum spanning trees by brute force (a second, independent oracle), and
+certifies whether an arbitrary spanning tree could have been produced by
+some run of Prim's algorithm.
 
 Everything here is a pure function over immutable inputs.
 """
@@ -26,7 +26,8 @@ from .errors import (
     DisconnectedError,
     NotSpanningTreeError,
 )
-from .graph import DEFAULT_CAPS, Caps, Edge, Multigraph, _UnionFind, contract
+from .graph import DEFAULT_CAPS, Caps, Edge, Multigraph, _UnionFind
+from .graph import contract  # noqa: F401  unused here, kept because perfbench's binding self-test reads it
 
 if TYPE_CHECKING:
     from .engine import Position
@@ -214,18 +215,30 @@ def greedy_fixer_move(position: "Position", busted: frozenset[str]) -> frozenset
     all connecting reserve subsets, and |F| is one less than the number of
     components.
 
+    This is Kruskal's tree: the kept graph edges are unioned, then each
+    reserve edge in ``(weight, id)`` order is kept if it joins two parts.
+    Ids are unique, so the order is strict and its minimum spanning tree is
+    unique: the tree is :func:`prim_mst` of the contracted multigraph.
+
     Raises ``BusterWinsError`` when even the full reserve cannot reconnect
     (callers record the empty response by convention), and
     ``IllegalMoveError`` for an illegal bust (see
     :meth:`~busterfixer.engine.Position.check_bust`).
+
+    Examples
+    --------
+    >>> from busterfixer.engine import Position
+    >>> graph = Multigraph(3, (Edge("g", 1, 2, Fraction(1)),))
+    >>> reserve = Multigraph(3, (Edge("a", 1, 2, Fraction(1)), Edge("b", 0, 2, Fraction(1)),
+    ...                          Edge("c", 0, 1, Fraction(1))))
+    >>> sorted(greedy_fixer_move(Position(graph, reserve), frozenset({"g"})))
+    ['a', 'b']
     """
     position.check_bust(busted)
-    remaining = position.graph.without(busted)
-    m = contract(remaining, position.reserve.edges)
-    if m.vertex_count == 1:
-        return frozenset()
-    try:
-        tree = prim_mst(m)
-    except DisconnectedError:
-        raise BusterWinsError("reserve cannot reconnect the busted graph") from None
-    return tree.edge_ids
+    uf = _UnionFind(position.graph.vertex_count)
+    joined = sum(uf.union(e.u, e.v) for e in position.graph.edges if e.id not in busted)
+    # sorted is stable over the reserve's id order, so this is the (weight, id) order
+    chosen = frozenset(e.id for e in sorted(position.reserve.edges, key=lambda e: e.weight) if uf.union(e.u, e.v))
+    if joined + len(chosen) < position.graph.vertex_count - 1:
+        raise BusterWinsError("reserve cannot reconnect the busted graph")
+    return chosen

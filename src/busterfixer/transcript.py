@@ -196,12 +196,12 @@ def replay_transcript(initial: Position, parsed: ParsedTranscript) -> Series:
     if len(rows) != len(parsed.rows):
         raise ScenarioParseError(f"transcript has {len(parsed.rows)} rows, replay has {len(rows)}")
     for built, row in zip(rows, parsed.rows):
-        mismatches = [
-            column
-            for column, field in zip(_COLUMNS, fields(TranscriptRow))
-            if getattr(built, field.name) != getattr(row, field.name)
-        ]
-        if mismatches:
+        if built != row:
+            mismatches = [
+                column
+                for column, field in zip(_COLUMNS, fields(TranscriptRow))
+                if getattr(built, field.name) != getattr(row, field.name)
+            ]
             raise ScenarioParseError(
                 f"round {built.round_index}: transcript disagrees with replay on {', '.join(mismatches)}"
             )

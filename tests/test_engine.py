@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from busterfixer import engine
+from busterfixer import engine, graph, reconnect
 from busterfixer import (
     DEFAULT_CAPS,
     QUIT,
@@ -156,6 +156,27 @@ def test_play_series_greedy_reproduces_first_family_line(triangle):
     assert series_totals(series) == OutcomeTriple(False, 4, Fraction(3))
     # greedy picks e4 in round 1 without being scripted to
     assert series.rounds[0].fixed == {"e4"}
+
+
+def test_greedy_play_contracts_nothing_and_builds_two_multigraphs_per_later_round(triangle, monkeypatch):
+    # each later round builds only its entering Position for the policies; the greedy fix builds no graph
+    contracted, built = [], []
+    contract, post_init = graph.contract, Multigraph.__post_init__
+
+    def counting_contract(base, reserve):
+        contracted.append(base)
+        return contract(base, reserve)
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    for module in (graph, reconnect):
+        monkeypatch.setattr(module, "contract", counting_contract)
+    monkeypatch.setattr(Multigraph, "__post_init__", counting_post_init)
+    series = play_series(triangle, random_buster(1), greedy_fixer())
+    assert len(series.rounds) == 3 and series.rounds[0].fixed
+    assert contracted == [] and len(built) == 2 * (len(series.rounds) - 1)
 
 
 def test_play_series_quit_gives_fixer_win(triangle):

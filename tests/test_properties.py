@@ -31,6 +31,7 @@ from busterfixer import (
     parse_scenario,
     parse_transcript,
     play_series,
+    prim_mst,
     random_buster,
     render_scenario,
     render_transcript,
@@ -90,7 +91,8 @@ def test_greedy_fixer_move_is_a_minimum_spanning_tree(p):
         if buster_wins(p, busted):
             continue
         m = contract(p.graph.without(busted), p.reserve.edges)
-        assert greedy_fixer_move(p, busted) in {t.edge_ids for t in all_msts(m)}
+        move = greedy_fixer_move(p, busted)
+        assert move in {t.edge_ids for t in all_msts(m)} and move == prim_mst(m).edge_ids
 
 
 @PROPERTY

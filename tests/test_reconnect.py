@@ -11,11 +11,15 @@ from busterfixer import (
     IllegalMoveError,
     Multigraph,
     NotSpanningTreeError,
+    Position,
     SpanningTree,
     all_msts,
     all_spanning_trees,
+    buster_wins,
     contract,
+    enumerate_buster_moves,
     enumerate_fixer_responses,
+    generate_instances,
     greedy_fixer_move,
     prim_mst,
     prim_reachable,
@@ -186,6 +190,41 @@ def test_prim_reachable_exactly_the_msts_small_exhaustive():
 
 def test_greedy_move_worked_example(triangle):
     assert greedy_fixer_move(triangle, frozenset({"e1", "e2"})) == {"e4"}
+
+
+def test_greedy_move_is_prim_of_the_contracted_graph_on_the_default_corpus():
+    # every move of the (3, 5) corpus: Kruskal's greedy equals the Prim oracle, and raises where Buster wins
+    checked = 0
+    for p in generate_instances(3, 5, (0, 1, 2)):
+        for busted in enumerate_buster_moves(p):
+            if buster_wins(p, busted):
+                with pytest.raises(BusterWinsError):
+                    greedy_fixer_move(p, busted)
+                continue
+            checked += 1
+            assert greedy_fixer_move(p, busted) == prim_mst(contract(p.graph.without(busted), p.reserve.edges)).edge_ids
+    assert checked == 32285
+
+
+def test_greedy_move_ties_go_to_the_smallest_id_away_from_component_zero():
+    # busting p01 and p23 leaves {0}, {1, 2} and {3}; every reserve edge weighs 1 but the loop l, which weighs 0
+    graph = Multigraph(4, tuple(Edge(f"p{u}{v}", u, v, Fraction(1)) for u, v in ((0, 1), (1, 2), (2, 3))))
+    reserve = Multigraph(4, (
+        Edge("a", 2, 3, Fraction(1)),  # joins {1, 2} and {3}, away from component 0
+        Edge("b", 1, 3, Fraction(1)),  # parallel to a in the contracted graph
+        Edge("c", 0, 3, Fraction(1)),
+        Edge("d", 0, 1, Fraction(1)),
+        Edge("e", 0, 1, Fraction(1)),  # identical to d but for its id
+        Edge("l", 3, 3, Fraction(0)),
+    ))
+    p = Position(graph=graph, reserve=reserve)
+    busted = frozenset({"p01", "p23"})
+    m = contract(graph.without(busted), reserve.edges)
+    assert len(all_msts(m)) == 8
+    assert greedy_fixer_move(p, busted) == prim_mst(m).edge_ids == {"a", "c"}
+    # the identical pair: whichever of d and e comes first in id order is taken, whatever the input order
+    twins = Multigraph(4, (Edge("e", 0, 1, Fraction(1)), Edge("d", 0, 1, Fraction(1)), Edge("a", 1, 3, Fraction(1))))
+    assert greedy_fixer_move(Position(graph=graph, reserve=twins), busted) == {"a", "d"}
 
 
 def test_greedy_move_second_round():
