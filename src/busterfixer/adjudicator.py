@@ -84,7 +84,7 @@ from .engine import (
 )
 from .errors import BusterWinsError, CapExceededError, IllegalMoveError
 from .graph import (DEFAULT_CAPS, Caps, Edge, EdgeIndex, Multigraph, _bit_indices, _exact, _UnionFind, contract,
-                    relabelling_columns)
+                    relabelling_sums)
 from .reconnect import all_msts
 
 __all__ = [
@@ -616,21 +616,21 @@ def theorem_sweep(
     The sweep keys, adjudicates and credits. It walks each instance's Buster
     moves as graph masks in :func:`enumerate_buster_moves` order. It keys the
     instance and the position each move leaves (the busted graph and the
-    whole reserve) by isomorphism class: the vertex count and the least packed
-    sum over relabellings, every graph edge labelled alike (graph weights
-    enter no verdict or tally) and each reserve weight by its exact ratio.
-    With ``graph.relabelling_columns`` it relabels each instance's reserve
-    once, and each graph once while consecutive instances share its object (a
-    one-slot cache keyed by identity); a key adds the reserve's per-relabelling
-    sum to that of the graph edges kept, summed once per graph mask. The first
-    move to leave each class in the whole call is adjudicated: a Buster win,
-    found by the arena's ``unfixable``, counts (1, 0); any other move goes to
-    :func:`_adjudicate_move`, whose failures become ``Counterexample``s with
-    the instance and the bust's ids. An instance gets the sum of its moves'
-    tallies. Later instances and moves of a class get the first one's tallies
-    unless it recorded a failure. An instance builds its arena, whose memos
-    its moves share, at its first move of a new class, or at once when it is
-    past the relabelling cap and so not keyed.
+    whole reserve) by isomorphism class: the vertex count and the least of
+    its edges' ``graph.relabelling_sums``, every graph edge labelled alike
+    (graph weights enter no verdict or tally) and each reserve weight by its
+    exact ratio. The reserve's sums are taken once per instance; a key adds
+    them to those of the graph edges kept, taken once per graph mask while
+    consecutive instances share a graph object (a one-slot cache keyed by
+    identity). The first move to leave each class in the whole call is
+    adjudicated: a Buster win, found by the arena's ``unfixable``, counts
+    (1, 0); any other move goes to :func:`_adjudicate_move`, whose failures
+    become ``Counterexample``s with the instance and the bust's ids. An
+    instance gets the sum of its moves' tallies. Later instances and moves of
+    a class get the first one's tallies unless it recorded a failure. An
+    instance builds its arena, whose memos its moves share, at its first move
+    of a new class; one past the relabelling cap is not keyed, so that is its
+    first move.
     """
     report = SweepReport()
     settings = (True, False) if compare_prune else (True,)  # the pruned verdict first
@@ -638,12 +638,13 @@ def theorem_sweep(
     by_class: dict[tuple, tuple[int, int]] = {}  # class of the position a move leaves -> its first clean move's tallies
     labels: dict[tuple[int, int], int] = {}  # exact reserve weight ratio -> label, first seen first; graph edges are 0
     width = caps.max_total_edges.bit_length()  # a count field holds every edge of any instance swept
-    held = columns = sums = None  # the graph object last relabelled, its columns, and graph-bit mask -> their sum
+    held, sums = None, {}  # the graph object last keyed, and graph mask -> the relabelling sums of its edges there
 
-    def graph_sum(mask: int) -> list[int]:  # per relabelling, the held graph's columns at mask's bits, summed once
+    def class_of(mask: int) -> tuple[int, int]:  # the held graph's edges at mask's bits beside this instance's reserve
         if mask not in sums:
-            sums[mask] = list(map(sum, zip(sums[0], *(columns[i] for i in _bit_indices(mask)))))
-        return sums[mask]
+            kept = [held.edges[i] for i in _bit_indices(mask)]
+            sums[mask] = relabelling_sums(held.vertex_count, [(0, e.u, e.v) for e in kept], width, caps)
+        return held.vertex_count, min(map(add, reserve, sums[mask]))
 
     for p in instances:
         report.instances += 1
@@ -654,24 +655,19 @@ def theorem_sweep(
         n, size = p.graph.vertex_count, len(p.graph)
         graph_mask = (1 << size) - 1
         edges = [(labels.setdefault(e.weight.as_integer_ratio(), len(labels) + 1), e.u, e.v) for e in p.reserve]
+        if p.graph is not held:  # graph edge i is arena bit i
+            held, sums = p.graph, {}
         try:
-            if p.graph is not held:  # graph column i is arena bit i; the slot changes only once they are built
-                columns = relabelling_columns(n, [(0, e.u, e.v) for e in p.graph], width, caps)
-                held, sums = p.graph, {0: [0] * len(columns[0])}
-            reserve = list(map(sum, zip(sums[0], *relabelling_columns(n, edges, width, caps))))
+            reserve = relabelling_sums(n, edges, width, caps)
+            key = class_of(graph_mask)
         except CapExceededError:  # too many relabellings to key: adjudicate it alone
             key = None
-        else:  # per relabelling, the reserve's sum; a key adds a graph mask's sum to it and takes the least
-            key = n, min(map(add, reserve, graph_sum(graph_mask)))
         tallies = shared.get(key)
         if tallies is None:
-            arena = None if key is not None else _Arena(p, caps)
-            moves, clean = [], True
+            arena, moves, clean = None, [], True
             for bust in _move_masks(size, caps):
                 left = graph_mask ^ bust
-                post = None  # the class of the position the move leaves: the graph edges of left, and the reserve
-                if key is not None:
-                    post = n, min(map(add, reserve, graph_sum(left)))
+                post = None if key is None else class_of(left)  # the class of the position the move leaves
                 move = by_class.get(post)
                 if move is None:
                     if arena is None:  # the instance's first move of a new class

@@ -22,7 +22,7 @@ from several threads too.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import permutations
@@ -172,6 +172,7 @@ class Multigraph:
 
     vertex_count: int
     edges: tuple[Edge, ...]
+    ids: frozenset[str] = field(init=False, repr=False, compare=False)  # built once, in ``__post_init__``
 
     def __post_init__(self):
         if not isinstance(self.vertex_count, int):
@@ -186,17 +187,13 @@ class Multigraph:
             if e.u >= self.vertex_count or e.v >= self.vertex_count:
                 raise ValueError(f"edge {e.id} references vertex outside 0..{self.vertex_count - 1}")
         object.__setattr__(self, "edges", edges)
-        self.__dict__["ids"] = ids  # the cached ``ids``, built once here
+        object.__setattr__(self, "ids", ids)
 
     def __len__(self) -> int:
         return len(self.edges)
 
     def __iter__(self) -> Iterator[Edge]:
         return iter(self.edges)
-
-    @cached_property
-    def ids(self) -> frozenset[str]:
-        return frozenset(e.id for e in self.edges)
 
     @cached_property
     def _by_id(self) -> dict[str, Edge]:
@@ -299,33 +296,25 @@ def _column(vertex_count: int, label: int, u: int, v: int, width: int) -> tuple[
     )
 
 
-def relabelling_columns(vertex_count: int, edges: Iterable[tuple], width: int, caps: Caps = DEFAULT_CAPS) -> list:
-    """Each small-int ``(label, u, v)`` edge packed under every vertex relabelling, one tuple per edge.
+def relabelling_sums(vertex_count: int, edges: Iterable[tuple], width: int, caps: Caps = DEFAULT_CAPS) -> list[int]:
+    """The packed sum of small-int ``(label, u, v)`` edges under each vertex relabelling, in ``permutations`` order.
 
-    Under a relabelling, in ``permutations`` order, an edge is a count of one in the ``width``-bit field of
-    ``(label, min endpoint, max endpoint)``, so a position-wise sum of columns packs each relabelled multiset,
-    exactly while no field counts ``2**width`` edges. Columns are memoized on their small-int arguments, so
-    memo writes are idempotent. Raises ``CapExceededError`` when ``vertex_count!`` exceeds ``caps.max_subsets``.
+    An edge counts one in the ``width``-bit field of its relabelled ``(label, min endpoint, max endpoint)``, so
+    while no field counts ``2**width`` edges, two multisets have equal least sums exactly when a relabelling maps
+    one onto the other, and the relabellings that fix one are those whose sum is the identity's, the first. Each
+    edge's values are memoized on its small ints. Raises ``CapExceededError`` past ``caps.max_subsets`` sums.
+
+    >>> sums = relabelling_sums(3, [(0, 0, 1), (0, 1, 2)], 2)  # the path 0-1-2
+    >>> sums.count(sums[0])  # the identity, and the swap of its two leaves
+    2
+    >>> min(sums) == min(relabelling_sums(3, [(0, 1, 0), (0, 0, 2)], 2))  # the path 1-0-2
+    True
     """
-    if factorial(vertex_count) > caps.max_subsets:
+    count = factorial(vertex_count)
+    if count > caps.max_subsets:
         raise CapExceededError(f"{vertex_count}! relabellings exceeds cap {caps.max_subsets}")
-    return [_column(vertex_count, label, u, v, width) for label, u, v in edges]
-
-
-def canonical_form(vertex_count: int, triples: Iterable[tuple], caps: Caps = DEFAULT_CAPS) -> tuple:
-    """An edge multiset's isomorphism-class key: its size, its labels and its least packed form.
-
-    ``triples`` holds one ``(pool, u, v, weight)`` per edge; ``pool`` tells apart edge sets described
-    together, such as graph and reserve. Each distinct ``(pool, weight)`` is labelled by its sorted rank,
-    and the packed form is the least :func:`relabelling_columns` sum over relabellings. Two edge multisets
-    over the same vertex count get equal forms exactly when a relabelling maps one onto the other. Raises
-    ``CapExceededError`` when ``vertex_count!`` exceeds ``caps.max_subsets``.
-    """
-    triples = tuple(triples)
-    labels = sorted({(pool, weight) for pool, _, _, weight in triples})
-    edges = [(labels.index((pool, weight)), u, v) for pool, u, v, weight in triples]
-    columns = relabelling_columns(vertex_count, edges, len(triples).bit_length(), caps)
-    return len(triples), tuple(labels), min(map(sum, zip(*columns)), default=0)
+    columns = [_column(vertex_count, label, u, v, width) for label, u, v in edges]
+    return list(map(sum, zip(*columns))) if columns else [0] * count
 
 
 def _bit_indices(mask: int) -> Iterator[int]:

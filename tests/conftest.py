@@ -68,7 +68,7 @@ def random_instance(rng: random.Random, max_vertices: int = 4, max_total_edges: 
 def brute_force_form(vertex_count: int, triples) -> tuple:
     """The least sorted ``(pool, min endpoint, max endpoint, weight)`` tuple over every vertex relabelling.
 
-    The oracle for ``graph.canonical_form``: two edge multisets are relabellings of each other
+    The oracle for the sweep's ``graph.relabelling_sums`` keys: two edge multisets are relabellings of each other
     exactly when their brute-force forms are equal.
     """
     best = None

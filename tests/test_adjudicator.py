@@ -5,7 +5,7 @@ import tracemalloc
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, groupby, product
 from types import SimpleNamespace
-from unittest.mock import Mock
+from unittest.mock import Mock, patch
 
 import pytest
 from hypothesis import given
@@ -52,7 +52,7 @@ from busterfixer.reconnect import all_msts, all_spanning_trees
 
 from conftest import brute_force_form, random_instance, triangle_position
 from series_tables import ALL_SERIES, FAMILY_A, play_table_series
-from test_properties import PROPERTY, instances
+from test_properties import FRACTIONAL, PROPERTY, instances
 
 
 def _triple(win, busted, cost):
@@ -589,6 +589,49 @@ def test_theorem_sweep_adjudicates_one_instance_per_class(monkeypatch):
     assert _tallies(report) == tuple(map(sum, zip(*singles)))
 
 
+@st.composite
+def _copies(draw):
+    """A drawn instance, its copy under a drawn vertex relabelling and id order, and the copy with one edge changed.
+
+    The change replaces one reserve edge by a drawn one; with an empty reserve the changed copy is the copy.
+    """
+    p = draw(instances(max_vertices=4, max_total_edges=6))
+    n = p.graph.vertex_count
+    perm = draw(st.permutations(range(n)))
+
+    def copied(pool, prefix):
+        order = draw(st.permutations(range(len(pool))))
+        return Multigraph(n, tuple(Edge(f"{prefix}{k}", perm[e.u], perm[e.v], e.weight) for k, e in zip(order, pool)))
+
+    q = Position(graph=copied(p.graph, "h"), reserve=copied(p.reserve, "s"))
+    edited = q
+    if len(q.reserve):
+        old = q.reserve.edges[draw(st.integers(0, len(q.reserve) - 1))]
+        vertex = st.integers(0, n - 1)
+        new = Edge(old.id, draw(vertex), draw(vertex), draw(FRACTIONAL))
+        edited = Position(graph=q.graph, reserve=q.reserve.without({old.id}).with_edges([new]))
+    return p, q, edited
+
+
+@PROPERTY
+@given(_copies())
+def test_theorem_sweep_walks_a_relabelled_copy_only_when_its_class_differs(copies):
+    # the keying that runs: a relabelled, renamed copy is credited without a
+    # walk of its moves, and a copy with one reserve edge changed is walked
+    # exactly when its brute-force class differs; each report is the sum of
+    # one-instance sweeps
+    p, q, edited = copies
+    mine = _tallies(theorem_sweep([p]))
+    with patch.object(adjudicator, "_move_masks", wraps=adjudicator._move_masks) as walks:
+        report = theorem_sweep([p, q])
+    assert walks.call_count == 1
+    assert _tallies(report) == tuple(2 * t for t in mine)
+    with patch.object(adjudicator, "_move_masks", wraps=adjudicator._move_masks) as walks:
+        report = theorem_sweep([p, edited])
+    assert walks.call_count == 1 + (_class_of(edited) != _class_of(p))
+    assert _tallies(report) == tuple(map(sum, zip(mine, _tallies(theorem_sweep([edited])))))
+
+
 def _past_the_cap_tree():
     """A path on 8 vertices: its 8! relabellings exceed the default cap."""
     return Position(
@@ -607,7 +650,7 @@ def test_theorem_sweep_adjudicates_each_copy_past_the_relabelling_cap(monkeypatc
 
 
 def test_theorem_sweep_keys_alike_however_graph_objects_are_shared(monkeypatch):
-    # the sweep sums a graph's relabelling columns once while consecutive
+    # the sweep sums a graph's relabellings once per graph mask while consecutive
     # instances share its graph object; every graph rebuilt as its own equal
     # object, a shuffled order, an unkeyed instance between two instances of
     # one graph object, or a relabelling that fails once on a shared graph
@@ -632,8 +675,8 @@ def test_theorem_sweep_keys_alike_however_graph_objects_are_shared(monkeypatch):
         assert _tallies(report) == tuple(map(sum, zip(*(singles[p] for p in order))))
     assert built[0] == built[1] and len(built[0]) == 2 * 291
     # the first relabelling of the graph that corpus[cut - 1] and corpus[cut]
-    # share fails: the slot must not hold that graph without its columns
-    relabel, failed = adjudicator.relabelling_columns, []
+    # share fails: the slot must not hold that graph without its sums
+    relabel, failed = adjudicator.relabelling_sums, []
 
     def failing_once(n, edges, *args):
         edges = list(edges)
@@ -642,13 +685,13 @@ def test_theorem_sweep_keys_alike_however_graph_objects_are_shared(monkeypatch):
             raise CapExceededError("once")
         return relabel(n, edges, *args)
 
-    monkeypatch.setattr(adjudicator, "relabelling_columns", failing_once)
+    monkeypatch.setattr(adjudicator, "relabelling_sums", failing_once)
     report = theorem_sweep(corpus, compare_prune=True)
     assert failed and _tallies(report) == tuple(map(sum, zip(*(singles[p] for p in corpus))))
 
 
 def test_generate_instances_yields_each_graph_object_in_one_run():
-    # the sweep sums a graph's columns once per run of consecutive instances
+    # the sweep sums a graph's relabellings once per run of consecutive instances
     # that share its graph object: a generator that split a graph's instances
     # into several runs would slow the sweep without changing a report
     corpus = list(generate_instances(3, 5, (0, 1, 2)))
@@ -754,7 +797,7 @@ def test_theorem_sweep_adjudicates_one_move_per_post_bust_class(monkeypatch):
     flipped = theorem_sweep(corpus, compare_prune=True)
     assert counts["jobs"] == 2 * non_winning
     counts["jobs"] = 0
-    monkeypatch.setattr(adjudicator, "relabelling_columns", Mock(side_effect=CapExceededError("unkeyed")))
+    monkeypatch.setattr(adjudicator, "relabelling_sums", Mock(side_effect=CapExceededError("unkeyed")))
     unshared = theorem_sweep(corpus, compare_prune=True)
     assert counts["jobs"] == 2 * non_winning
     assert flipped.counterexamples == unshared.counterexamples and len(flipped.counterexamples) > non_winning

@@ -22,7 +22,7 @@ from busterfixer import (
     is_connected,
     parse_decimal_weight,
 )
-from busterfixer.graph import EdgeIndex, canonical_form
+from busterfixer.graph import DEFAULT_CAPS, EdgeIndex, relabelling_sums
 
 from conftest import brute_force_form, random_multigraph, triangle_position
 from test_properties import PROPERTY
@@ -248,24 +248,56 @@ def _pooled_triples(p):
     return [(0, e.u, e.v, e.weight) for e in p.graph] + [(1, e.u, e.v, e.weight) for e in p.reserve]
 
 
-def test_canonical_form_is_equal_across_relabellings():
-    rng = random.Random(41)
+_WIDTH = DEFAULT_CAPS.max_total_edges.bit_length()  # the sweep's field width
+
+
+def _sweep_key(n, triples, labels):
+    """The sweep's class key of ``(pool, u, v, weight)`` triples: the vertex count and the least relabelling sum.
+
+    As ``theorem_sweep`` labels them: every graph edge (pool 0) 0, whatever its weight, and each reserve
+    weight by its exact ratio, first seen first in ``labels``, which keys to be compared must share.
+    """
+    edges = [(labels.setdefault(w.as_integer_ratio(), len(labels) + 1) if pool else 0, u, v) for pool, u, v, w in triples]
+    return n, min(relabelling_sums(n, edges, _WIDTH))
+
+
+def _oracle_key(n, triples):
+    """``brute_force_form``'s key of the same triples, graph weights ignored as the sweep ignores them."""
+    return n, brute_force_form(n, [(pool, u, v, w if pool else 0) for pool, u, v, w in triples])
+
+
+def test_relabelling_sums_key_is_equal_across_relabellings():
+    rng, labels = random.Random(41), {}
     for p in generate_instances(3, 4, (0, 1, 2)):
         n, triples = p.graph.vertex_count, _pooled_triples(p)
-        form = canonical_form(n, triples)
+        key = _sweep_key(n, triples, labels)
         perm = list(range(n))
         rng.shuffle(perm)
         moved = [(pool, perm[u], perm[v], w) for pool, u, v, w in triples]
         rng.shuffle(moved)
-        assert canonical_form(n, moved) == form
+        assert _sweep_key(n, moved, labels) == key
 
 
-def test_canonical_form_separates_a_path_by_its_middle_vertex():
-    # the path 0-1-2 and the path 1-0-2 are relabellings; a heavier leaf edge is not
-    path = [(0, 0, 1, Fraction(1)), (0, 1, 2, Fraction(2))]
-    assert canonical_form(3, path) == canonical_form(3, [(0, 1, 0, Fraction(1)), (0, 0, 2, Fraction(2))])
-    assert canonical_form(3, path) != canonical_form(3, [(0, 0, 1, Fraction(2)), (0, 1, 2, Fraction(2))])
-    assert canonical_form(3, path) != canonical_form(3, [(0, 0, 1, Fraction(1)), (1, 1, 2, Fraction(2))])
+def test_relabelling_sums_key_separates_a_path_by_its_middle_vertex():
+    # the reserve path 0-1-2 and the path 1-0-2 are relabellings; a heavier
+    # leaf edge is not, nor a leaf edge moved into the graph; graph weights
+    # are ignored as the sweep ignores them
+    path, labels = [(1, 0, 1, Fraction(1)), (1, 1, 2, Fraction(2))], {}
+    key = _sweep_key(3, path, labels)
+    assert key == _sweep_key(3, [(1, 1, 0, Fraction(1)), (1, 0, 2, Fraction(2))], labels)
+    assert key != _sweep_key(3, [(1, 0, 1, Fraction(2)), (1, 1, 2, Fraction(2))], labels)
+    assert key != _sweep_key(3, [(1, 0, 1, Fraction(1)), (0, 1, 2, Fraction(2))], labels)
+    graph_path = [(0, u, v, w) for _, u, v, w in path]
+    assert _sweep_key(3, graph_path, labels) == _sweep_key(3, [(0, 0, 1, Fraction(2)), (0, 1, 2, Fraction(2))], labels)
+
+
+def test_relabelling_sums_fix_a_multiset_exactly_under_its_automorphisms():
+    # the sums equal to the identity's, the first, are those of the relabellings that fix the multiset
+    looped_path = [(0, 0, 1), (0, 1, 2), (1, 0, 0)]  # a loop at one leaf: only the identity fixes it
+    star = [(0, 0, 1), (0, 0, 2), (0, 0, 3)]  # the 3! relabellings of the leaves fix it
+    for n, edges, fixing in ((3, looped_path, 1), (4, star, 6)):
+        sums = relabelling_sums(n, edges, 2)
+        assert sums.count(sums[0]) == fixing
 
 
 def _partitions_agree(keys, oracle_keys):
@@ -273,7 +305,7 @@ def _partitions_agree(keys, oracle_keys):
     return len(set(keys)) == len(set(oracle_keys)) == len(set(zip(keys, oracle_keys)))
 
 
-def test_canonical_form_partitions_instances_and_post_bust_positions_as_brute_force_does():
+def test_relabelling_sums_key_partitions_instances_and_positions_as_brute_force():
     # the sweep's two keyings: each instance, and the position each Buster move leaves
     # (the busted graph and the whole reserve), graph edges weighed alike
     instances, positions = [], []
@@ -283,8 +315,9 @@ def test_canonical_form_partitions_instances_and_post_bust_positions_as_brute_fo
         for busted in enumerate_buster_moves(p):
             positions.append((n, [(0, e.u, e.v, 0) for e in p.graph.without(busted)] + reserve))
     for items, classes in ((instances, 471), (positions, 535)):
-        keys = [(n, canonical_form(n, triples)) for n, triples in items]
-        assert _partitions_agree(keys, [(n, brute_force_form(n, triples)) for n, triples in items])
+        labels = {}
+        keys = [_sweep_key(n, triples, labels) for n, triples in items]
+        assert _partitions_agree(keys, [_oracle_key(n, triples) for n, triples in items])
         assert len(set(keys)) == classes < len(items)
 
 
@@ -300,32 +333,37 @@ _TRIPLE = st.tuples(
     perm=st.permutations(range(4)),
     edit=st.none() | st.tuples(st.integers(0, 6), _TRIPLE),
 )
-def test_canonical_form_matches_brute_force_on_drawn_relabellings(n, triples, perm, edit):
-    # a relabelled copy, shuffled, sometimes with one edge replaced: the forms
-    # are equal exactly when the brute-force forms are
+def test_relabelling_sums_key_matches_brute_force_on_drawn_relabellings(n, triples, perm, edit):
+    # a relabelled copy, shuffled, sometimes with one edge replaced: the keys
+    # are equal exactly when the brute-force keys are
     triples = [(pool, u % n, v % n, w) for pool, u, v, w in triples]
     ranks = [vertex for vertex in perm if vertex < n]  # a permutation of range(n)
     moved = [(pool, ranks[u], ranks[v], w) for pool, u, v, w in reversed(triples)]
-    assert canonical_form(n, moved) == canonical_form(n, triples)
+    labels = {}
+    assert _sweep_key(n, moved, labels) == _sweep_key(n, triples, labels)
     if edit is not None and triples:
         at, (pool, u, v, w) = edit
         moved[at % len(moved)] = (pool, u % n, v % n, w)
-    same = canonical_form(n, moved) == canonical_form(n, triples)
-    assert same == (brute_force_form(n, moved) == brute_force_form(n, triples))
+    same = _sweep_key(n, moved, labels) == _sweep_key(n, triples, labels)
+    assert same == (_oracle_key(n, moved) == _oracle_key(n, triples))
 
 
 @pytest.mark.parametrize("corpus, classes", [((3, 4), 471), ((3, 5), 2_523)])
-def test_canonical_form_counts_the_corpus_classes(corpus, classes):
-    instances = list(generate_instances(*corpus, (0, 1, 2)))
-    forms = {(p.graph.vertex_count, canonical_form(p.graph.vertex_count, _pooled_triples(p))) for p in instances}
-    assert len(forms) == classes < len(instances)
+def test_relabelling_sums_key_counts_the_corpus_classes(corpus, classes):
+    instances, labels = list(generate_instances(*corpus, (0, 1, 2))), {}
+    keys = {_sweep_key(p.graph.vertex_count, _pooled_triples(p), labels) for p in instances}
+    assert len(keys) == classes < len(instances)
 
 
-def test_canonical_form_raises_past_the_relabelling_cap():
-    path = [(0, v, v + 1, Fraction(1)) for v in range(7)]
+def test_relabelling_sums_raises_past_the_relabelling_cap():
+    path = [(0, v, v + 1) for v in range(7)]
+    with pytest.raises(CapExceededError, match=r"^8! relabellings exceeds cap 4096$"):
+        relabelling_sums(8, path, 3)  # 8! = 40,320 relabellings, over the default 4,096
     with pytest.raises(CapExceededError):
-        canonical_form(8, path)  # 8! = 40,320 relabellings, over the default 4,096
+        relabelling_sums(3, path[:2], 2, Caps(max_subsets=5))
     with pytest.raises(CapExceededError):
-        canonical_form(3, path[:2], Caps(max_subsets=5))
+        relabelling_sums(8, [], 3)
+    sums = relabelling_sums(3, path[:2], 2, Caps(max_subsets=6))
     # centre at 0: one count in each of the 2-bit fields of (label 0, 0, 1) and (label 0, 0, 2)
-    assert canonical_form(3, path[:2], Caps(max_subsets=6)) == (2, ((0, Fraction(1)),), 1 << 2 | 1 << 4)
+    assert len(sums) == 6 and min(sums) == 1 << 2 | 1 << 4
+    assert relabelling_sums(3, [], 2, Caps(max_subsets=6)) == [0] * 6
