@@ -97,9 +97,9 @@ class Position:
     def total_edges(self) -> int:
         return len(self.graph) + len(self.reserve)
 
-    def check_bust(self, busted: frozenset[str]) -> None:
-        """Buster's rule, :func:`_check_bust`, against this position's graph."""
-        _check_bust(busted, self.graph.ids)
+    def check_bust(self, busted: Iterable[str]) -> None:
+        """Buster's rule, :func:`_check_bust`, against this position's graph, for any iterable of ids."""
+        _check_bust(frozenset(busted), self.graph.ids)
 
 
 @dataclass(frozen=True)
@@ -207,7 +207,7 @@ class _Walk:
             raise IllegalMoveError("fix does not reconnect the graph")
 
 
-def apply_round(p: Position, busted: frozenset[str], fixed: frozenset[str]) -> Position:
+def apply_round(p: Position, busted: Iterable[str], fixed: Iterable[str]) -> Position:
     """Advance one round: remove ``busted`` from the graph, move ``fixed`` in.
 
     Raises ``IllegalMoveError`` for an illegal bust or fix (see
@@ -215,17 +215,17 @@ def apply_round(p: Position, busted: frozenset[str], fixed: frozenset[str]) -> P
     whose fix is empty, leaves the graph disconnected.
     """
     walk = _Walk(_index_of(p))
-    walk.bust(busted)
-    walk.fix(fixed)
+    walk.bust(frozenset(busted))
+    walk.fix(frozenset(fixed))
     return walk.position()
 
 
-def buster_wins(p: Position, busted: frozenset[str]) -> bool:
+def buster_wins(p: Position, busted: Iterable[str]) -> bool:
     """True iff no reserve spending can reconnect the graph after ``busted``.
 
     Raises ``IllegalMoveError`` for an illegal bust (see :meth:`Position.check_bust`).
     """
-    return _Walk(_index_of(p)).bust(busted)
+    return _Walk(_index_of(p)).bust(frozenset(busted))
 
 
 _MOVE_MASKS: dict[int, tuple[int, ...]] = {}

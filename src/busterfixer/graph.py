@@ -102,10 +102,10 @@ class Caps:
     verifier and ``naive_max_total_edges`` for the strategy-materializing
     oracle. ``max_subsets`` bounds any single enumeration: Buster moves
     (``2**|G|``), Fixer responses (``2**|R|``), spanning-tree candidates
-    (``comb(non-loop edges, c - 1)``), Prim orderings (``2**c`` memoized
-    component sets) and the oracle's materialized strategies. The verifier
-    checks ``2**|R|`` in one place, as it builds a position's arena, so
-    every adjudicator entry point raises it before enumerating anything.
+    (``comb(non-loop edges, c - 1)``), vertex relabellings and the oracle's
+    materialized strategies. The verifier checks ``2**|R|`` in one place, as
+    it builds a position's arena, so every adjudicator entry point raises it
+    before enumerating anything.
     """
 
     max_total_edges: int = 7

@@ -3,11 +3,12 @@
 The greedy Fixer response to a bust is a cheapest reserve subset that
 reconnects the graph, which is exactly a minimum spanning tree of the
 contracted component multigraph. This module finds that tree with Kruskal's
-algorithm on a union-find of the busted graph, grows it with Prim's
-algorithm on the contracted multigraph as an oracle, enumerates *all*
-minimum spanning trees by brute force (a second, independent oracle), and
-certifies whether an arbitrary spanning tree could have been produced by
-some run of Prim's algorithm.
+algorithm on a union-find of the busted graph, enumerates *all* minimum
+spanning trees by brute force (an independent oracle), and runs Prim's
+algorithm on the contracted multigraph once, in one loop with ties broken
+toward a preferred edge set: with none preferred it grows the oracle tree
+:func:`prim_mst`, and toward a given tree it certifies whether some run of
+Prim's algorithm could have built that tree, :func:`prim_reachable`.
 
 Everything here is a pure function over immutable inputs.
 """
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import (
     BusterWinsError,
@@ -55,6 +56,24 @@ class PrimTrace:
     addition_order: tuple[str, ...]
 
 
+def _prim(m: Multigraph, preferred: frozenset[str]) -> list[Edge]:
+    """Prim's algorithm from component 0: the edges in the order they join the tree.
+
+    Each step takes a cheapest crossing edge, one in ``preferred`` first, then
+    the smallest id. Raises ``DisconnectedError`` when no edge crosses.
+    """
+    in_tree = {0}
+    chosen: list[Edge] = []
+    while len(in_tree) < m.vertex_count:
+        crossing = [e for e in m.edges if (e.u in in_tree) != (e.v in in_tree)]
+        if not crossing:
+            raise DisconnectedError("contracted multigraph has no spanning tree")
+        best = min(crossing, key=lambda e: (e.weight, e.id not in preferred, e.id))
+        chosen.append(best)
+        in_tree.add(best.v if best.u in in_tree else best.u)
+    return chosen
+
+
 def prim_mst(m: Multigraph) -> SpanningTree:
     """Grow a minimum spanning tree of ``m`` one cheapest crossing edge at a time.
 
@@ -73,15 +92,7 @@ def prim_mst(m: Multigraph) -> SpanningTree:
     >>> sorted(tree.edge_ids), tree.total_weight
     (['e4'], Fraction(1, 1))
     """
-    in_tree = {0}
-    chosen: list[Edge] = []
-    while len(in_tree) < m.vertex_count:
-        crossing = [e for e in m.edges if (e.u in in_tree) != (e.v in in_tree)]
-        if not crossing:
-            raise DisconnectedError("contracted multigraph has no spanning tree")
-        best = min(crossing, key=lambda e: (e.weight, e.id))
-        chosen.append(best)
-        in_tree.add(best.v if best.u in in_tree else best.u)
+    chosen = _prim(m, frozenset())
     return SpanningTree(
         edge_ids=frozenset(e.id for e in chosen),
         total_weight=sum((e.weight for e in chosen), Fraction(0)),
@@ -149,63 +160,28 @@ def all_msts(m: Multigraph, caps: Caps = DEFAULT_CAPS) -> tuple[SpanningTree, ..
     return tuple(t for t in trees if t.total_weight == best)
 
 
-def prim_reachable(m: Multigraph, t: SpanningTree, caps: Caps = DEFAULT_CAPS) -> PrimTrace | None:
-    """Search for an order in which Prim's algorithm could have built ``t``.
+def prim_reachable(m: Multigraph, t: SpanningTree) -> PrimTrace | None:
+    """An order in which Prim's algorithm builds ``t``, or None when no run of it can.
 
-    Tries every start vertex and explores greedy-feasible addition orders,
-    memoizing on the set of vertices already in the tree; returns a witness
-    trace, or None when no run of Prim's algorithm can produce ``t``.
+    One run decides it: Prim's algorithm from component 0, ties broken toward
+    ``t``. When ``t`` is a minimum spanning tree, every cut of the grown tree
+    has a cheapest crossing edge in ``t`` (a cheaper one outside ``t`` would
+    close a cycle with a heavier ``t`` edge across the cut), so the run builds
+    ``t``. When it is not, no run of Prim's algorithm builds it.
 
-    Raises ``NotSpanningTreeError`` if ``t`` is not a spanning tree of ``m``,
-    and ``CapExceededError`` when the ``2**c`` component sets the memo
-    ranges over exceed ``caps.max_subsets``.
+    Raises ``NotSpanningTreeError`` if ``t`` is not a spanning tree of ``m``.
     """
-    if 1 << m.vertex_count > caps.max_subsets:
-        raise CapExceededError(
-            f"2^{m.vertex_count} component sets exceeds the ordering-search cap {caps.max_subsets}"
-        )
     try:
         tree_edges = tuple(m.edge(i) for i in sorted(t.edge_ids))
     except KeyError as exc:
         raise NotSpanningTreeError(f"edge {exc.args[0]} not in contracted graph") from exc
     if not _is_spanning_tree(m, tree_edges):
         raise NotSpanningTreeError("edge set is not a spanning tree of the graph")
-
-    if m.vertex_count == 1:
-        return PrimTrace(start_vertex=0, addition_order=())
-
-    non_loops = tuple(e for e in m.edges if not e.is_loop)
-    failed: set[frozenset[int]] = set()
-
-    def extend(in_tree: frozenset[int], order: tuple[str, ...]) -> tuple[str, ...] | None:
-        if len(in_tree) == m.vertex_count:
-            return order
-        if in_tree in failed:
-            return None
-        crossing_weights = [
-            e.weight for e in non_loops if (e.u in in_tree) != (e.v in in_tree)
-        ]
-        cheapest = min(crossing_weights)
-        for e in tree_edges:
-            if (e.u in in_tree) == (e.v in in_tree):
-                continue
-            if e.weight != cheapest:
-                continue
-            joined = e.v if e.u in in_tree else e.u
-            result = extend(in_tree | {joined}, order + (e.id,))
-            if result is not None:
-                return result
-        failed.add(in_tree)
-        return None
-
-    for start in range(m.vertex_count):
-        order = extend(frozenset({start}), ())
-        if order is not None:
-            return PrimTrace(start_vertex=start, addition_order=order)
-    return None
+    order = tuple(e.id for e in _prim(m, t.edge_ids))
+    return PrimTrace(start_vertex=0, addition_order=order) if t.edge_ids == set(order) else None
 
 
-def greedy_fixer_move(position: "Position", busted: frozenset[str]) -> frozenset[str]:
+def greedy_fixer_move(position: "Position", busted: Iterable[str]) -> frozenset[str]:
     """The greedy response: reserve ids of a cheapest reconnecting subset.
 
     Returns the empty set when the busted graph is still connected;
@@ -234,6 +210,7 @@ def greedy_fixer_move(position: "Position", busted: frozenset[str]) -> frozenset
     >>> sorted(greedy_fixer_move(Position(graph, reserve), frozenset({"g"})))
     ['a', 'b']
     """
+    busted = frozenset(busted)
     position.check_bust(busted)
     uf = _UnionFind(position.graph.vertex_count)
     joined = sum(uf.union(e.u, e.v) for e in position.graph.edges if e.id not in busted)

@@ -37,6 +37,7 @@ from busterfixer import (
 
 from conftest import random_instance, triangle_position
 from series_tables import ALL_SERIES, expected_triple, play_table_series
+from test_reconnect import _assert_trace_valid
 
 
 def criterion(number, name):
@@ -127,21 +128,43 @@ def _prim_equivalence_corpus(max_c=4, max_edges=6, weights=(1, 2, 3)):
     for c in range(1, max_c + 1):
         pairs = [(u, v) for u in range(c) for v in range(u + 1, c)]
         types = [(u, v, w) for (u, v) in pairs for w in weights]
-        relabelings = list(permutations(range(c)))[1:]
+        # each relabeling other than the identity, as a map on edge types
+        relabelings = [
+            {(u, v, w): (min(p[u], p[v]), max(p[u], p[v]), w) for (u, v, w) in types}
+            for p in list(permutations(range(c)))[1:]
+        ]
         for size in range(c - 1, max_edges + 1):
             # combos come sorted and in increasing order, so the first of each
             # class is its least member: skip any combo a relabeling shrinks
             for combo in combinations_with_replacement(types, size):
-                if any(
-                    tuple(sorted((min(p[u], p[v]), max(p[u], p[v]), w) for (u, v, w) in combo)) < combo
-                    for p in relabelings
-                ):
+                if any(tuple(sorted(map(p.get, combo))) < combo for p in relabelings):
                     continue
                 yield c, combo
                 if size < max_edges:
                     yield c, combo + ((0, 0, 1),)
                 if size < max_edges and c > 1:
                     yield c, combo + ((c - 1, c - 1, 3),)
+
+
+def _every_prim_tree(m):
+    """The edge sets built by every run of Prim's algorithm on the connected ``m``.
+
+    A run starts at any vertex and at each step may take any cheapest edge
+    crossing from the grown tree; the runs are memoized on the (grown vertex
+    set, chosen ids) pair.
+    """
+
+    @functools.cache
+    def grow(in_tree, chosen):
+        if len(in_tree) == m.vertex_count:
+            return {chosen}
+        crossing = [e for e in m.edges if (e.u in in_tree) != (e.v in in_tree)]
+        cheapest = min(e.weight for e in crossing)
+        return set().union(
+            *(grow(in_tree | {e.u, e.v}, chosen | {e.id}) for e in crossing if e.weight == cheapest)
+        )
+
+    return set().union(*(grow(frozenset({start}), frozenset()) for start in range(m.vertex_count)))
 
 
 @criterion(4, "Prim-reachability equals minimality")
@@ -161,10 +184,14 @@ def test_criterion_4_prim_equivalence():
         except DisconnectedError:
             continue
         graphs += 1
-        minimum = {t.edge_ids for t in all_msts(m)}
+        built = _every_prim_tree(m)
+        assert built == {t.edge_ids for t in all_msts(m)}, (c, combo)
         for t in trees:
             trees_checked += 1
-            assert (prim_reachable(m, t) is not None) == (t.edge_ids in minimum), (c, combo, t)
+            trace = prim_reachable(m, t)
+            assert (trace is not None) == (t.edge_ids in built), (c, combo, t)
+            if trace is not None:
+                _assert_trace_valid(m, t, trace)
     elapsed = time.perf_counter() - start
     assert graphs > 5000 and trees_checked > 20000
     assert elapsed < 60.0, f"equivalence check took {elapsed:.0f}s, budget 60s"

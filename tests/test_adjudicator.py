@@ -338,6 +338,58 @@ def test_verify_optimal_report_worked_example_witnesses(triangle, bridge_only):
     assert report({"e4", "e5"}).failing_alternative == frozenset({"e4"})
 
 
+def _strategy_outcomes(p, memo):
+    """Every continuation strategy's outcome set at ``p``, as (win, busted, spent) relative to ``p``.
+
+    Built from the public round functions alone, with no verifier code: a
+    strategy answers each Buster move with one legal fix and a strategy
+    after it, and its outcomes are the quit here and every outcome below.
+    """
+    if p in memo:
+        return memo[p]
+    strategies = {frozenset({(True, 0, Fraction(0))})}
+    for busted in enumerate_buster_moves(p):
+        if buster_wins(p, busted):
+            options = {frozenset({(False, len(busted), Fraction(0))})}
+        else:
+            options = {
+                frozenset((win, b + len(busted), c + p.reserve.weight(fix)) for win, b, c in child)
+                for fix in enumerate_fixer_responses(p, busted)
+                for child in _strategy_outcomes(apply_round(p, busted, fix), memo)
+            }
+        strategies = {s | o for s in strategies for o in options}
+    memo[p] = strategies
+    return strategies
+
+
+def test_not_optimal_witnesses_are_sound_by_brute_force():
+    # every NOT-OPTIMAL report on the (3, 4) corpus, both prune settings: the failing outcome is an
+    # outcome of some strategy after the candidate, and some strategy after the failing alternative
+    # has no outcome it dominates
+    memo, checked = {}, 0
+
+    def after(p, busted, fix):
+        spent = p.reserve.weight(fix)
+        return [
+            {OutcomeTriple(win, b + len(busted), c + spent) for win, b, c in s}
+            for s in _strategy_outcomes(apply_round(p, busted, fix), memo)
+        ]
+
+    for p in generate_instances(3, 4, (0, 1, 2)):
+        for busted, candidate, bridge_only in _every_check(p):
+            report = verify_optimal_report(p, busted, candidate, bridge_only=bridge_only)
+            if report.optimal:
+                continue
+            checked += 1
+            outcome = report.failing_outcome
+            assert any(outcome in s for s in after(p, busted, candidate)), (p, busted, candidate)
+            assert any(
+                not any(fixer_superior(outcome, other) for other in s)
+                for s in after(p, busted, report.failing_alternative)
+            ), (p, busted, candidate)
+    assert checked == 3786
+
+
 def _every_check(p):
     for busted in enumerate_buster_moves(p):
         if buster_wins(p, busted):

@@ -35,6 +35,7 @@ from busterfixer import (
     scripted_buster,
     scripted_fixer,
     series_totals,
+    verify_optimal,
     verify_optimal_naive,
     verify_optimal_report,
 )
@@ -481,6 +482,41 @@ def _cli_verify_rejects_fix(p, fixed):
 )
 def test_every_entry_point_enforces_the_one_fix_rule(entry, fixed, triangle):
     entry(triangle, fixed)
+
+
+ID_ENTRY_POINTS = {
+    "apply_round": apply_round,
+    "buster_wins": lambda p, busted, fixed: buster_wins(p, busted),
+    "greedy_fixer_move": lambda p, busted, fixed: greedy_fixer_move(p, busted),
+    "check_bust": lambda p, busted, fixed: p.check_bust(busted),
+    "enumerate_fixer_responses": lambda p, busted, fixed: enumerate_fixer_responses(p, busted),
+    "verify_optimal": verify_optimal,
+    "verify_optimal_report": verify_optimal_report,
+    "verify_optimal_naive": verify_optimal_naive,
+}
+
+
+@pytest.mark.parametrize("kind", [list, tuple])
+@pytest.mark.parametrize("entry", list(ID_ENTRY_POINTS.values()), ids=list(ID_ENTRY_POINTS))
+def test_every_entry_point_takes_ids_in_any_iterable(entry, kind, triangle):
+    # a list or tuple of ids, a repeated id included, acts as its frozenset: same result or same refusal
+    def outcome(busted, fixed):
+        try:
+            return entry(triangle, busted, fixed)
+        except IllegalMoveError as exc:
+            return type(exc), str(exc)
+
+    rounds = [
+        (("e1", "e2"), ("e5",)),
+        (("e2", "e1", "e2"), ("e4", "e4")),
+        (("e1",), ()),
+        (("e1", "e2"), ()),
+        (("e1", "e2"), ("e1",)),
+        ((), ()),
+        (("zz",), ()),
+    ]
+    for busted, fixed in rounds:
+        assert outcome(kind(busted), kind(fixed)) == outcome(frozenset(busted), frozenset(fixed)), (busted, fixed)
 
 
 def _raises_rule(message, call):

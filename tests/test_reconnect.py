@@ -25,6 +25,7 @@ from busterfixer import (
     prim_reachable,
 )
 
+from busterfixer.reconnect import PrimTrace
 from conftest import triangle_position
 
 
@@ -278,12 +279,15 @@ def test_greedy_move_properties_random():
             assert p.reserve.weight(move) == minimum
 
 
-def test_prim_reachable_component_cap():
-    from busterfixer import CapExceededError, Caps
+def test_prim_reachable_has_no_component_cap():
+    # one Prim run decides reachability, so a 13-component chain, past 2^12 component sets, gets a trace
+    from busterfixer import Caps
 
     chain = [(f"e{i}", i, i + 1, 1) for i in range(12)]
     m = _contracted(13, chain)
     t = all_msts(m)[0]
-    with pytest.raises(CapExceededError):
-        prim_reachable(m, t)  # 2^13 component sets > the default 4096
-    assert prim_reachable(m, t, Caps(max_subsets=1 << 13)) is not None
+    trace = prim_reachable(m, t)
+    assert trace == PrimTrace(start_vertex=0, addition_order=tuple(f"e{i}" for i in range(12)))
+    _assert_trace_valid(m, t, trace)
+    with pytest.raises(TypeError):
+        prim_reachable(m, t, Caps(max_subsets=1 << 13))
