@@ -608,7 +608,9 @@ def theorem_sweep(
     ``_Adjudication`` applies; with ``compare_prune`` each is recomputed
     unpruned and any disagreement is recorded. A nonempty counterexample
     list is a build-failing event for the corpus this library ships with.
-    ``caps`` bounds every enumeration and search; the reserve-subset cap is
+    Verdicts and tallies depend on reserve weights only through the weak
+    order of their subset sums: spends, search floors and tree weights enter
+    only through comparisons between such sums. ``caps`` bounds every enumeration and search; the reserve-subset cap is
     checked as an instance's arena is built, before its converse lists are
     enumerated, and every class an instance meets was recorded on an arena of
     its reserve size.

@@ -18,7 +18,9 @@ Subcommands:
 Exit codes: 0 success; 1 verification failure, sweep counterexample, or
 replay mismatch (including the no-spanning-tree answer from ``msts``);
 2 usage, parse, validation, illegal-move, or cap errors, and unreadable
-files. Diagnostics go to stderr; no input ends in a traceback.
+files; 130 after Ctrl-C, which the console script reports as
+``interrupted`` (``cli_main`` lets ``KeyboardInterrupt`` through).
+Diagnostics go to stderr; no input ends in a traceback.
 
 ``cli_main`` may be called any number of times in one process. The argument
 parser is built once, on first use, and reused: parsing does not change it,
@@ -317,7 +319,11 @@ def cli_main(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(cli_main())
+    try:
+        sys.exit(cli_main())
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        sys.exit(130)
 
 
 if __name__ == "__main__":

@@ -7,8 +7,8 @@ algorithm on a union-find of the busted graph, enumerates *all* minimum
 spanning trees by brute force (an independent oracle), and runs Prim's
 algorithm on the contracted multigraph once, in one loop with ties broken
 toward a preferred edge set: with none preferred it grows the oracle tree
-:func:`prim_mst`, and toward a given tree it certifies whether some run of
-Prim's algorithm could have built that tree, :func:`prim_reachable`.
+:func:`prim_mst`, and toward a given tree its order of edges is the
+certificate that Prim's algorithm can build that tree, :func:`prim_reachable`.
 
 Everything here is a pure function over immutable inputs.
 """
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import (
     BusterWinsError,
@@ -44,16 +44,8 @@ class SpanningTree:
     total_weight: Fraction
 
 
-@dataclass(frozen=True)
-class PrimTrace:
-    """A witness that a tree is Prim-constructible: the order edges joined.
-
-    Each listed edge, at its turn, joins the grown tree to a new vertex and
-    is among the cheapest edges doing so.
-    """
-
-    start_vertex: int
-    addition_order: tuple[str, ...]
+def _tree(edges: Sequence[Edge]) -> SpanningTree:
+    return SpanningTree(frozenset(e.id for e in edges), sum((e.weight for e in edges), Fraction(0)))
 
 
 def _prim(m: Multigraph, preferred: frozenset[str]) -> list[Edge]:
@@ -92,11 +84,7 @@ def prim_mst(m: Multigraph) -> SpanningTree:
     >>> sorted(tree.edge_ids), tree.total_weight
     (['e4'], Fraction(1, 1))
     """
-    chosen = _prim(m, frozenset())
-    return SpanningTree(
-        edge_ids=frozenset(e.id for e in chosen),
-        total_weight=sum((e.weight for e in chosen), Fraction(0)),
-    )
+    return _tree(_prim(m, frozenset()))
 
 
 def _is_spanning_tree(m: Multigraph, edges: tuple[Edge, ...]) -> bool:
@@ -126,15 +114,7 @@ def all_spanning_trees(m: Multigraph, caps: Caps = DEFAULT_CAPS) -> tuple[Spanni
         raise CapExceededError(
             f"{candidates} spanning-tree candidate subsets exceeds cap {caps.max_subsets}"
         )
-    trees = []
-    for subset in combinations(non_loops, m.vertex_count - 1):
-        if _is_spanning_tree(m, subset):
-            trees.append(
-                SpanningTree(
-                    edge_ids=frozenset(e.id for e in subset),
-                    total_weight=sum((e.weight for e in subset), Fraction(0)),
-                )
-            )
+    trees = [_tree(edges) for edges in combinations(non_loops, m.vertex_count - 1) if _is_spanning_tree(m, edges)]
     if not trees:
         raise DisconnectedError("contracted multigraph has no spanning tree")
     trees.sort(key=lambda t: (t.total_weight, tuple(sorted(t.edge_ids))))
@@ -160,10 +140,12 @@ def all_msts(m: Multigraph, caps: Caps = DEFAULT_CAPS) -> tuple[SpanningTree, ..
     return tuple(t for t in trees if t.total_weight == best)
 
 
-def prim_reachable(m: Multigraph, t: SpanningTree) -> PrimTrace | None:
-    """An order in which Prim's algorithm builds ``t``, or None when no run of it can.
+def prim_reachable(m: Multigraph, t: SpanningTree) -> tuple[str, ...] | None:
+    """The ids of ``t`` in an order Prim's algorithm adds them, or None when no run of it can.
 
-    One run decides it: Prim's algorithm from component 0, ties broken toward
+    The order is the certificate: it starts from component 0, and each edge at
+    its turn is a cheapest edge joining the grown tree to a new component. One
+    run decides it: Prim's algorithm from component 0, ties broken toward
     ``t``. When ``t`` is a minimum spanning tree, every cut of the grown tree
     has a cheapest crossing edge in ``t`` (a cheaper one outside ``t`` would
     close a cycle with a heavier ``t`` edge across the cut), so the run builds
@@ -178,7 +160,7 @@ def prim_reachable(m: Multigraph, t: SpanningTree) -> PrimTrace | None:
     if not _is_spanning_tree(m, tree_edges):
         raise NotSpanningTreeError("edge set is not a spanning tree of the graph")
     order = tuple(e.id for e in _prim(m, t.edge_ids))
-    return PrimTrace(start_vertex=0, addition_order=order) if t.edge_ids == set(order) else None
+    return order if t.edge_ids == set(order) else None
 
 
 def greedy_fixer_move(position: "Position", busted: Iterable[str]) -> frozenset[str]:

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 from unittest.mock import Mock, patch
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from busterfixer import (
@@ -682,6 +682,48 @@ def test_theorem_sweep_walks_a_relabelled_copy_only_when_its_class_differs(copie
         report = theorem_sweep([p, edited])
     assert walks.call_count == 1 + (_class_of(edited) != _class_of(p))
     assert _tallies(report) == tuple(map(sum, zip(mine, _tallies(theorem_sweep([edited])))))
+
+
+@st.composite
+def _reserve_shapes(draw):
+    """A connected graph on 1-3 vertices with 1-3 reserve edges' endpoints, at most 5 edges in all."""
+    n = draw(st.integers(1, 3))
+    vertex = st.integers(0, n - 1)
+    ends = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=3))
+    pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs += draw(st.lists(st.tuples(vertex, vertex), min_size=n == 1, max_size=5 - len(ends) - len(pairs)))
+    return Multigraph(n, tuple(Edge(f"g{i}", u, v, Fraction(1)) for i, (u, v) in enumerate(pairs))), ends
+
+
+def _weak_order(weights):
+    """Each reserve subset's rank among the distinct subset sums: it fixes the sign of every w(A) - w(B)."""
+    sums = [sum(w for w, bit in zip(weights, subset) if bit) for subset in product((0, 1), repeat=len(weights))]
+    distinct = sorted(set(sums))
+    return tuple(map(distinct.index, sums))
+
+
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(_reserve_shapes())
+def test_theorem_sweep_depends_on_reserve_weights_only_through_their_weak_order(shape):
+    # every weighting in {0..4}^k of the drawn reserve, grouped by the weak
+    # order of its subset sums: two members of a group sweep to equal clean
+    # tallies and get equal verdicts on every legal (move, response) pair
+    graph, ends = shape
+    groups = {}
+    for weights in product(range(5), repeat=len(ends)):
+        groups.setdefault(_weak_order(weights), []).append(weights)
+
+    def position(weights):
+        reserve = (Edge(f"r{i}", u, v, Fraction(w)) for i, ((u, v), w) in enumerate(zip(ends, weights)))
+        return Position(graph, Multigraph(graph.vertex_count, tuple(reserve)))
+
+    for first, *_, last in (g for g in groups.values() if len(g) > 1):
+        p, q = position(first), position(last)
+        mine, theirs = theorem_sweep([p], compare_prune=True), theorem_sweep([q], compare_prune=True)
+        assert mine.ok and theirs.ok and _tallies(mine) == _tallies(theirs), (first, last)
+        for busted in enumerate_buster_moves(p):
+            for fixed in [] if buster_wins(p, busted) else enumerate_fixer_responses(p, busted):
+                assert verify_optimal(p, busted, fixed) == verify_optimal(q, busted, fixed), (first, last, busted, fixed)
 
 
 def _past_the_cap_tree():

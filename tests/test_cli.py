@@ -496,3 +496,12 @@ def test_python_dash_m_busterfixer_runs_the_cli():
     done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
     assert (done.returncode, done.stderr) == (0, "")
     assert "counterexamples: 0" in done.stdout.splitlines()
+
+
+def test_ctrl_c_exits_130_without_traceback(monkeypatch, capsys):
+    # the console script turns Ctrl-C into one line and exit 130; cli_main lets it through to in-process callers
+    monkeypatch.setattr(cli, "cli_main", mock.Mock(side_effect=KeyboardInterrupt))
+    with pytest.raises(SystemExit) as exited:
+        cli.main()
+    assert exited.value.code == 130
+    assert capsys.readouterr() == ("", "interrupted\n")

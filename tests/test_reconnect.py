@@ -25,7 +25,6 @@ from busterfixer import (
     prim_reachable,
 )
 
-from busterfixer.reconnect import PrimTrace
 from conftest import triangle_position
 
 
@@ -138,10 +137,11 @@ def test_prim_reachable_every_mst_has_trace():
 
 
 def _assert_trace_valid(m, t, trace):
+    # the order is a certificate read from component 0: each edge a cheapest one leaving the grown tree
     by_id = {e.id: e for e in m.edges}
-    in_tree = {trace.start_vertex}
-    assert set(trace.addition_order) == set(t.edge_ids)
-    for edge_id in trace.addition_order:
+    in_tree = {0}
+    assert set(trace) == set(t.edge_ids)
+    for edge_id in trace:
         e = by_id[edge_id]
         assert (e.u in in_tree) != (e.v in in_tree)
         crossing = [
@@ -156,7 +156,7 @@ def test_prim_reachable_forced_single_edge():
     m = _contracted(2, [("a", 0, 1, 7)])
     t = all_msts(m)[0]
     trace = prim_reachable(m, t)
-    assert trace.addition_order == ("a",)
+    assert trace == ("a",)
 
 
 def test_prim_reachable_rejects_non_minimum_tree():
@@ -287,7 +287,7 @@ def test_prim_reachable_has_no_component_cap():
     m = _contracted(13, chain)
     t = all_msts(m)[0]
     trace = prim_reachable(m, t)
-    assert trace == PrimTrace(start_vertex=0, addition_order=tuple(f"e{i}" for i in range(12)))
+    assert trace == tuple(f"e{i}" for i in range(12))
     _assert_trace_valid(m, t, trace)
     with pytest.raises(TypeError):
         prim_reachable(m, t, Caps(max_subsets=1 << 13))
