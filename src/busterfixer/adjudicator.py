@@ -350,7 +350,7 @@ class _Adjudication:
         return result
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerifyResult:
     """Outcome of one optimality check, with a witness for the verdict.
 
@@ -515,7 +515,7 @@ def verify_optimal_naive(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Counterexample:
     """One sweep failure, kept small enough to print in a report."""
 

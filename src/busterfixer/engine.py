@@ -33,10 +33,9 @@ everything from their arguments, so series may be played concurrently.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 from typing import AbstractSet, Callable, Iterable, Sequence, Union
 
@@ -80,7 +79,7 @@ class Winner(Enum):
     BUSTER = "Buster"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Position:
     """The pair (current graph, remaining reserve) over a fixed vertex set."""
 
@@ -102,7 +101,7 @@ class Position:
         _check_bust(frozenset(busted), self.graph.ids)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoundRecord:
     """One round: the busted graph edges and the fixed reserve edges, checked where played or replayed."""
 
@@ -110,32 +109,28 @@ class RoundRecord:
     fixed: frozenset[str]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Series:
     """A complete play: initial position, ordered rounds, and the outcome.
 
     A Buster win means the final round's bust left the graph unreconnectable
     (that round's fix is empty). A Fixer win means Buster quit after the
     last recorded round, or had no move left: a zero-round series is a
-    Fixer win on a graph with no edges.
+    Fixer win on a graph with no edges. The ``_totals`` slot, outside
+    equality, hash and repr, stores the triple :func:`series_totals` returns.
     """
 
     initial: Position
     rounds: tuple[RoundRecord, ...]
     outcome: Winner
+    _totals: OutcomeTriple | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def length(self) -> int:
         return len(self.rounds)
 
-    @cached_property
-    def _totals(self) -> OutcomeTriple:
-        """The checked triple :func:`series_totals` returns: kept by the series loop, else replayed once."""
-        index, masks = _replay(self)
-        return _checked_totals(index, self, *masks[-1])
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OutcomeTriple:
     """(who won, total edges busted, total Fixer spend) for one series.
 
@@ -312,7 +307,7 @@ def _play(
         if len(rounds) > initial.total_edges:
             raise IdentityViolationError("series exceeded its termination bound")
     series = Series(initial=initial, rounds=tuple(rounds), outcome=outcome)
-    series.__dict__["_totals"] = _checked_totals(index, series, walk.graph, walk.reserve)
+    object.__setattr__(series, "_totals", _checked_totals(index, series, walk.graph, walk.reserve))
     return series, index, masks
 
 
@@ -388,10 +383,13 @@ def series_totals(s: Series) -> OutcomeTriple:
     weight drop ``w(R1)-w(Rend)``. Disagreement raises
     ``IdentityViolationError`` (an engine bug, not a caller error); an
     illegal series raises ``IllegalMoveError``. The triple is computed once
-    per ``Series`` object and kept on it: by the walk that played or
-    replayed it (:func:`play_series`, ``transcript.replay_transcript``), or
-    else by one replay on the first call.
+    per ``Series`` object and stored in its ``_totals`` slot: by the walk
+    that played or replayed it (:func:`play_series`,
+    ``transcript.replay_transcript``), or else by one replay on the first call.
     """
+    if s._totals is None:
+        index, masks = _replay(s)
+        object.__setattr__(s, "_totals", _checked_totals(index, s, *masks[-1]))
     return s._totals
 
 

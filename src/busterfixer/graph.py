@@ -5,8 +5,8 @@ spending reserve edges stays unambiguous even when parallel edges share
 endpoints and weights. Weights are ``fractions.Fraction`` values throughout:
 minimum spanning trees and equal-weight tie enumeration need exact
 comparisons, so binary floats never appear. Instance sizes are tiny by
-design: a :class:`Multigraph` caches only its id set and its id-to-edge
-map, and every other query recomputes from scratch.
+design: a :class:`Multigraph` stores its id-sorted edges and their id set,
+and every other query, an edge by its id included, scans those edges.
 
 All values are immutable after construction and every operation is a pure
 function, so graphs can be shared freely between threads. The size limits
@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from itertools import permutations
 from math import factorial, lcm
 from operator import attrgetter
@@ -93,7 +93,7 @@ def format_decimal_weight(value: Fraction) -> str:
     return f"{text[:-places]}.{text[-places:]}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Caps:
     """The one set of size limits for every exponential search and enumeration.
 
@@ -123,7 +123,7 @@ def _exact(weight: int | Fraction) -> Fraction:
     return Fraction(weight)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     """A weighted edge between vertex indices, identified by a unique id.
 
@@ -161,7 +161,7 @@ class Edge:
 _ID = attrgetter("id")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Multigraph:
     """A multiset of identified edges over vertices ``0..vertex_count-1``.
 
@@ -195,19 +195,18 @@ class Multigraph:
     def __iter__(self) -> Iterator[Edge]:
         return iter(self.edges)
 
-    @cached_property
-    def _by_id(self) -> dict[str, Edge]:
-        return {e.id: e for e in self.edges}
-
     def edge(self, edge_id: str) -> Edge:
-        return self._by_id[edge_id]
+        """The edge with this id; ``KeyError`` when there is none."""
+        for e in self.edges:
+            if e.id == edge_id:
+                return e
+        raise KeyError(edge_id)
 
     def weight(self, ids: Iterable[str] | None = None) -> Fraction:
         """Total weight of the given ids (all edges when omitted)."""
         if ids is None:
             return sum((e.weight for e in self.edges), Fraction(0))
-        by_id = self._by_id
-        return sum((by_id[i].weight for i in ids), Fraction(0))
+        return sum((self.edge(i).weight for i in ids), Fraction(0))
 
     def without(self, ids: Iterable[str]) -> Multigraph:
         """Multigraph minus the given edge ids; ids must all be present."""

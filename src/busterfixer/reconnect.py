@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import (
@@ -36,7 +36,7 @@ if TYPE_CHECKING:
 __all__ = ["SpanningTree", "all_msts", "all_spanning_trees", "greedy_fixer_move", "prim_mst", "prim_reachable"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpanningTree:
     """A spanning tree of a contracted graph, as a set of its edge ids."""
 
@@ -196,8 +196,10 @@ def greedy_fixer_move(position: "Position", busted: Iterable[str]) -> frozenset[
     position.check_bust(busted)
     uf = _UnionFind(position.graph.vertex_count)
     joined = sum(uf.union(e.u, e.v) for e in position.graph.edges if e.id not in busted)
-    # sorted is stable over the reserve's id order, so this is the (weight, id) order
-    chosen = frozenset(e.id for e in sorted(position.reserve.edges, key=lambda e: e.weight) if uf.union(e.u, e.v))
+    # weights times the reserve's common denominator are exact ints; sorted is stable over the id order
+    scale = lcm(*(e.weight.denominator for e in position.reserve.edges))
+    by_weight = sorted(position.reserve.edges, key=lambda e: e.weight.numerator * (scale // e.weight.denominator))
+    chosen = frozenset(e.id for e in by_weight if uf.union(e.u, e.v))
     if joined + len(chosen) < position.graph.vertex_count - 1:
         raise BusterWinsError("reserve cannot reconnect the busted graph")
     return chosen

@@ -22,9 +22,8 @@ weights, a disconnected G pool) raise ``ScenarioValidationError``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from importlib import resources
 
 from .engine import QUIT, BusterAction, Position, _QuitToken
@@ -35,7 +34,7 @@ from .graph import (_ID_RE, _RESERVED_ID_CHARACTERS, Edge, Multigraph, format_de
 __all__ = ["ScenarioFile", "load_bundled_scenario", "parse_scenario", "render_scenario"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeDeclaration:
     id: str
     u_name: str
@@ -44,7 +43,7 @@ class EdgeDeclaration:
     pool: str  # "G" or "R"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScenarioFile:
     """A parsed scenario: named vertices, pooled edges, optional script."""
 
@@ -52,23 +51,24 @@ class ScenarioFile:
     vertex_names: tuple[str, ...]
     edges: tuple[EdgeDeclaration, ...]
     script: tuple[BusterAction, ...]
+    _position: Position | None = field(default=None, init=False, compare=False, repr=False)
 
     def initial_position(self) -> Position:
         """The starting position, with names resolved to dense indices.
 
-        It is built once per scenario (``parse_scenario`` builds it to check
-        the G pool), and every call returns that same immutable object.
+        It is built once per scenario, into the ``_position`` slot
+        (``parse_scenario`` builds it to check the G pool), and every call
+        returns that same immutable object.
         """
-        return self._initial_position
-
-    @cached_property
-    def _initial_position(self) -> Position:
-        index = {name: i for i, name in enumerate(self.vertex_names)}
-        pools: dict[str, list[Edge]] = {"G": [], "R": []}
-        for decl in self.edges:
-            pools[decl.pool].append(Edge(decl.id, index[decl.u_name], index[decl.v_name], decl.weight))
-        n = len(self.vertex_names)
-        return Position(graph=Multigraph(n, tuple(pools["G"])), reserve=Multigraph(n, tuple(pools["R"])))
+        if self._position is None:
+            index = {name: i for i, name in enumerate(self.vertex_names)}
+            pools: dict[str, list[Edge]] = {"G": [], "R": []}
+            for decl in self.edges:
+                pools[decl.pool].append(Edge(decl.id, index[decl.u_name], index[decl.v_name], decl.weight))
+            n = len(self.vertex_names)
+            graph, reserve = Multigraph(n, tuple(pools["G"])), Multigraph(n, tuple(pools["R"]))
+            object.__setattr__(self, "_position", Position(graph=graph, reserve=reserve))
+        return self._position
 
 
 def parse_scenario(text: bytes | str, name: str = "scenario") -> ScenarioFile:

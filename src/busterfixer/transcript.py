@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .engine import QUIT, Position, Series, Winner, _play, _replay
-from .errors import ScenarioParseError
+from .errors import ScenarioParseError, ScenarioValidationError
 from .graph import EdgeIndex, format_weight
 
 __all__ = ["parse_transcript", "render_transcript", "replay_transcript"]
@@ -57,7 +57,7 @@ def _parse_cost(text: str) -> Fraction:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TranscriptRow:
     """One table row; the fields follow the ``_COLUMNS`` order, which replay's mismatch report relies on."""
 
@@ -71,7 +71,7 @@ class TranscriptRow:
     winner: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParsedTranscript:
     scenario_name: str
     policy: str
@@ -96,8 +96,14 @@ def render_transcript(s: Series, *, scenario: str = "scenario", policy: str = ""
 
     A zero-round series, a Fixer win on a graph with no edges, renders as
     the headers plus the line ``Winner: Fixer``. Raises
-    ``IllegalMoveError`` when the series does not replay legally.
+    ``IllegalMoveError`` when the series does not replay legally, and
+    ``ScenarioValidationError`` for a ``scenario`` or ``policy`` label that
+    :func:`parse_transcript` cannot read back: one with a line break or
+    with leading or trailing whitespace.
     """
+    for label in (scenario, policy):
+        if label != label.strip() or len(label.splitlines()) > 1:
+            raise ScenarioValidationError(f"transcript label {label!r} has a line break or surrounding whitespace")
     return _format_rows(transcript_rows(s, *_replay(s)), scenario, policy)
 
 

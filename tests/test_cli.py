@@ -170,6 +170,19 @@ def test_simulate_scripted_and_replay_round_trip(tmp_path, capsys):
     assert "REPLAY-OK" in out
 
 
+@pytest.mark.parametrize("name", [" sp.scn", "x\ny.scn"])
+def test_simulate_refuses_a_file_name_a_transcript_cannot_hold(tmp_path, capsys, name):
+    # the file's stem is the transcript's scenario label, which replay must read back byte for byte
+    scenario = tmp_path / name
+    scenario.write_text(render_scenario(load_bundled_scenario(SCN)), encoding="utf-8")
+    transcript_path = tmp_path / "run.txt"
+    assert cli_main(["simulate", str(scenario), "--out", str(transcript_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and not transcript_path.exists()
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_replay_detects_mismatch(tmp_path, capsys):
     scenario = _scenario_path(tmp_path)
     transcript_path = tmp_path / "run.txt"

@@ -2,6 +2,7 @@ import pickle
 import random
 import re
 from fractions import Fraction
+from types import MemberDescriptorType
 
 import pytest
 from hypothesis import given
@@ -141,9 +142,11 @@ def test_multigraph_validation():
 
 
 def _assert_ids_built(g):
-    # ids is built with the graph, so it is already in the instance dict before any read
-    assert vars(g)["ids"] == frozenset(e.id for e in g.edges)
-    assert g.ids is vars(g)["ids"]
+    # ids is a plain slot, read by a member descriptor that computes nothing, so the graph stored it when built
+    slot = vars(Multigraph)["ids"]
+    assert isinstance(slot, MemberDescriptorType) and not hasattr(g, "__dict__")
+    assert slot.__get__(g) == frozenset(e.id for e in g.edges)
+    assert g.ids is slot.__get__(g)
 
 
 def test_multigraph_builds_its_id_set_once_whichever_way_it_is_built():

@@ -311,6 +311,7 @@ def test_kept_triple_matches_the_replay_route(p, seed):
     played = play_series(p, random_buster(seed), greedy_fixer())
     replayed = replay_transcript(p, parse_transcript(render_transcript(played)))
     for s in (played, replayed):
-        kept = vars(s)["_totals"]  # kept by the walk that made the series, before any series_totals call
+        kept = s._totals  # the slot the walk that made the series filled, read before any series_totals call
+        assert kept is not None
         assert kept == series_totals(Series(s.initial, s.rounds, s.outcome))
         assert series_totals(s) is kept

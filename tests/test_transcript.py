@@ -16,6 +16,7 @@ from busterfixer import (
     Series,
     Winner,
     ScenarioParseError,
+    ScenarioValidationError,
     greedy_fixer,
     parse_transcript,
     play_series,
@@ -87,6 +88,22 @@ def test_zero_round_series_renders_parses_and_replays(edgeless):
     text = render_transcript(empty, scenario="z")
     replayed = replay_transcript(edgeless, parse_transcript(text))
     assert replayed == empty and render_transcript(replayed, scenario="z") == text
+
+
+@pytest.mark.parametrize("label", [" sp", "sp ", "\t", "x\ny", "x\r\ny", "x\ry", "x\u2028y", "x\x1cy", "\n"])
+@pytest.mark.parametrize("which", ["scenario", "policy"])
+def test_render_refuses_a_label_parse_cannot_read_back(triangle, which, label):
+    # parse strips a header line and splits lines as str.splitlines does, so such a label would come back changed
+    series = play_series(triangle, random_buster(1), greedy_fixer())
+    with pytest.raises(ScenarioValidationError, match="line break or surrounding whitespace"):
+        render_transcript(series, **{which: label})
+
+
+@pytest.mark.parametrize("label", ["", "sp", "x y", "caf\xe9 #1: {a} | b"])
+def test_labels_read_back_byte_for_byte(triangle, label):
+    series = play_series(triangle, random_buster(1), greedy_fixer())
+    parsed = parse_transcript(render_transcript(series, scenario=label, policy=label))
+    assert (parsed.scenario_name, parsed.policy) == (label, label)
 
 
 def test_zero_round_buster_series_is_rejected(triangle):
