@@ -163,7 +163,6 @@ class _Arena(EdgeIndex):
         super().__init__(p.graph, p.reserve)
         self.position = p
         self._responses: dict[tuple[int, int], _Lines] = {}
-        self._ordered: dict[int, _Lines] = {}
         self.dominance_memo: dict = {}
 
     def responses(self, graph_mask: int, reserve_mask: int) -> _Lines:
@@ -187,17 +186,15 @@ class _Arena(EdgeIndex):
         """Every response reconnecting ``graph_mask`` from the full reserve, cheapest first.
 
         Each is a (reserve mask, scaled weight) pair, ordered by weight and
-        then by sorted ids, memoized per graph mask. The bridge-only prune is
-        not applied here: ``_Adjudication`` filters this list.
+        then by sorted ids. Every call sorts, so each caller sorts a bust's
+        list once and hands it on. The bridge-only prune is not applied here:
+        ``_Adjudication`` filters this list.
         """
-        ordered = self._ordered.get(graph_mask)
-        if ordered is None:
-            # The index lays the reserve bits out in id order, so ascending bit
-            # tuples order responses as their sorted ids do; the mask ints do not.
-            ordered = self._ordered[graph_mask] = tuple(sorted(
-                self.responses(graph_mask, self.reserve_mask), key=lambda line: (line[1], tuple(_bit_indices(line[0])))
-            ))
-        return ordered
+        # The index lays the reserve bits out in id order, so ascending bit
+        # tuples order responses as their sorted ids do; the mask ints do not.
+        return tuple(sorted(
+            self.responses(graph_mask, self.reserve_mask), key=lambda line: (line[1], tuple(_bit_indices(line[0])))
+        ))
 
     def dominated(
         self, graph_mask: int, reserve_mask: int, bust_budget: int, spend_floor: int, target_win: bool
@@ -258,18 +255,19 @@ class _Adjudication:
     The alternative lines, the check memo (target outcome -> the mask of the
     first alternative it fails to dominate, or None) and the survival memo
     depend only on the arena, the bust and the alternatives, so they serve every
-    candidate verified against this bust. This is the one place the
-    bridge-only prune is applied: with ``bridge_only`` the alternatives are
-    the arena's ordered responses of fewest edges, in the same order.
+    candidate verified against this bust. ``lines`` is the bust's
+    ``_Arena.ordered_responses(left)``, which each caller sorts once for all
+    the bust's adjudications. This is the one place the bridge-only prune is
+    applied: with ``bridge_only`` the alternatives are the lines of fewest
+    edges, in the same order.
     """
 
     __slots__ = ("arena", "base_busted", "edge_count", "reserve_weight", "alt_lines", "check_memo", "survive_memo")
 
-    def __init__(self, arena: _Arena, left: int, bridge_only: bool):
+    def __init__(self, arena: _Arena, left: int, lines: _Lines, bridge_only: bool):
         self.arena = arena
         self.base_busted = (arena.graph_mask ^ left).bit_count()
         self.edge_count, self.reserve_weight = len(arena.edges), arena.weight_of(arena.reserve_mask)
-        lines = arena.ordered_responses(left)
         if bridge_only:
             # Every reconnecting set has at least components(left) - 1 edges;
             # those with exactly that many are the contracted spanning trees.
@@ -387,7 +385,7 @@ def verify_optimal_report(
     walk.fix(frozenset(candidate))
     if wins:  # the round is already lost; the forced empty response is optimal
         return VerifyResult(optimal=True, alternatives=0)
-    job = _Adjudication(arena, left, bridge_only)
+    job = _Adjudication(arena, left, arena.ordered_responses(left), bridge_only)
     ok, failure = job.survives(walk.graph, walk.reserve)
     if ok:
         return VerifyResult(optimal=True, alternatives=len(job.alt_lines))
@@ -562,17 +560,19 @@ def _adjudicate_move(
 ) -> tuple[int, int, list[tuple[str, frozenset[str], str]]]:
     """Adjudicate every response to one non-winning Buster move on its instance's arena.
 
-    ``bust`` is the move's graph mask. The move's legal responses are read
-    once, from the arena's ordered list. Each greedy response (an
-    ``all_msts`` tree of the ``contract``ed graph, found without the arena)
-    must be on that list and optimal, and each other response on it must not
-    be optimal unless it has minimum weight. A verdict is the first
-    setting's, which a second must match. Returns the greedy and converse
-    tallies and the failures, each a (kind, response ids, detail).
+    ``bust`` is the move's graph mask. The move's legal responses are
+    sorted once, into the ordered list that every adjudication of the move
+    shares. Each greedy response (an ``all_msts`` tree of the ``contract``ed
+    graph, found without the arena) must be on that list and optimal, and
+    each other response on it must not be optimal unless it has minimum
+    weight. A verdict is the first setting's, which a second must match.
+    Returns the greedy and converse tallies and the failures, each a (kind,
+    response ids, detail).
     """
     left = arena.graph_mask ^ bust
-    jobs = [_Adjudication(arena, left, setting) for setting in settings]
-    legal = dict(arena.ordered_responses(left))  # response mask -> scaled weight, cheapest first
+    lines = arena.ordered_responses(left)
+    jobs = [_Adjudication(arena, left, lines, setting) for setting in settings]
+    legal = dict(lines)  # response mask -> scaled weight, cheapest first
     msts = all_msts(contract(arena.multigraph(left), arena.position.reserve.edges), caps)
     greedy = {arena.mask_of(t.edge_ids): t.edge_ids for t in msts}  # an ordered set of masks, each with its ids
     if illegal := [ids for mask, ids in greedy.items() if mask not in legal]:

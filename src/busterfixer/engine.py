@@ -125,10 +125,6 @@ class Series:
     outcome: Winner
     _totals: OutcomeTriple | None = field(default=None, init=False, compare=False, repr=False)
 
-    @property
-    def length(self) -> int:
-        return len(self.rounds)
-
 
 @dataclass(frozen=True, slots=True)
 class OutcomeTriple:
@@ -282,7 +278,7 @@ def _play(
             outcome = Winner.FIXER  # Buster cannot move; forced quit
             break
         action = buster(walk, rounds)
-        if isinstance(action, _QuitToken):
+        if action is QUIT:
             if not rounds:
                 raise PolicyError("Buster may not quit before making any move", round_index)
             outcome = Winner.FIXER
@@ -413,15 +409,10 @@ def _checked_totals(index: EdgeIndex, s: Series, end_graph: int, end_reserve: in
 
 def scripted_buster(actions: Sequence[Iterable[str] | _QuitToken]) -> BusterPolicy:
     """Replay a fixed list of Buster actions; quits when the script runs out."""
-    frozen: list[BusterAction] = [
-        a if isinstance(a, _QuitToken) else frozenset(a) for a in actions
-    ]
+    frozen: list[BusterAction] = [a if a is QUIT else frozenset(a) for a in actions]
 
     def policy(position: Position, history: tuple[RoundRecord, ...]) -> BusterAction:
-        index = len(history)
-        if index >= len(frozen):
-            return QUIT
-        return frozen[index]
+        return frozen[len(history)] if len(history) < len(frozen) else QUIT
 
     return policy
 
@@ -445,12 +436,8 @@ def random_buster(seed: int) -> BusterPolicy:
 
 
 def greedy_fixer() -> FixerPolicy:
-    """The cheapest-reconnection policy backed by :func:`greedy_fixer_move`."""
-
-    def policy(position: Position, busted: frozenset[str], history: tuple[RoundRecord, ...]) -> frozenset[str]:
-        return greedy_fixer_move(position, busted)
-
-    return policy
+    """The cheapest-reconnection policy backed by :func:`greedy_fixer_move`: :func:`scripted_fixer` with no script."""
+    return scripted_fixer(())
 
 
 def scripted_fixer(responses: Sequence[Iterable[str]]) -> FixerPolicy:
@@ -458,9 +445,6 @@ def scripted_fixer(responses: Sequence[Iterable[str]]) -> FixerPolicy:
     frozen = [frozenset(r) for r in responses]
 
     def policy(position: Position, busted: frozenset[str], history: tuple[RoundRecord, ...]) -> frozenset[str]:
-        index = len(history)
-        if index < len(frozen):
-            return frozen[index]
-        return greedy_fixer_move(position, busted)
+        return frozen[len(history)] if len(history) < len(frozen) else greedy_fixer_move(position, busted)
 
     return policy

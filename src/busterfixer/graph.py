@@ -75,17 +75,11 @@ def format_decimal_weight(value: Fraction) -> str:
     values that came from :func:`parse_decimal_weight`); raises
     ``ValueError`` otherwise rather than rounding.
     """
+    # 2**a * 5**b divides 10**max(a, b), and max(a, b) < its bit length
     denominator = value.denominator
-    twos = fives = 0
-    while denominator % 2 == 0:
-        denominator //= 2
-        twos += 1
-    while denominator % 5 == 0:
-        denominator //= 5
-        fives += 1
-    if denominator != 1:
+    places = next((k for k in range(denominator.bit_length()) if 10**k % denominator == 0), None)
+    if places is None:
         raise ValueError(f"{value} has no exact decimal representation")
-    places = max(twos, fives)
     scaled = value.numerator * 10**places // value.denominator
     if places == 0:
         return str(scaled)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 
-from .engine import QUIT, BusterAction, Position, _QuitToken
+from .engine import QUIT, BusterAction, Position
 from .errors import ScenarioParseError, ScenarioValidationError
 from .graph import (_ID_RE, _RESERVED_ID_CHARACTERS, Edge, Multigraph, format_decimal_weight, is_connected,
                     parse_decimal_weight)
@@ -138,7 +138,7 @@ def parse_scenario(text: bytes | str, name: str = "scenario") -> ScenarioFile:
             if endpoint not in names:
                 raise ScenarioValidationError(f"edge {decl.id}: unknown vertex {endpoint!r}")
     for action in script:
-        if isinstance(action, _QuitToken):
+        if action is QUIT:
             continue
         unknown = action - seen_ids
         if unknown:
@@ -163,7 +163,7 @@ def render_scenario(scenario: ScenarioFile) -> str:
     for d in scenario.edges:
         lines.append(f"edge {d.id} {d.u_name} {d.v_name} {format_decimal_weight(d.weight)} {d.pool}")
     for action in scenario.script:
-        if isinstance(action, _QuitToken):
+        if action is QUIT:
             lines.append("buster quit")
         else:
             lines.append("buster " + ",".join(sorted(action)))

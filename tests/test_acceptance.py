@@ -214,7 +214,7 @@ def test_criterion_5_totals_identities():
         direct_cost = sum((initial.reserve.weight(r.fixed) for r in series.rounds), Fraction(0))
         assert direct_busted == initial.total_edges - end.total_edges
         assert direct_cost == initial.reserve.weight() - end.reserve.weight()
-        assert series.length <= initial.total_edges
+        assert len(series.rounds) <= initial.total_edges
         checked += 1
     return f"{checked} series, both identities exact, length bound holds"
 

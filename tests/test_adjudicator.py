@@ -150,7 +150,8 @@ def _left(arena, busted):
 
 def _bridge_only_responses(p, busted):
     arena = _Arena(p)
-    return [arena.ids_of(alt) for alt, *_ in _Adjudication(arena, _left(arena, busted), True).alt_lines]
+    left = _left(arena, busted)
+    return [arena.ids_of(alt) for alt, *_ in _Adjudication(arena, left, arena.ordered_responses(left), True).alt_lines]
 
 
 def test_enumerate_fixer_responses_bridge_only(triangle):
@@ -417,7 +418,7 @@ def _assert_shared_arena_changes_nothing(positions):
             left = walk.graph
             walk.fix(candidate)
             if (left, bridge_only) not in jobs:
-                jobs[left, bridge_only] = _Adjudication(arena, left, bridge_only)
+                jobs[left, bridge_only] = _Adjudication(arena, left, arena.ordered_responses(left), bridge_only)
             job = jobs[left, bridge_only]
             ok, failure = job.survives(walk.graph, walk.reserve)
             assert (ok, len(job.alt_lines)) == (fresh.optimal, fresh.alternatives)
@@ -757,9 +758,9 @@ def test_theorem_sweep_keys_alike_however_graph_objects_are_shared(monkeypatch):
     singles = {p: _tallies(theorem_sweep([p], compare_prune=True)) for p in (*corpus, tree)}
     built, adjudication = [], adjudicator._Adjudication
 
-    def recording(arena, left, bridge_only):
+    def recording(arena, left, lines, bridge_only):
         built[-1].append((arena.position, left, bridge_only))
-        return adjudication(arena, left, bridge_only)
+        return adjudication(arena, left, lines, bridge_only)
 
     monkeypatch.setattr(adjudicator, "_Adjudication", recording)
     orders = corpus, rebuilt, random.Random(5).sample(corpus, len(corpus)), [*corpus[:cut], tree, *corpus[cut:]]
@@ -810,9 +811,9 @@ def _flip_verdicts(monkeypatch, settings):
             ok, failure = self.job.survives(graph_mask, reserve_mask)
             return not ok, failure
 
-    def flipping(arena, left, bridge_only):
+    def flipping(arena, left, lines, bridge_only):
         counts["jobs"] += 1
-        job = adjudication(arena, left, bridge_only)
+        job = adjudication(arena, left, lines, bridge_only)
         return Flipped(job) if bridge_only in settings else job
 
     monkeypatch.setattr(adjudicator, "_Adjudication", flipping)
@@ -1001,7 +1002,7 @@ def test_theorem_sweep_merges_busts_of_parallel_edges_of_unequal_weight(monkeypa
     assert report.ok and report.moves == 3
 
 
-def test_arena_ordered_responses_memo_equals_a_fresh_arena():
+def test_arena_ordered_responses_are_ordered_by_weight_then_sorted_ids():
     checked = 0
     for p in generate_instances(3, 4, (0, 1, 2)):
         arena = _Arena(p)
@@ -1009,14 +1010,32 @@ def test_arena_ordered_responses_memo_equals_a_fresh_arena():
             left = _left(arena, busted)
             if left is None:
                 continue
-            for bridge_only in (False, True, False, True):
-                # an adjudication of either setting reads the memoized list and leaves it whole
-                _Adjudication(arena, left, bridge_only)
-                cached = arena.ordered_responses(left)
-                assert cached == _Arena(p).ordered_responses(left)
-                assert list(cached) == sorted(cached, key=lambda line: (line[1], sorted(arena.ids_of(line[0]))))
+            for bridge_only in (False, True):
+                # an adjudication of either setting reads the list and leaves it whole
+                lines = arena.ordered_responses(left)
+                _Adjudication(arena, left, lines, bridge_only)
+                assert lines == arena.ordered_responses(left)
+                assert list(lines) == sorted(lines, key=lambda line: (line[1], sorted(arena.ids_of(line[0]))))
                 checked += 1
     assert checked > 1000
+
+
+def test_theorem_sweep_sorts_each_adjudicated_moves_responses_once(monkeypatch):
+    # every adjudication of a move shares the one list _adjudicate_move sorts
+    ordered, adjudicate, calls = _Arena.ordered_responses, adjudicator._adjudicate_move, {"sorts": 0, "moves": 0}
+
+    def counting_sort(arena, graph_mask):
+        calls["sorts"] += 1
+        return ordered(arena, graph_mask)
+
+    def counting_move(*args):
+        calls["moves"] += 1
+        return adjudicate(*args)
+
+    monkeypatch.setattr(_Arena, "ordered_responses", counting_sort)
+    monkeypatch.setattr(adjudicator, "_adjudicate_move", counting_move)
+    report = theorem_sweep(generate_instances(3, 4, (0, 1, 2)), compare_prune=True)
+    assert report.ok and calls == {"sorts": 291, "moves": 291}
 
 
 def test_bridge_only_alternatives_are_the_contracted_spanning_trees():
@@ -1030,8 +1049,9 @@ def test_bridge_only_alternatives_are_the_contracted_spanning_trees():
             if left is None:
                 continue
             trees = {t.edge_ids for t in all_spanning_trees(contract(p.graph.without(busted), p.reserve.edges))}
-            alts = [arena.ids_of(alt) for alt, *_ in _Adjudication(arena, left, True).alt_lines]
-            assert alts == [arena.ids_of(m) for m, _ in arena.ordered_responses(left) if arena.ids_of(m) in trees]
+            lines = arena.ordered_responses(left)
+            alts = [arena.ids_of(alt) for alt, *_ in _Adjudication(arena, left, lines, True).alt_lines]
+            assert alts == [arena.ids_of(m) for m, _ in lines if arena.ids_of(m) in trees]
             assert set(alts) == trees
             checked += 1
     assert checked > 1000

@@ -183,7 +183,7 @@ def test_greedy_play_contracts_nothing_and_builds_two_multigraphs_per_later_roun
 def test_play_series_quit_gives_fixer_win(triangle):
     series = play_series(triangle, scripted_buster([B1, QUIT]), greedy_fixer())
     assert series.outcome is Winner.FIXER
-    assert series.length == 1
+    assert len(series.rounds) == 1
     assert series_totals(series) == OutcomeTriple(True, 2, Fraction(1))
 
 
@@ -220,7 +220,7 @@ def test_play_series_single_vertex_loops_end_as_fixer_win():
     series = play_series(p, scripted_buster([{"l"}, {"l"}]), greedy_fixer())
     # after the loop is busted the graph is empty; Buster cannot move again
     assert series.outcome is Winner.FIXER
-    assert series.length == 1
+    assert len(series.rounds) == 1
 
 
 def test_series_totals_zero_round_prefix(edgeless):
@@ -327,7 +327,7 @@ def test_random_series_conservation_and_termination():
         initial = random_instance(rng)
         series = play_series(initial, random_buster(seed=trial), greedy_fixer())
         positions = replay_positions(series)
-        assert series.length <= initial.total_edges
+        assert len(series.rounds) <= initial.total_edges
         for before, after, record in zip(positions, positions[1:], series.rounds):
             assert after.total_edges == before.total_edges - len(record.busted)
             assert before.reserve.weight() - after.reserve.weight() == before.reserve.weight(record.fixed)

@@ -2,6 +2,7 @@ import pickle
 import random
 import re
 from fractions import Fraction
+from math import gcd
 from types import MemberDescriptorType
 
 import pytest
@@ -23,7 +24,7 @@ from busterfixer import (
     is_connected,
     parse_decimal_weight,
 )
-from busterfixer.graph import DEFAULT_CAPS, EdgeIndex, relabelling_sums
+from busterfixer.graph import DEFAULT_CAPS, EdgeIndex, format_decimal_weight, relabelling_sums
 
 from conftest import brute_force_form, random_multigraph, triangle_position
 from test_properties import PROPERTY
@@ -63,6 +64,24 @@ _DIGITS = st.text(alphabet="0123456789", min_size=1, max_size=30)
 def test_parse_decimal_weight_equals_fraction_of_the_text(whole, frac):
     text = whole if frac is None else f"{whole}.{frac}"
     assert parse_decimal_weight(text) == Fraction(text)
+
+
+_POWER = st.integers(0, 30)
+
+
+@PROPERTY
+@given(st.integers(0, 10**12), _POWER, _POWER)
+def test_format_decimal_weight_round_trips_every_decimal_fraction(n, a, b):
+    x = Fraction(n, 2**a * 5**b)
+    assert parse_decimal_weight(format_decimal_weight(x)) == x
+
+
+@PROPERTY
+@given(st.integers(0, 10**12), _POWER, _POWER, st.integers(3, 10**6).filter(lambda m: gcd(m, 10) == 1))
+def test_format_decimal_weight_refuses_another_prime_factor(n, a, b, m):
+    x = Fraction(n * m + 1, 2**a * 5**b * m)  # coprime to m, so m stays in the denominator
+    with pytest.raises(ValueError, match="has no exact decimal representation"):
+        format_decimal_weight(x)
 
 
 def test_format_weight():

@@ -184,7 +184,7 @@ def test_mask_round_step_matches_multigraph_reference(p, seed):
         assert buster_wins(p, busted) == (not is_connected(p.graph.without(busted).with_edges(p.reserve.edges)))
     series = play_series(p, random_buster(seed), greedy_fixer())
     positions = replay_positions(series)
-    assert len(positions) == series.length + 1 and positions[0] == p
+    assert len(positions) == len(series.rounds) + 1 and positions[0] == p
     pos = p
     for j, record in enumerate(series.rounds):
         pos = Position(
@@ -192,7 +192,7 @@ def test_mask_round_step_matches_multigraph_reference(p, seed):
             reserve=pos.reserve.without(record.fixed),
         )
         assert positions[j + 1] == pos
-        survived = series.outcome is Winner.FIXER or j < series.length - 1
+        survived = series.outcome is Winner.FIXER or j < len(series.rounds) - 1
         assert is_connected(pos.graph) == survived
 
 
