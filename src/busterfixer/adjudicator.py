@@ -58,11 +58,13 @@ the verifiers' ``bridge_only=False`` disables it, and the sweep's
 oracle never prunes.
 
 Every size limit comes from one ``graph.Caps`` object; exceeding it
-raises ``CapExceededError``. Building an ``_Arena`` checks the
-reserve-subset cap; the total-edge caps are checked by the two verifiers
-and, per instance, the sweep. Searches are pure given their inputs, every
-memo is per position, keyed only by what decides its answer, and each
-verifier call builds a fresh arena.
+raises ``CapExceededError``. The reserve-subset cap is checked by
+``_check_reserve_subsets``, which building an ``_Arena`` calls, and so does
+the sweep before it decides a Buster win without an arena; the total-edge
+caps are checked by the two verifiers and, per instance, the sweep.
+Searches are pure given their inputs, every memo is per position, keyed
+only by what decides its answer, and each verifier call builds a fresh
+arena.
 """
 
 from __future__ import annotations
@@ -83,8 +85,8 @@ from .engine import (
     series_totals,
 )
 from .errors import BusterWinsError, CapExceededError, IllegalMoveError
-from .graph import (DEFAULT_CAPS, Caps, Edge, EdgeIndex, Multigraph, _bit_indices, _exact, _UnionFind, contract,
-                    relabelling_sums)
+from .graph import (DEFAULT_CAPS, Caps, Edge, EdgeIndex, Multigraph, _bit_indices, _exact, _spans_connect, _UnionFind,
+                    contract, relabelling_sums)
 from .reconnect import all_msts
 
 __all__ = [
@@ -146,20 +148,27 @@ def enumerate_fixer_responses(p: Position, busted: frozenset[str], caps: Caps = 
 _Lines = tuple[tuple[int, int], ...]  # (reserve mask, scaled weight) pairs
 
 
+def _check_reserve_subsets(p: Position, caps: Caps) -> None:
+    """Raise ``CapExceededError`` when ``p``'s reserve has more than ``caps.max_subsets`` subsets."""
+    if 1 << len(p.reserve) > caps.max_subsets:
+        raise CapExceededError(f"2^{len(p.reserve)} reserve subsets exceeds cap {caps.max_subsets}")
+
+
 class _Arena(EdgeIndex):
     """The verifier's view of one position: its edge index plus the search memos.
 
-    Building one first checks the reserve-subset cap, so it raises
-    ``CapExceededError`` before any response is enumerated. Everything is
-    derived from the immutable position, so the arena carries the memos
-    shared by every check on it. It holds no reference to the
-    ``_Adjudication``s that use it, so a finished arena is freed at once by
-    reference counting rather than left to the cycle collector.
+    Building one first checks the reserve-subset cap with
+    :func:`_check_reserve_subsets`, so it raises ``CapExceededError`` before
+    any response is enumerated; the sweep also calls that check where it
+    decides a Buster win without an arena. Everything is derived from the
+    immutable position, so the arena carries the memos shared by every check
+    on it. It holds no reference to the ``_Adjudication``s that use it, so a
+    finished arena is freed at once by reference counting rather than left to
+    the cycle collector.
     """
 
     def __init__(self, p: Position, caps: Caps = DEFAULT_CAPS):
-        if 1 << len(p.reserve) > caps.max_subsets:
-            raise CapExceededError(f"2^{len(p.reserve)} reserve subsets exceeds cap {caps.max_subsets}")
+        _check_reserve_subsets(p, caps)
         super().__init__(p.graph, p.reserve)
         self.position = p
         self._responses: dict[tuple[int, int], _Lines] = {}
@@ -610,10 +619,12 @@ def theorem_sweep(
     list is a build-failing event for the corpus this library ships with.
     Verdicts and tallies depend on reserve weights only through the weak
     order of their subset sums: spends, search floors and tree weights enter
-    only through comparisons between such sums. ``caps`` bounds every enumeration and search; the reserve-subset cap is
-    checked as an instance's arena is built, before its converse lists are
-    enumerated, and every class an instance meets was recorded on an arena of
-    its reserve size.
+    only through comparisons between such sums. ``caps`` bounds every
+    enumeration and search. :func:`_check_reserve_subsets` checks the
+    reserve-subset cap at an instance's first move of a new class, Buster win
+    or not, before any of its converse lists is enumerated, so every class an
+    instance meets was recorded by an instance of its reserve size that
+    passed the check.
 
     The sweep keys, adjudicates and credits. It walks each instance's Buster
     moves as graph masks in :func:`enumerate_buster_moves` order. It keys the
@@ -625,14 +636,20 @@ def theorem_sweep(
     them to those of the graph edges kept, taken once per graph mask while
     consecutive instances share a graph object (a one-slot cache keyed by
     identity). The first move to leave each class in the whole call is
-    adjudicated: a Buster win, found by the arena's ``unfixable``, counts
-    (1, 0); any other move goes to :func:`_adjudicate_move`, whose failures
-    become ``Counterexample``s with the instance and the bust's ids. An
-    instance gets the sum of its moves' tallies. Later instances and moves of
-    a class get the first one's tallies unless it recorded a failure. An
-    instance builds its arena, whose memos its moves share, at its first move
-    of a new class; one past the relabelling cap is not keyed, so that is its
-    first move.
+    adjudicated: a Buster win counts (1, 0); any other move goes to
+    :func:`_adjudicate_move`, whose failures become ``Counterexample``s with
+    the instance and the bust's ids. An instance gets the sum of its moves'
+    tallies. Later instances and moves of a class get the first one's tallies
+    unless it recorded a failure.
+
+    Buster wins are decided before any arena exists. While an instance has
+    none, a move is a Buster win by the rule of ``EdgeIndex.unfixable``,
+    tested on the edge spans of the graph edges kept (taken once per graph
+    object, beside its sums) and of the whole reserve (taken at the
+    instance's first move of a new class). The instance builds its arena,
+    whose memos its later moves share, at its first move to adjudicate, and
+    from then on the arena's ``unfixable`` decides. An instance past the
+    relabelling cap is not keyed, so every one of its moves is of a new class.
     """
     report = SweepReport()
     settings = (True, False) if compare_prune else (True,)  # the pruned verdict first
@@ -640,7 +657,7 @@ def theorem_sweep(
     by_class: dict[tuple, tuple[int, int]] = {}  # class of the position a move leaves -> its first clean move's tallies
     labels: dict[tuple[int, int], int] = {}  # exact reserve weight ratio -> label, first seen first; graph edges are 0
     width = caps.max_total_edges.bit_length()  # a count field holds every edge of any instance swept
-    held, sums = None, {}  # the graph object last keyed, and graph mask -> the relabelling sums of its edges there
+    held, sums, spans = None, {}, []  # the graph object last keyed, mask -> its edges' relabelling sums, edge spans
 
     def class_of(mask: int) -> tuple[int, int]:  # the held graph's edges at mask's bits beside this instance's reserve
         if mask not in sums:
@@ -658,7 +675,7 @@ def theorem_sweep(
         graph_mask = (1 << size) - 1
         edges = [(labels.setdefault(e.weight.as_integer_ratio(), len(labels) + 1), e.u, e.v) for e in p.reserve]
         if p.graph is not held:  # graph edge i is arena bit i
-            held, sums = p.graph, {}
+            held, sums, spans = p.graph, {}, [1 << e.u | 1 << e.v for e in p.graph]
         try:
             reserve = relabelling_sums(n, edges, width, caps)
             key = class_of(graph_mask)
@@ -666,16 +683,23 @@ def theorem_sweep(
             key = None
         tallies = shared.get(key)
         if tallies is None:
-            arena, moves, clean = None, [], True
+            arena, reserve_spans, moves, clean = None, None, [], True
             for bust in _move_masks(size, caps):
                 left = graph_mask ^ bust
                 post = None if key is None else class_of(left)  # the class of the position the move leaves
                 move = by_class.get(post)
                 if move is None:
-                    if arena is None:  # the instance's first move of a new class
-                        arena = _Arena(p, caps)
+                    if arena is not None:
+                        unfixable = arena.unfixable(left, arena.reserve_mask)
+                    else:  # no move of this instance adjudicated yet: the rule of EdgeIndex.unfixable on spans
+                        if reserve_spans is None:  # the instance's first move of a new class
+                            _check_reserve_subsets(p, caps)
+                            reserve_spans = [1 << e.u | 1 << e.v for e in p.reserve]
+                        unfixable = not _spans_connect(n, [spans[i] for i in _bit_indices(left)] + reserve_spans)
+                        if not unfixable:  # the instance's first move to adjudicate
+                            arena = _Arena(p, caps)
                     move, failures = (1, 0), []  # a Buster win: the forced empty response is optimal
-                    if not arena.unfixable(left, arena.reserve_mask):
+                    if not unfixable:
                         greedy, converse, failures = _adjudicate_move(arena, bust, settings, caps)
                         for kind, response, detail in failures:
                             failed = report.prune_mismatches if kind == "prune-mismatch" else report.counterexamples

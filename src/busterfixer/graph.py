@@ -97,9 +97,10 @@ class Caps:
     oracle. ``max_subsets`` bounds any single enumeration: Buster moves
     (``2**|G|``), Fixer responses (``2**|R|``), spanning-tree candidates
     (``comb(non-loop edges, c - 1)``), vertex relabellings and the oracle's
-    materialized strategies. The verifier checks ``2**|R|`` in one place, as
-    it builds a position's arena, so every adjudicator entry point raises it
-    before enumerating anything.
+    materialized strategies. The verifier checks ``2**|R|`` in one helper,
+    which building a position's arena calls and the sweep calls before it
+    decides a Buster win without an arena, so every adjudicator entry point
+    raises it before enumerating anything.
     """
 
     max_total_edges: int = 7
@@ -317,6 +318,18 @@ def _bit_indices(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _spans_connect(n: int, spans: list[int]) -> bool:
+    """Do the edges whose spans (the bits ``1 << u | 1 << v``) are listed connect all ``n`` vertices?"""
+    # grow vertex 0's component, a set of vertex bits, until it stops growing
+    reached, grown = 0, 1
+    while grown != reached:
+        reached = grown
+        for span in spans:
+            if grown & span:
+                grown |= span
+    return reached == (1 << n) - 1
+
+
 class EdgeIndex:
     """Bitmask view of one instance's edges: a set of edges is an int.
 
@@ -369,15 +382,7 @@ class EdgeIndex:
     def connected(self, mask: int) -> bool:
         cached = self._connected.get(mask)
         if cached is None:
-            # grow vertex 0's component, a set of vertex bits, until it stops growing
-            spans = [self.spans[i] for i in _bit_indices(mask)]
-            reached, grown = 0, 1
-            while grown != reached:
-                reached = grown
-                for span in spans:
-                    if grown & span:
-                        grown |= span
-            cached = self._connected[mask] = reached == (1 << self.n) - 1
+            cached = self._connected[mask] = _spans_connect(self.n, [self.spans[i] for i in _bit_indices(mask)])
         return cached
 
     def unfixable(self, left: int, reserve: int) -> bool:

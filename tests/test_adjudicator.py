@@ -483,6 +483,18 @@ def test_theorem_sweep_caps_reserve_subsets_before_enumerating(monkeypatch):
     assert calls < 100
 
 
+def test_theorem_sweep_caps_reserve_subsets_at_a_buster_win():
+    # four reserve loops cannot reconnect the one busted edge, so the one move
+    # is a Buster win, decided with no arena; the cap must still raise there
+    p = Position(
+        graph=Multigraph(2, (Edge("g", 0, 1, Fraction(1)),)),
+        reserve=Multigraph(2, tuple(Edge(f"r{i}", 0, 0, Fraction(1)) for i in range(4))),
+    )
+    assert buster_wins(p, {"g"})
+    with pytest.raises(CapExceededError, match=r"^2\^4 reserve subsets exceeds cap 8$"):
+        theorem_sweep([p], Caps(max_subsets=8))
+
+
 def test_theorem_sweep_caps_total_edges_before_enumerating(monkeypatch):
     # a path with no reserve: every Buster move wins the round, so no
     # verifier call would ever see the position; the cap must still raise
@@ -623,7 +635,7 @@ def _counting_arenas(monkeypatch):
 def test_theorem_sweep_adjudicates_one_instance_per_class(monkeypatch):
     # later members of a class are credited with the first member's tallies
     # and build no arena; a first member builds one only when some move of it
-    # leaves a position of a new class, Buster-win moves included; the report
+    # leaves a position of a new class that is not a Buster win; the report
     # is the sum of one-instance sweeps
     corpus = list(generate_instances(3, 4, (0, 1, 2)))
     singles = [_tallies(theorem_sweep([p], compare_prune=True)) for p in corpus]
@@ -632,12 +644,13 @@ def test_theorem_sweep_adjudicates_one_instance_per_class(monkeypatch):
     first, left, expected = {}, set(), []
     for p in corpus:
         if first.setdefault(_class_of(p), p) is p:
-            moves = enumerate_buster_moves(p)
-            posts = {_class_of(Position(graph=p.graph.without(b), reserve=p.reserve)) for b in moves}
-            if posts - left:
+            posts = {}  # class of the position a move leaves -> whether Buster wins there
+            for b in enumerate_buster_moves(p):
+                posts.setdefault(_class_of(Position(graph=p.graph.without(b), reserve=p.reserve)), buster_wins(p, b))
+            if any(not won for post, won in posts.items() if post not in left):
                 expected.append(p)
-            left |= posts
-    assert (len(corpus), len(first), len(expected)) == (1_415, 471, 375)
+            left |= posts.keys()
+    assert (len(corpus), len(first), len(expected)) == (1_415, 471, 255)
     assert all(a is b for a, b in zip(arenas, expected, strict=True))
     assert _tallies(report) == tuple(map(sum, zip(*singles)))
 
@@ -735,13 +748,72 @@ def _past_the_cap_tree():
     )
 
 
+def _past_the_cap_fixable():
+    """A path on 7 vertices and a reserve edge parallel to its first edge: 7! relabellings exceed the default cap."""
+    return Position(
+        graph=Multigraph(7, tuple(Edge(f"g{v}", v, v + 1, 1) for v in range(6))),
+        reserve=Multigraph(7, (Edge("r0", 0, 1, 1),)),
+    )
+
+
 def test_theorem_sweep_adjudicates_each_copy_past_the_relabelling_cap(monkeypatch):
-    # 8! relabellings exceed the default cap: the tree is swept, never shared, never refused
-    tree = _past_the_cap_tree()
+    # 8! and 7! relabellings exceed the default cap: each copy is swept, never
+    # shared, never refused; every move of the tree with no reserve is a
+    # Buster win, so it builds no arena, while each copy of the other builds one
+    tree, fixable = _past_the_cap_tree(), _past_the_cap_fixable()
     arenas = _counting_arenas(monkeypatch)
     report = theorem_sweep([tree, tree])
-    assert len(arenas) == 2
+    assert arenas == []
     assert _tallies(report) == (2, 2 * 127, 2 * 127, 0, 0, 0)
+    report = theorem_sweep([fixable, fixable])
+    assert len(arenas) == 2 and all(a is fixable for a in arenas)
+    assert _tallies(report) == (2, 2 * 63, 2 * 63, 0, 0, 0)
+
+
+def test_theorem_sweep_decides_buster_wins_without_an_arena_as_the_engine_does(monkeypatch):
+    # no instance is keyed, so every move is of a new class, and no arena is
+    # ever kept, so every move is decided without one: the moves sent on to
+    # adjudication must be exactly those that engine.buster_wins calls no win
+    sent = []
+
+    def unkeyed(*args):
+        raise CapExceededError("unkeyed")
+
+    def recording(arena, bust, settings, caps):
+        sent.append(bust)
+        return 0, 0, []
+
+    monkeypatch.setattr(adjudicator, "relabelling_sums", unkeyed)
+    monkeypatch.setattr(adjudicator, "_Arena", lambda p, caps: None)
+    monkeypatch.setattr(adjudicator, "_adjudicate_move", recording)
+    corpus = [*generate_instances(3, 4, (0, 1, 2)), _past_the_cap_tree(), _past_the_cap_fixable()]
+    for p in corpus:
+        sent.clear()
+        theorem_sweep([p])
+        ids = [e.id for e in p.graph]
+        fixable = [
+            bust for bust in range(1, 1 << len(ids))
+            if not buster_wins(p, {ids[i] for i in range(len(ids)) if bust >> i & 1})
+        ]
+        assert sorted(sent) == fixable, p
+    assert sent == [1]  # the last instance loses only its edge parallel to the reserve
+
+
+def test_theorem_sweep_builds_an_arena_only_for_instances_it_adjudicates(monkeypatch):
+    # every arena is used: the instances whose arenas are built are those whose
+    # moves are adjudicated, in order; 1,836 were built before Buster wins were
+    # decided without one
+    arenas, adjudicate, adjudicated = _counting_arenas(monkeypatch), adjudicator._adjudicate_move, []
+
+    def recording(arena, *args):
+        adjudicated.append(arena.position)
+        return adjudicate(arena, *args)
+
+    monkeypatch.setattr(adjudicator, "_adjudicate_move", recording)
+    report = theorem_sweep(generate_instances(3, 5, (0, 1, 2)))
+    assert _tallies(report) == (10_015, 58_917, 61_012, 59_973, 0, 0)
+    assert len(arenas) == 1_356
+    assert all(a is b for a, b in zip(arenas, (p for p, _ in groupby(adjudicated)), strict=True))
 
 
 def test_theorem_sweep_keys_alike_however_graph_objects_are_shared(monkeypatch):
