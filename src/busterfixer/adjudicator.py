@@ -60,11 +60,10 @@ oracle never prunes.
 Every size limit comes from one ``graph.Caps`` object; exceeding it
 raises ``CapExceededError``. The reserve-subset cap is checked by
 ``_check_reserve_subsets``, which building an ``_Arena`` calls, and so does
-the sweep before it decides a Buster win without an arena; the total-edge
-caps are checked by the two verifiers and, per instance, the sweep.
-Searches are pure given their inputs, every memo is per position, keyed
-only by what decides its answer, and each verifier call builds a fresh
-arena.
+the sweep at an instance's first move of a new class; the total-edge caps
+are checked by the two verifiers and, per instance, the sweep. Searches
+are pure given their inputs, every memo is per position, keyed only by
+what decides its answer, and each verifier call builds a fresh arena.
 """
 
 from __future__ import annotations
@@ -159,12 +158,12 @@ class _Arena(EdgeIndex):
 
     Building one first checks the reserve-subset cap with
     :func:`_check_reserve_subsets`, so it raises ``CapExceededError`` before
-    any response is enumerated; the sweep also calls that check where it
-    decides a Buster win without an arena. Everything is derived from the
-    immutable position, so the arena carries the memos shared by every check
-    on it. It holds no reference to the ``_Adjudication``s that use it, so a
-    finished arena is freed at once by reference counting rather than left to
-    the cycle collector.
+    any response is enumerated; the sweep also calls that check at an
+    instance's first move of a new class, Buster win or not. Everything is
+    derived from the immutable position, so the arena carries the memos
+    shared by every check on it. It holds no reference to the
+    ``_Adjudication``s that use it, so a finished arena is freed at once by
+    reference counting rather than left to the cycle collector.
     """
 
     def __init__(self, p: Position, caps: Caps = DEFAULT_CAPS):
@@ -642,14 +641,14 @@ def theorem_sweep(
     tallies. Later instances and moves of a class get the first one's tallies
     unless it recorded a failure.
 
-    Buster wins are decided before any arena exists. While an instance has
-    none, a move is a Buster win by the rule of ``EdgeIndex.unfixable``,
-    tested on the edge spans of the graph edges kept (taken once per graph
-    object, beside its sums) and of the whole reserve (taken at the
-    instance's first move of a new class). The instance builds its arena,
-    whose memos its later moves share, at its first move to adjudicate, and
-    from then on the arena's ``unfixable`` decides. An instance past the
-    relabelling cap is not keyed, so every one of its moves is of a new class.
+    Buster wins are decided without an arena. A move of a new class is a
+    Buster win by the rule of ``EdgeIndex.unfixable``, tested on the edge
+    spans of the graph edges kept (taken once per graph object, beside its
+    sums) and of the whole reserve (taken at the instance's first move of a
+    new class). An instance builds its arena, whose memos its later moves
+    share, at its first move to adjudicate, so no arena goes unused. An
+    instance past the relabelling cap is not keyed, so every one of its
+    moves is of a new class.
     """
     report = SweepReport()
     settings = (True, False) if compare_prune else (True,)  # the pruned verdict first
@@ -689,17 +688,14 @@ def theorem_sweep(
                 post = None if key is None else class_of(left)  # the class of the position the move leaves
                 move = by_class.get(post)
                 if move is None:
-                    if arena is not None:
-                        unfixable = arena.unfixable(left, arena.reserve_mask)
-                    else:  # no move of this instance adjudicated yet: the rule of EdgeIndex.unfixable on spans
-                        if reserve_spans is None:  # the instance's first move of a new class
-                            _check_reserve_subsets(p, caps)
-                            reserve_spans = [1 << e.u | 1 << e.v for e in p.reserve]
-                        unfixable = not _spans_connect(n, [spans[i] for i in _bit_indices(left)] + reserve_spans)
-                        if not unfixable:  # the instance's first move to adjudicate
-                            arena = _Arena(p, caps)
+                    if reserve_spans is None:  # the instance's first move of a new class
+                        _check_reserve_subsets(p, caps)
+                        reserve_spans = [1 << e.u | 1 << e.v for e in p.reserve]
                     move, failures = (1, 0), []  # a Buster win: the forced empty response is optimal
-                    if not unfixable:
+                    # not a win by the rule of EdgeIndex.unfixable: the edges kept and the whole reserve connect
+                    if _spans_connect(n, [spans[i] for i in _bit_indices(left)] + reserve_spans):
+                        if arena is None:  # the instance's first move to adjudicate
+                            arena = _Arena(p, caps)
                         greedy, converse, failures = _adjudicate_move(arena, bust, settings, caps)
                         for kind, response, detail in failures:
                             failed = report.prune_mismatches if kind == "prune-mismatch" else report.counterexamples

@@ -97,10 +97,8 @@ class Caps:
     oracle. ``max_subsets`` bounds any single enumeration: Buster moves
     (``2**|G|``), Fixer responses (``2**|R|``), spanning-tree candidates
     (``comb(non-loop edges, c - 1)``), vertex relabellings and the oracle's
-    materialized strategies. The verifier checks ``2**|R|`` in one helper,
-    which building a position's arena calls and the sweep calls before it
-    decides a Buster win without an arena, so every adjudicator entry point
-    raises it before enumerating anything.
+    materialized strategies. Every adjudicator entry point raises the
+    ``2**|R|`` cap before enumerating anything.
     """
 
     max_total_edges: int = 7

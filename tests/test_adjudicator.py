@@ -771,9 +771,9 @@ def test_theorem_sweep_adjudicates_each_copy_past_the_relabelling_cap(monkeypatc
 
 
 def test_theorem_sweep_decides_buster_wins_without_an_arena_as_the_engine_does(monkeypatch):
-    # no instance is keyed, so every move is of a new class, and no arena is
-    # ever kept, so every move is decided without one: the moves sent on to
-    # adjudication must be exactly those that engine.buster_wins calls no win
+    # no instance is keyed, so every move is of a new class and the sweep
+    # decides its Buster win: the moves sent on to adjudication must be
+    # exactly those that engine.buster_wins calls no win
     sent = []
 
     def unkeyed(*args):
@@ -784,7 +784,6 @@ def test_theorem_sweep_decides_buster_wins_without_an_arena_as_the_engine_does(m
         return 0, 0, []
 
     monkeypatch.setattr(adjudicator, "relabelling_sums", unkeyed)
-    monkeypatch.setattr(adjudicator, "_Arena", lambda p, caps: None)
     monkeypatch.setattr(adjudicator, "_adjudicate_move", recording)
     corpus = [*generate_instances(3, 4, (0, 1, 2)), _past_the_cap_tree(), _past_the_cap_fixable()]
     for p in corpus:
